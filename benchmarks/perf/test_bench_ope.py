@@ -1,7 +1,8 @@
 """Microbenchmarks for the off-policy evaluation engine.
 
 Measures the columnar (vectorized) evaluation path against the per-row
-scalar reference on the workload the engine was built for: policy-class
+scalar reference (``tests/oracles.py``) on the workload the engine was
+built for: policy-class
 search over a large exploration log (§4's "evaluate a whole class Π
 simultaneously").  Throughputs land in ``BENCH_ope.json`` at the repo
 root so the speedup is tracked across PRs.
@@ -46,6 +47,7 @@ from repro.obs.metrics import use_metrics
 from repro.obs.tracing import use_tracer
 
 from benchmarks.conftest import print_table
+from tests import oracles
 
 SMOKE = os.environ.get("REPRO_PERF_SMOKE", "") not in ("", "0")
 
@@ -160,7 +162,7 @@ class TestSinglePolicyOPE:
     def test_bench_ips_vectorized(self, workload, benchmark):
         log, _, _, _, policy = workload
         log.columns()  # one-time featurization outside the timed region
-        estimator = IPSEstimator(backend="vectorized")
+        estimator = IPSEstimator()
         seconds = _timed(benchmark, lambda: estimator.estimate(policy, log))
         RESULTS["single_vectorized"] = {
             "n": len(log),
@@ -170,9 +172,10 @@ class TestSinglePolicyOPE:
 
     def test_bench_ips_scalar(self, workload, benchmark):
         _, scalar_slice, _, _, policy = workload
-        estimator = IPSEstimator(backend="scalar")
+        estimator = IPSEstimator()
         seconds = _timed(
-            benchmark, lambda: estimator.estimate(policy, scalar_slice)
+            benchmark,
+            lambda: oracles.estimate(estimator, policy, scalar_slice),
         )
         RESULTS["single_scalar"] = {
             "n": len(scalar_slice),
@@ -186,7 +189,7 @@ class TestPolicyClassSearch:
 
     def test_bench_class_search_vectorized(self, workload, benchmark):
         log, _, policy_class, _, _ = workload
-        optimizer = PolicyClassOptimizer(IPSEstimator(backend="vectorized"))
+        optimizer = PolicyClassOptimizer(IPSEstimator())
         seconds = _timed(
             benchmark, lambda: optimizer.score_all(policy_class, log)
         )
@@ -200,9 +203,13 @@ class TestPolicyClassSearch:
 
     def test_bench_class_search_scalar(self, workload, benchmark):
         _, scalar_slice, _, scalar_class, _ = workload
-        optimizer = PolicyClassOptimizer(IPSEstimator(backend="scalar"))
+        estimator = IPSEstimator()
         seconds = _timed(
-            benchmark, lambda: optimizer.score_all(scalar_class, scalar_slice)
+            benchmark,
+            lambda: [
+                oracles.estimate(estimator, policy, scalar_slice)
+                for policy in scalar_class
+            ],
         )
         work = len(scalar_class) * len(scalar_slice)
         RESULTS["class_scalar"] = {
@@ -216,25 +223,21 @@ class TestPolicyClassSearch:
 class TestChunkedBackend:
     """The out-of-core fold, timed on the same single-policy workload.
 
-    The chunked path pays for per-chunk Dataset construction and fold
-    state merging; the tracked ratio against the vectorized whole-log
-    path bounds that overhead so a kernel regression (e.g. accidental
-    per-row work inside ``fold``) shows up as a throughput drop.
+    The chunked fold pays for per-chunk slicing and fold state merging;
+    the tracked ratio against the whole-log fold bounds that overhead
+    so a kernel regression (e.g. accidental per-row work inside
+    ``fold``) shows up as a throughput drop.
     """
 
     def test_bench_ips_chunked(self, workload, benchmark):
-        from repro.core.engine import get_chunk_size, set_chunk_size
+        from repro.core.engine import use_engine
 
         log, _, _, _, policy = workload
-        estimator = IPSEstimator(backend="chunked")
-        previous = get_chunk_size()
-        set_chunk_size(CHUNK_SIZE)
-        try:
+        estimator = IPSEstimator()
+        with use_engine(chunk_size=CHUNK_SIZE):
             seconds = _timed(
                 benchmark, lambda: estimator.estimate(policy, log)
             )
-        finally:
-            set_chunk_size(previous)
         RESULTS["single_chunked"] = {
             "n": len(log),
             "chunk_size": CHUNK_SIZE,
@@ -257,26 +260,22 @@ class TestSharedBackend:
 
     def test_bench_ips_shared(self, workload, benchmark):
         from repro.core import pool as worker_pool
-        from repro.core.engine import use_backend
+        from repro.core.engine import use_engine
 
         log, _, _, _, policy = workload
-        estimator = IPSEstimator(backend="shared")
+        estimator = IPSEstimator()
         log.columns().shared_block()  # pack + pool spin-up out of band
         worker_pool.get_pool(SHARED_WORKERS)
         try:
-            with use_backend(
-                "shared", chunk_size=CHUNK_SIZE, workers=SHARED_WORKERS
-            ):
+            with use_engine(chunk_size=CHUNK_SIZE, workers=SHARED_WORKERS):
                 seconds = _timed(
                     benchmark, lambda: estimator.estimate(policy, log)
                 )
                 shared_result = estimator.estimate(policy, log)
-            with use_backend("chunked", chunk_size=CHUNK_SIZE):
-                chunked_result = IPSEstimator(backend="chunked").estimate(
-                    policy, log
-                )
+            with use_engine(chunk_size=CHUNK_SIZE):
+                chunked_result = estimator.estimate(policy, log)
             assert shared_result.value == chunked_result.value, (
-                "shared backend must be bit-identical to chunked"
+                "the parallel fold must be bit-identical to the serial one"
             )
         finally:
             log.columns().release_shared_block()
@@ -310,9 +309,7 @@ class TestShardedBootstrap:
         from repro.core import pool as worker_pool
 
         log, _, _, _, policy = workload
-        terms = IPSEstimator(backend="vectorized").weighted_rewards(
-            policy, log
-        )
+        terms = IPSEstimator().weighted_rewards(policy, log)
 
         serial_seconds = _timed(
             benchmark,
@@ -384,7 +381,7 @@ class TestInstrumentationOverhead:
     def test_bench_instrumentation_overhead(self, workload, benchmark):
         log, _, _, _, policy = workload
         log.columns()
-        estimator = IPSEstimator(backend="vectorized")
+        estimator = IPSEstimator()
         plain_seconds = _timed(
             benchmark, lambda: estimator.estimate(policy, log)
         )

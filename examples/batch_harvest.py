@@ -9,7 +9,7 @@ batched harvest engine:
 - demonstrate the determinism contract — ``batch_size=1`` reproduces
   the same log bit for bit;
 - round-trip the log through JSONL with quarantine validation;
-- evaluate candidate policies on the out-of-core chunked backend;
+- evaluate candidate policies by streaming the log in 4096-row chunks;
 - write a provenance manifest recording the whole run.
 
 Run:  python examples/batch_harvest.py         (finishes in seconds)
@@ -63,7 +63,7 @@ def main() -> None:
         dataset = columns.to_dataset()
         dataset.save_jsonl(log_path)
 
-        print("4. evaluating candidates on the chunked backend ...")
+        print("4. evaluating candidates, streaming 4096-row chunks ...")
         policies = [
             UniformRandomPolicy(),
             ConstantPolicy(0, name="wait-1"),

@@ -22,11 +22,7 @@ from repro.core.types import (
     RewardRange,
 )
 from repro.core.columns import ContextColumns, DatasetColumns, DecisionBatch
-from repro.core.engine import (
-    get_default_backend,
-    set_default_backend,
-    use_backend,
-)
+from repro.core.engine import use_engine
 from repro.core.features import FeatureEncoder, Featurizer
 from repro.core.policies import (
     ConstantPolicy,
@@ -90,7 +86,6 @@ from repro.core.harvest import (
     LogScavenger,
     harvest_columns,
     harvest_dataset,
-    harvest_rows,
 )
 from repro.core.ab_testing import ABTest, ABTestReport
 from repro.core.comparison import (
@@ -133,9 +128,7 @@ __all__ = [
     "DecisionBatch",
     "Interaction",
     "RewardRange",
-    "get_default_backend",
-    "set_default_backend",
-    "use_backend",
+    "use_engine",
     "FeatureEncoder",
     "Featurizer",
     "Policy",
@@ -187,7 +180,6 @@ __all__ = [
     "LogScavenger",
     "harvest_columns",
     "harvest_dataset",
-    "harvest_rows",
     "ABTest",
     "ABTestReport",
     "BoundedEstimate",

@@ -328,19 +328,17 @@ def bootstrap_ips_interval(
     delta: float = 0.05,
     n_boot: int = 1000,
     rng: Optional[np.random.Generator] = None,
-    backend: Optional[str] = None,
     seed: Optional[int] = None,
     workers: int = 1,
 ) -> ConfidenceInterval:
     """Bootstrap CI for a policy's IPS value on an exploration log.
 
-    ``backend`` selects the evaluation path for the single pass that
-    computes the IPS terms (the resampling itself operates on the term
-    vector); the vectorized default shares the dataset's cached
-    columnar view with any other estimator runs.  ``seed``/``workers``
-    select the sharded replicate generator (see module docstring).
+    The IPS terms come from the dataset's cached columnar view (shared
+    with any other estimator runs); the resampling operates on that
+    term vector.  ``seed``/``workers`` select the sharded replicate
+    generator (see module docstring).
     """
-    terms = IPSEstimator(backend=backend).weighted_rewards(policy, dataset)
+    terms = IPSEstimator().weighted_rewards(policy, dataset)
     return bootstrap_interval_from_terms(
         terms, delta, n_boot, rng, seed=seed, workers=workers
     )
@@ -352,7 +350,6 @@ def bootstrap_snips_interval(
     delta: float = 0.05,
     n_boot: int = 1000,
     rng: Optional[np.random.Generator] = None,
-    backend: Optional[str] = None,
     seed: Optional[int] = None,
     workers: int = 1,
 ) -> ConfidenceInterval:
@@ -361,7 +358,7 @@ def bootstrap_snips_interval(
     Resamples (weight, weighted-reward) pairs jointly, since the
     estimator is a ratio of means.
     """
-    snips = SNIPSEstimator(backend=backend)
+    snips = SNIPSEstimator()
     weights = snips.match_weights(policy, dataset)
     rewards = dataset.rewards()
     if weights.size < 2:

@@ -1,7 +1,7 @@
 """Columnar views for batch off-policy evaluation *and* batch harvesting.
 
-The scalar paths walk one row at a time, re-resolving eligible actions
-and re-featurizing the context for every policy they touch.  That
+A per-row loop walks one row at a time, re-resolving eligible actions
+and re-featurizing the context for every policy it touches.  That
 per-row work is identical across the hundreds of candidate policies a
 class search evaluates — §4's "simultaneous evaluation" promise makes
 it the hottest path in the system — and, symmetrically, identical
@@ -19,8 +19,8 @@ generator draws.  Both sides share the machinery in this module:
   dataset's contexts plus its ``actions``/``rewards``/``propensities``
   arrays.  :meth:`DatasetColumns.from_arrays` closes the loop — the
   batch harvester writes its sampled actions and propensities straight
-  into a columnar view, so generated logs feed the vectorized
-  estimators without ever constructing per-row objects.
+  into a columnar view, so generated logs feed the estimators without
+  ever constructing per-row objects.
 
 Policies consume either view through
 :meth:`~repro.core.policies.Policy.probabilities_batch`, which returns
@@ -370,14 +370,14 @@ class DatasetColumns(ContextColumns):
         """Assemble a columnar log directly from arrays — no Dataset.
 
         This is the batch harvester's output path: sampled actions and
-        propensities land in the columnar layout the vectorized
-        estimators consume, skipping per-row ``Interaction``
+        propensities land in the columnar layout the estimators
+        consume, skipping per-row ``Interaction``
         construction entirely.  ``eligible`` follows the
         :data:`EligibleSpec` convention; when omitted it is derived
         from ``action_space`` (per-row if restricted) or from the
         sorted set of observed actions, exactly as the Dataset path
         reconstructs it.  Use :meth:`to_dataset` to materialize
-        per-row objects when the scalar paths (or JSONL export) need
+        per-row objects when per-row code (or JSONL export) needs
         them.
         """
         n = len(contexts)
@@ -447,7 +447,7 @@ class DatasetColumns(ContextColumns):
 
         The inverse bridge of :meth:`from_arrays`: batch-harvested
         columns become an ordinary :class:`~repro.core.types.Dataset`
-        for the scalar estimators, JSONL export, or any per-row
+        for the trajectory estimators, JSONL export, or any per-row
         consumer.  The columnar view stays authoritative — this copies.
         """
         interactions = [
@@ -597,33 +597,10 @@ def pinned_action_space(
     )
 
 
-def iter_chunk_columns(
-    dataset: Dataset, chunk_size: int
-) -> Iterator[DatasetColumns]:
-    """Yield columnar views of consecutive ``chunk_size`` slices.
-
-    Each chunk carries the pinned action space, so per-chunk eligible
-    sets, masks, and ``n_actions`` agree with the whole-log view — the
-    invariant the chunked backend's equivalence guarantee rests on.
-    Feature matrices are memoized per chunk and released with it.
-    """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    space = pinned_action_space(dataset)
-    interactions = list(dataset)
-    for start in range(0, len(interactions), chunk_size):
-        chunk = Dataset(
-            interactions[start:start + chunk_size],
-            action_space=space,
-            reward_range=dataset.reward_range,
-        )
-        yield chunk.columns()
-
-
 class ColumnsSlice(DatasetColumns):
     """Zero-copy view of rows ``[start, stop)`` of a parent columnar view.
 
-    The chunked backend's unit of work: every column is a NumPy slice
+    The chunked fold's unit of work: every column is a NumPy slice
     (a view, not a copy) of the parent's arrays, so folding a chunk
     costs no per-row reconstruction — the parent's one featurization
     and mask build are shared by every chunk.  Feature matrices are
@@ -707,23 +684,20 @@ class ColumnsSlice(DatasetColumns):
 
 
 def iter_column_slices(
-    columns: DatasetColumns, chunk_size: int
+    columns: DatasetColumns, chunk_size: Optional[int]
 ) -> Iterator[DatasetColumns]:
     """Yield consecutive ``chunk_size`` row slices of a columnar view.
 
-    The fast successor to :func:`iter_chunk_columns`: instead of
-    rebuilding a per-chunk ``Dataset`` + ``DatasetColumns`` (four
-    ``fromiter`` passes and a mask build per chunk), each chunk is a
-    :class:`ColumnsSlice` — pure NumPy views over the already-built
-    whole-log columns, which the in-memory chunked path materializes
-    anyway for its reduction context.  Eligibility, ``n_actions``, and
-    feature values are inherited from the whole-log view, so the
-    pinned-space equivalence invariant holds by construction.  A view
-    no larger than one chunk is yielded as-is.
+    Each chunk is a :class:`ColumnsSlice` — pure NumPy views over the
+    already-built whole-log columns, so chunking costs slicing, not
+    per-chunk reconstruction.  Eligibility, ``n_actions``, and feature
+    values are inherited from the whole-log view, so every chunk agrees
+    with it by construction.  ``chunk_size=None``, or a view no larger
+    than one chunk, yields the view itself.
     """
-    if chunk_size <= 0:
+    if chunk_size is not None and chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    if columns.n <= chunk_size:
+    if chunk_size is None or columns.n <= chunk_size:
         yield columns
         return
     for start in range(0, columns.n, chunk_size):

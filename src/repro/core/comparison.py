@@ -15,19 +15,15 @@ Two tools:
   per-context reward noise shared by both candidates, so the
   difference CI is far tighter than differencing two independent CIs.
 
-Both accept a ``backend=`` override (``"scalar"``, ``"vectorized"``,
-or ``"chunked"``; see :mod:`repro.core.engine`) for the single pass
-that computes the per-interaction IPS terms — on ``"chunked"`` the
-term vector is assembled chunk by chunk, so the peak working set
-stays O(chunk) plus the O(N) terms the bounds themselves need.
+Both read the per-interaction IPS terms off the dataset's cached
+columnar view, so the weight pass is shared with any other estimator
+run on the same (policy, log) pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from repro.core.estimators.bounds import (
@@ -62,7 +58,6 @@ def evaluate_with_bound(
     dataset: Dataset,
     delta: float = 0.05,
     method: str = "bernstein",
-    backend: Optional[str] = None,
 ) -> BoundedEstimate:
     """IPS estimate with a distribution-free confidence interval.
 
@@ -71,7 +66,7 @@ def evaluate_with_bound(
     of the IPS terms is ``reward_range.width / min propensity``, which
     both bounds assume.
     """
-    terms = IPSEstimator(backend=backend).weighted_rewards(policy, dataset)
+    terms = IPSEstimator().weighted_rewards(policy, dataset)
     value_range = dataset.reward_range.width / dataset.min_propensity()
     if method == "bernstein":
         interval = empirical_bernstein_interval(terms, delta, value_range)
@@ -119,7 +114,6 @@ def compare_policies(
     challenger: Policy,
     dataset: Dataset,
     delta: float = 0.05,
-    backend: Optional[str] = None,
 ) -> PairedComparison:
     """Paired off-policy comparison on a shared exploration log.
 
@@ -128,7 +122,7 @@ def compare_policies(
     agree contribute exactly zero, so shared noise cancels instead of
     inflating the interval.
     """
-    ips = IPSEstimator(backend=backend)
+    ips = IPSEstimator()
     champion_terms = ips.weighted_rewards(champion, dataset)
     challenger_terms = ips.weighted_rewards(challenger, dataset)
     differences = champion_terms - challenger_terms
@@ -149,7 +143,6 @@ def sufficient_log_size(
     challenger: Policy,
     dataset: Dataset,
     delta: float = 0.05,
-    backend: Optional[str] = None,
 ) -> float:
     """Rough N at which the current paired comparison would separate.
 
@@ -160,7 +153,7 @@ def sufficient_log_size(
     ``1/sqrt(N)``.  ``inf`` when the observed difference is
     (numerically) zero.
     """
-    ips = IPSEstimator(backend=backend)
+    ips = IPSEstimator()
     differences = (
         ips.weighted_rewards(champion, dataset)
         - ips.weighted_rewards(challenger, dataset)

@@ -26,7 +26,7 @@ computes per-estimate health metrics and an explicit verdict:
 The thresholds combine into a three-level verdict — ``OK`` / ``WARN``
 / ``UNRELIABLE`` — attached to every
 :class:`~repro.core.estimators.base.EstimatorResult` by the IPS-family,
-DR, and DM estimators on *both* evaluation backends, rendered by
+DR, and DM estimators at every chunk size, rendered by
 :mod:`repro.core.reporting`, and consumed by
 :class:`~repro.core.estimators.fallback.FallbackEstimator` to degrade
 gracefully instead of returning garbage.
@@ -231,9 +231,8 @@ def diagnose(
 
     ``weights`` are the importance weights the estimator actually used
     (clipped weights for clipped IPS), or ``None`` for model-based
-    estimates.  All inputs are plain arrays, so the scalar and
-    vectorized backends produce *identical* diagnostics from identical
-    weight vectors.  ``identity_error`` is policy-independent and may
+    estimates.  All inputs are plain arrays, so any code path that
+    produces identical weight vectors gets *identical* diagnostics.  ``identity_error`` is policy-independent and may
     be passed in pre-computed (see
     :meth:`repro.core.columns.DatasetColumns.propensity_identity_error`)
     so class searches don't recompute it per candidate.
@@ -269,7 +268,7 @@ def diagnose_from_stats(
     """Verdict logic over sufficient statistics (the fold-friendly core).
 
     :func:`diagnose` is a thin wrapper that reduces full arrays to these
-    statistics first; the chunked backend folds the same statistics
+    statistics first; chunked folds accumulate the same statistics
     incrementally (see :mod:`repro.core.estimators.reductions`), so
     both paths share one copy of the threshold logic and agree exactly.
     """

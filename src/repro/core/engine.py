@@ -1,46 +1,30 @@
-"""Evaluation-backend selection for the off-policy machinery.
+"""The evaluation engine: one fold driver over two process-wide knobs.
 
-Three interchangeable execution paths compute every estimator, all of
-them drivers over the same reduction kernel
-(:mod:`repro.core.estimators.reductions`):
+Every estimator is a reduction (:mod:`repro.core.estimators.reductions`)
+and every in-memory estimate folds the log's cached columnar view
+(:class:`~repro.core.columns.DatasetColumns`) through it with
+:func:`fold_dataset_chunked`.  Two knobs shape that fold:
 
-- ``"scalar"`` — the reference implementation: walk the log one
-  :class:`~repro.core.types.Interaction` at a time, calling
-  :meth:`~repro.core.policies.Policy.distribution` per row.  Simple,
-  obviously correct, and the semantics the array paths must match.
-- ``"vectorized"`` — the columnar engine: featurize the log once into
-  :class:`~repro.core.columns.DatasetColumns` and evaluate policies
-  with :meth:`~repro.core.policies.Policy.probabilities_batch`, which
-  returns the whole ``(N, K)`` probability matrix in a handful of
-  NumPy operations.
-- ``"chunked"`` — the out-of-core engine: fold fixed-size chunks of
-  the log through the kernel, keeping only O(chunk) rows plus O(1)
-  sufficient statistics resident.  For in-memory datasets it bounds
-  the *working set* (no whole-log ``(N, K)`` matrix is ever built);
-  chunks are zero-copy :class:`~repro.core.columns.ColumnsSlice` views
-  of the whole-log columns, so chunking costs slicing, not per-chunk
-  reconstruction.  :func:`evaluate_jsonl_chunked` extends it to logs
-  that never fit in memory at all, streaming JSONL through the
-  validation layer and optionally folding chunks in parallel worker
-  processes.
-- ``"shared"`` — the multi-process engine: the chunked fold plan
-  executed across the persistent worker pool (:mod:`repro.core.pool`),
-  with the columnar data living in one shared-memory segment
-  (:mod:`repro.core.shm`) that workers attach zero-copy.  Each task
-  payload is a compact descriptor plus slice bounds — no row data is
-  ever pickled.  Falls back to the serial chunked plan (bit-identical)
-  whenever the data cannot be shared or the pool breaks.
+- ``chunk_size`` — rows per fold.  ``None`` (the default) folds the
+  whole log at once: one
+  :meth:`~repro.core.policies.Policy.probabilities_batch` call per
+  policy, the array-speed path §4's "one log scores a whole policy
+  class" promise needs.  A positive size folds zero-copy
+  :class:`~repro.core.columns.ColumnsSlice` views of that many rows,
+  bounding the working set (no whole-log ``(N, K)`` matrix is built).
+- ``workers`` — worker processes.  Above 1, the chunk slices fold
+  across the persistent pool (:mod:`repro.core.pool`) against one
+  shared-memory copy of the columns (:mod:`repro.core.shm`); task
+  payloads are a descriptor plus slice bounds, never row data.  Any
+  failure to share falls back to the serial fold, bit-identically.
 
-The paths agree to floating-point reassociation (asserted by
-``tests/core/test_batch_equivalence.py`` and
-``tests/core/test_reduction_equivalence.py``); the vectorized path
-exists because §4's promise — one harvested log evaluates a *large
-class* of policies simultaneously — is only credible at array speed,
-and the chunked path because production logs outgrow RAM long before
-they outgrow usefulness.
-
-Every estimator takes a ``backend=`` override; this module holds the
-process-wide default plus a context manager for scoped switches.
+:func:`use_engine` scopes both knobs to a ``with`` block.  Chunk
+states merge in chunk order, so ``workers`` never changes a result;
+different chunk sizes agree up to float reassociation (asserted by
+``tests/core/test_reduction_equivalence.py`` against the per-row
+reference in ``tests/oracles.py``).  :func:`evaluate_jsonl_chunked`
+extends the same kernel to logs that never fit in memory, streaming
+JSONL through the validation layer chunk by chunk.
 """
 
 from __future__ import annotations
@@ -60,107 +44,75 @@ from repro.obs.metrics import get_metrics
 from repro.obs.monitors import get_monitors
 from repro.obs.tracing import get_tracer
 
-#: The recognized backend names.
-BACKENDS = ("scalar", "vectorized", "chunked", "shared")
+#: Rows per chunk when :func:`evaluate_jsonl_chunked` is not told
+#: otherwise.  8192 rows × a few hundred actions of float64 keeps the
+#: per-chunk probability matrix in the tens of megabytes — comfortably
+#: inside any address-space budget while still amortizing NumPy
+#: dispatch overhead.
+STREAM_CHUNK_SIZE = 8192
 
-_default_backend = "vectorized"
+#: Rows per in-memory fold; ``None`` folds the whole log at once.
+_chunk_size: Optional[int] = None
 
-#: Rows per fold on the chunked backend.  8192 rows × a few hundred
-#: actions of float64 keeps the per-chunk probability matrix in the
-#: tens of megabytes — comfortably inside any address-space budget
-#: while still amortizing NumPy dispatch overhead.
-_default_chunk_size = 8192
-
-#: Worker processes folding chunks on the chunked backend; 1 = serial.
-_default_workers = 1
+#: Worker processes folding chunk slices; 1 = in-process.
+_workers = 1
 
 #: Policy types already warned about missing a batch implementation.
 _warned_fallback_types: set = set()
 
 
-def _check(name: str) -> str:
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {BACKENDS}"
-        )
-    return name
-
-
-def get_default_backend() -> str:
-    """The process-wide default evaluation backend."""
-    return _default_backend
-
-
-def set_default_backend(name: str) -> None:
-    """Set the process-wide default evaluation backend."""
-    global _default_backend
-    _default_backend = _check(name)
-
-
-def resolve_backend(override: Optional[str] = None) -> str:
-    """An explicit backend if given, else the process default."""
-    return _check(override) if override is not None else _default_backend
-
-
-def get_chunk_size() -> int:
-    """Rows per fold on the chunked backend."""
-    return _default_chunk_size
-
-
-def set_chunk_size(chunk_size: int) -> None:
-    """Set the process-wide chunk size for the chunked backend."""
-    global _default_chunk_size
-    if int(chunk_size) <= 0:
+def _check_chunk_size(chunk_size: Optional[int]) -> Optional[int]:
+    """Validate a chunk size: ``None`` (whole log) or a positive int."""
+    if chunk_size is not None and int(chunk_size) <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    _default_chunk_size = int(chunk_size)
+    return None if chunk_size is None else int(chunk_size)
+
+
+def _check_workers(workers: int) -> int:
+    """Validate a worker count (at least 1)."""
+    if int(workers) < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return int(workers)
+
+
+def get_chunk_size() -> Optional[int]:
+    """Rows per in-memory fold; ``None`` means one whole-log fold."""
+    return _chunk_size
 
 
 def get_workers() -> int:
-    """Worker processes used by chunked folding (1 = in-process)."""
-    return _default_workers
-
-
-def set_workers(workers: int) -> None:
-    """Set the process-wide worker count for chunked folding."""
-    global _default_workers
-    if int(workers) < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    _default_workers = int(workers)
+    """Worker processes folding chunk slices (1 = in-process)."""
+    return _workers
 
 
 @contextmanager
-def use_backend(
-    name: str,
-    *,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
-) -> Iterator[str]:
-    """Temporarily switch the default backend within a ``with`` block.
+def use_engine(
+    *, chunk_size: Optional[int] = None, workers: int = 1
+) -> Iterator[None]:
+    """Fold with ``chunk_size`` rows across ``workers`` within a block.
 
-    ``chunk_size`` and ``workers`` scope the chunked backend's knobs
-    alongside it.  On exit the previous defaults are restored and the
-    per-policy-type fallback-warning memory is cleared, so a scoped
-    backend switch cannot leak warning-suppression state into later
-    code (or, in test suites, into later tests).
+    Both knobs take the given values for the duration of the ``with``
+    block (the defaults are the process defaults: whole-log folds,
+    in-process) and are restored on exit.  The exit also clears the
+    per-policy-type fallback-warning memory, so a scoped switch cannot
+    leak warning-suppression state into later code (or, in test
+    suites, into later tests).
     """
-    global _default_backend, _default_chunk_size, _default_workers
-    previous = (_default_backend, _default_chunk_size, _default_workers)
-    _default_backend = _check(name)
-    if chunk_size is not None:
-        set_chunk_size(chunk_size)
-    if workers is not None:
-        set_workers(workers)
+    global _chunk_size, _workers
+    scoped = (_check_chunk_size(chunk_size), _check_workers(workers))
+    previous = (_chunk_size, _workers)
+    _chunk_size, _workers = scoped
     try:
-        yield _default_backend
+        yield
     finally:
-        _default_backend, _default_chunk_size, _default_workers = previous
+        _chunk_size, _workers = previous
         _warned_fallback_types.clear()
 
 
 def warn_missing_batch(policy_type: type) -> None:
     """One-time warning that a policy type lacks ``probabilities_batch``.
 
-    The loop fallback is correct but forfeits the vectorized speedup;
+    The loop fallback is correct but forfeits the array-speed fold;
     surfacing it once per type tells users which custom policies are
     worth giving a batch implementation (see DESIGN.md).
 
@@ -177,9 +129,9 @@ def warn_missing_batch(policy_type: type) -> None:
     _warned_fallback_types.add(policy_type)
     warnings.warn(
         f"{policy_type.__name__} does not implement probabilities_batch(); "
-        "the vectorized backend is falling back to a per-row Python loop "
-        "for it. Implement probabilities_batch(columns) to restore array "
-        "speed (see DESIGN.md, 'Columnar evaluation engine').",
+        "evaluation is falling back to a per-row Python loop for it. "
+        "Implement probabilities_batch(columns) to restore array speed "
+        "(see DESIGN.md, 'Columnar evaluation engine').",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -194,12 +146,8 @@ def reset_backend_warnings() -> None:
     _warned_fallback_types.clear()
 
 
-#: Backwards-compatible alias for :func:`reset_backend_warnings`.
-reset_fallback_warnings = reset_backend_warnings
-
-
 # ---------------------------------------------------------------------------
-# in-memory chunked folding: slice views, optionally across the pool
+# in-memory folding: slice views, optionally across the pool
 
 
 def fold_dataset_chunked(
@@ -210,26 +158,24 @@ def fold_dataset_chunked(
     chunk_size: Optional[int] = None,
     workers: int = 1,
 ):
-    """Fold a dataset through ``reduction`` in fixed-size chunk slices.
+    """Fold a dataset through ``reduction`` in ``chunk_size`` slices.
 
-    The driver behind the in-memory ``"chunked"`` and ``"shared"``
-    backends.  Chunks are zero-copy
-    :class:`~repro.core.columns.ColumnsSlice` views over the dataset's
-    cached whole-log columns (which the chunked plan builds anyway for
-    its reduction context), so no per-chunk reconstruction happens.
-    With ``workers > 1`` the slices fold across the persistent worker
-    pool against a shared-memory copy of the columns; any failure to
-    share (unpackable data, unpicklable reduction, a broken pool)
-    falls back to the serial plan, which is bit-identical because
-    ``merge`` is exactly how ``fold`` accumulates.
+    The one in-memory driver.  ``chunk_size=None`` (or any size ≥ the
+    row count) folds the dataset's cached whole-log columns in one
+    call — exactly ``reduction.fold(state, dataset.columns())``.
+    Otherwise chunks are zero-copy
+    :class:`~repro.core.columns.ColumnsSlice` views over those columns,
+    so no per-chunk reconstruction happens.  With ``workers > 1`` the
+    slices fold across the persistent worker pool against a
+    shared-memory copy of the columns; any failure to share
+    (unpackable data, unpicklable reduction, a broken pool) falls back
+    to the serial plan, which is bit-identical because ``merge`` is
+    exactly how ``fold`` accumulates.
     """
     from repro.core.columns import iter_column_slices
 
-    chunk_size = chunk_size if chunk_size is not None else get_chunk_size()
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     columns = dataset.columns()
-    if workers > 1 and columns.n > chunk_size:
+    if workers > 1 and chunk_size is not None and columns.n > chunk_size:
         chunk_states = _fold_columns_parallel(
             reduction, columns, chunk_size, workers
         )
@@ -264,7 +210,7 @@ def _fold_columns_parallel(reduction, columns, chunk_size, workers):
         job_key, blob = worker_pool.new_job((block.descriptor, reduction))
     except Exception as error:
         warnings.warn(
-            "shared backend falling back to serial folding: work items "
+            "parallel fold falling back to serial folding: work items "
             f"are not picklable ({error})",
             RuntimeWarning,
             stacklevel=4,
@@ -548,7 +494,11 @@ def evaluate_jsonl_chunked(
 ) -> ChunkedEvaluation:
     """Evaluate policies against a JSONL log without loading it.
 
-    Two streaming passes, each O(chunk) peak memory:
+    ``chunk_size`` rows are read per chunk (default
+    :data:`STREAM_CHUNK_SIZE`, whatever the in-memory knob says — a
+    streamed log is never folded whole); ``workers`` defaults to the
+    process-wide knob.  Two streaming passes, each O(chunk) peak
+    memory:
 
     1. **Discovery** — count rows, collect the logged action support,
        fold the policy-independent :class:`LogStats` (propensity floor,
@@ -638,12 +588,8 @@ def _evaluate_jsonl_chunked(
         raise ValueError("need at least one policy")
     if not estimators:
         raise ValueError("need at least one estimator")
-    chunk_size = chunk_size if chunk_size is not None else get_chunk_size()
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    workers = workers if workers is not None else get_workers()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    chunk_size = _check_chunk_size(chunk_size) or STREAM_CHUNK_SIZE
+    workers = _check_workers(workers if workers is not None else _workers)
     if validator is None:
         validator = (
             RecordValidator()

@@ -8,8 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core.diagnostics import ReliabilityDiagnostics, diagnose
-from repro.core.engine import resolve_backend
+from repro.core.diagnostics import ReliabilityDiagnostics
 from repro.core.policies import Policy
 from repro.core.types import Dataset, Interaction
 from repro.obs.tracing import get_tracer
@@ -74,22 +73,19 @@ def eligible_actions_fn(dataset: Dataset) -> Callable[[Interaction], list[int]]:
 class OffPolicyEstimator(ABC):
     """Interface: estimate a policy's value from logged exploration data.
 
-    ``backend`` selects the execution path (see :mod:`repro.core.engine`):
-    ``"vectorized"`` evaluates through the columnar
-    :class:`~repro.core.columns.DatasetColumns` view shared on the
-    dataset, ``"scalar"`` walks the log row by row, ``"chunked"``
-    folds fixed-size chunk slices through the reduction kernel
-    (:mod:`repro.core.estimators.reductions`), ``"shared"`` folds the
-    same slices in parallel against a shared-memory copy of the
-    columns (:mod:`repro.core.shm`), and ``None`` (the default)
-    follows the process-wide default backend.  All paths compute the
-    same estimate bit-for-bit.
+    Execution follows the engine's two process-wide knobs (see
+    :mod:`repro.core.engine`): by default the estimate is one fold of
+    the dataset's cached columnar
+    :class:`~repro.core.columns.DatasetColumns` view through the
+    estimator's reduction (:mod:`repro.core.estimators.reductions`);
+    under ``use_engine(chunk_size=...)`` it folds zero-copy chunk
+    slices instead, and with ``workers > 1`` those slices fold in
+    parallel against a shared-memory copy of the columns
+    (:mod:`repro.core.shm`).  Worker count never changes a result;
+    whole-log and chunked folds agree up to float reassociation.
     """
 
     name: str = "estimator"
-    #: Backend override; None follows the process-wide default.  A class
-    #: attribute so subclasses with bespoke __init__ still resolve.
-    backend: Optional[str] = None
     #: Which diagnostic check profile applies to this estimator family
     #: (see :data:`repro.core.diagnostics.PROFILES`).
     diagnostics_profile: str = "ips"
@@ -97,20 +93,12 @@ class OffPolicyEstimator(ABC):
     #: model (the chunked file driver fits one shared model up front).
     needs_model: bool = False
 
-    def __init__(self, backend: Optional[str] = None) -> None:
-        resolve_backend(backend)  # validate eagerly; None is "follow default"
-        self.backend = backend
-
-    def resolved_backend(self) -> str:
-        """The concrete backend this estimator will execute with now."""
-        return resolve_backend(self.backend)
-
     def estimate(self, policy: Policy, dataset: Dataset) -> EstimatorResult:
         """Estimate the average reward ``policy`` would obtain.
 
         The template all reduction-backed estimators share: build this
         estimator's reduction for the policy, fold the dataset through
-        it on the resolved backend, and finalize against the log
+        it under the engine's knobs, and finalize against the log
         summary.  Subclasses customize by implementing
         :meth:`reduction`; estimators outside the reduction protocol
         (e.g. trajectory estimators) override this method wholesale.
@@ -126,29 +114,24 @@ class OffPolicyEstimator(ABC):
             ReductionContext,
         )
 
-        backend = self.resolved_backend()
+        chunk_size, workers = get_chunk_size(), get_workers()
         with get_tracer().span(
             "estimate",
             estimator=self.name,
             policy=policy.name,
-            backend=backend,
+            chunk_size=chunk_size,
+            workers=workers,
             n=len(dataset),
         ):
             context = ReductionContext.from_dataset(dataset)
             reduction = self._reduction(policy, dataset, context)
-            state = reduction.init_state()
-            if backend == "scalar":
-                state = reduction.fold_scalar(state, dataset)
-            elif backend in ("chunked", "shared"):
-                state = fold_dataset_chunked(
-                    reduction,
-                    state,
-                    dataset,
-                    chunk_size=get_chunk_size(),
-                    workers=get_workers() if backend == "shared" else 1,
-                )
-            else:
-                state = reduction.fold(state, dataset.columns())
+            state = fold_dataset_chunked(
+                reduction,
+                reduction.init_state(),
+                dataset,
+                chunk_size=chunk_size,
+                workers=workers,
+            )
             return reduction.finalize(
                 state, LogSummary.from_columns(dataset.columns())
             )
@@ -181,25 +164,3 @@ class OffPolicyEstimator(ABC):
     def _require_data(self, dataset: Dataset) -> None:
         if len(dataset) == 0:
             raise ValueError(f"{self.name}: cannot estimate from an empty dataset")
-
-    def _diagnose(
-        self,
-        dataset: Dataset,
-        weights: Optional[np.ndarray],
-        support_coverage: float,
-    ) -> ReliabilityDiagnostics:
-        """Reliability diagnostics for one estimate (both backends).
-
-        Reads the logged (action, propensity) columns — identical data
-        on either backend — and the estimator's own weight vector, so
-        scalar and vectorized runs yield matching diagnostics.
-        """
-        columns = dataset.columns()
-        return diagnose(
-            weights,
-            columns.propensities,
-            columns.actions,
-            support_coverage,
-            profile=self.diagnostics_profile,
-            identity_error=columns.propensity_identity_error(),
-        )

@@ -200,12 +200,7 @@ class DirectMethodEstimator(OffPolicyEstimator):
     diagnostics_profile = "model"
     needs_model = True
 
-    def __init__(
-        self,
-        model: Optional[RewardModel] = None,
-        backend: Optional[str] = None,
-    ) -> None:
-        super().__init__(backend=backend)
+    def __init__(self, model: Optional[RewardModel] = None) -> None:
         self.model = model
 
     def reduction(self, policy: Policy, context, model=None):

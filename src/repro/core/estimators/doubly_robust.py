@@ -37,12 +37,7 @@ class DoublyRobustEstimator(OffPolicyEstimator):
     diagnostics_profile = "ips"
     needs_model = True
 
-    def __init__(
-        self,
-        model: Optional[RewardModel] = None,
-        backend: Optional[str] = None,
-    ) -> None:
-        super().__init__(backend=backend)
+    def __init__(self, model: Optional[RewardModel] = None) -> None:
         self.model = model
 
     def reduction(self, policy: Policy, context, model=None):

@@ -49,13 +49,13 @@ from repro.obs.metrics import get_metrics
 logger = logging.getLogger("repro.fallback")
 
 
-def default_ladder(backend: Optional[str] = None) -> tuple[OffPolicyEstimator, ...]:
+def default_ladder() -> tuple[OffPolicyEstimator, ...]:
     """The standard degradation ladder, most-trusted first."""
     return (
-        IPSEstimator(backend=backend),
-        ClippedIPSEstimator(backend=backend),
-        SNIPSEstimator(backend=backend),
-        DirectMethodEstimator(backend=backend),
+        IPSEstimator(),
+        ClippedIPSEstimator(),
+        SNIPSEstimator(),
+        DirectMethodEstimator(),
     )
 
 
@@ -185,10 +185,8 @@ class FallbackEstimator(OffPolicyEstimator):
     def __init__(
         self,
         ladder: Optional[Sequence[OffPolicyEstimator]] = None,
-        backend: Optional[str] = None,
     ) -> None:
-        super().__init__(backend=backend)
-        self.ladder = tuple(ladder) if ladder is not None else default_ladder(backend)
+        self.ladder = tuple(ladder) if ladder is not None else default_ladder()
         if not self.ladder:
             raise ValueError("fallback ladder must have at least one rung")
 

@@ -15,28 +15,21 @@ For a *stochastic* candidate π the indicator generalizes to the
 importance ratio ``π(a_t | x_t) / p_t``.
 
 All three estimators execute through the reduction kernel
-(:mod:`repro.core.estimators.reductions`) on any evaluation backend
-(see :mod:`repro.core.engine`): the vectorized path folds one
-whole-log chunk computed from a single
-:meth:`~repro.core.policies.Policy.probabilities_batch` call, the
-scalar path folds the per-row reference loop's output, the chunked
-path folds fixed-size zero-copy slices of the cached columns, and the
-shared path folds the same slices in parallel workers attached to a
-shared-memory copy of the columns.  Every derived quantity (terms,
-match counts, clipping statistics, diagnostics accumulators) comes
-from a *single* weight pass per chunk.
+(:mod:`repro.core.estimators.reductions`) under the engine's knobs
+(see :mod:`repro.core.engine`): by default one whole-log fold computed
+from a single :meth:`~repro.core.policies.Policy.probabilities_batch`
+call, or fixed-size zero-copy slices of the cached columns when a
+chunk size is set, folded in parallel workers attached to a
+shared-memory copy of the columns when ``workers > 1``.  Every derived
+quantity (terms, match counts, clipping statistics, diagnostics
+accumulators) comes from a *single* weight pass per chunk.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.core.estimators.base import (
-    OffPolicyEstimator,
-    eligible_actions_fn,
-)
+from repro.core.estimators.base import OffPolicyEstimator
 from repro.core.policies import Policy
 from repro.core.types import Dataset
 
@@ -55,45 +48,17 @@ class IPSEstimator(OffPolicyEstimator):
     def match_weights(self, policy: Policy, dataset: Dataset) -> np.ndarray:
         """Per-interaction importance ratios ``π(a_t|x_t)/p_t``.
 
-        On the vectorized and shared backends the whole-log weight
-        vector is memoized on the dataset's columns
+        The whole-log weight vector is memoized on the dataset's columns
         (:meth:`~repro.core.columns.DatasetColumns.ips_weights`), so a
         bootstrap fanning hundreds of replicates over one (policy, log)
         pair computes it exactly once.
         """
         self._require_data(dataset)
-        backend = self.resolved_backend()
-        if backend in ("vectorized", "shared"):
-            return dataset.columns().ips_weights(policy)
-        if backend == "chunked":
-            from repro.core.columns import iter_column_slices
-            from repro.core.engine import get_chunk_size
-
-            return np.concatenate(
-                [
-                    chunk.logged_probabilities(policy) / chunk.propensities
-                    for chunk in iter_column_slices(
-                        dataset.columns(), get_chunk_size()
-                    )
-                ]
-            )
-        eligible = eligible_actions_fn(dataset)
-        weights = np.empty(len(dataset))
-        for index, interaction in enumerate(dataset):
-            pi_prob = policy.probability_of(
-                interaction.context, eligible(interaction), interaction.action
-            )
-            weights[index] = pi_prob / interaction.propensity
-        return weights
+        return dataset.columns().ips_weights(policy)
 
     def weighted_rewards(self, policy: Policy, dataset: Dataset) -> np.ndarray:
         """Per-interaction terms ``π(a_t|x_t)/p_t · r_t`` (the summands)."""
-        return self.match_weights(policy, dataset) * self._rewards(dataset)
-
-    def _rewards(self, dataset: Dataset) -> np.ndarray:
-        if self.resolved_backend() == "vectorized":
-            return dataset.columns().rewards
-        return dataset.rewards()
+        return self.match_weights(policy, dataset) * dataset.columns().rewards
 
 
 class ClippedIPSEstimator(IPSEstimator):
@@ -106,10 +71,7 @@ class ClippedIPSEstimator(IPSEstimator):
 
     diagnostics_profile = "clipped"
 
-    def __init__(
-        self, max_weight: float = 100.0, backend: Optional[str] = None
-    ) -> None:
-        super().__init__(backend=backend)
+    def __init__(self, max_weight: float = 100.0) -> None:
         if max_weight <= 0:
             raise ValueError("max_weight must be positive")
         self.max_weight = max_weight

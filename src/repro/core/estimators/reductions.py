@@ -1,4 +1,4 @@
-"""The fold-based reduction kernel behind every estimator backend.
+"""The fold-based reduction kernel behind every estimator.
 
 Every estimator in this package — IPS, clipped IPS, SNIPS, the Direct
 Method, Doubly Robust, SWITCH — is a mean of per-interaction terms plus
@@ -15,20 +15,12 @@ one chunk; states carry only sufficient statistics (weighted sums,
 match counts, Welford term moments, and the diagnostics accumulators
 for Kish ESS / weight tails / the E[w]=1 identity), so peak memory is
 O(chunk), not O(log).  Because ``merge`` is associative, chunks can be
-folded in parallel worker processes and combined in chunk order — the
-engine's ``"chunked"`` backend and the streaming wrappers both run on
-these states (see :mod:`repro.core.engine` and
-:mod:`repro.core.streaming`).
-
-Backends map onto the kernel as follows:
-
-- ``"vectorized"`` — one ``fold`` over the whole-log columnar view;
-- ``"scalar"`` — :meth:`EstimatorReduction.fold_scalar` gathers the
-  per-row reference loop's outputs into one chunk, then folds it;
-- ``"chunked"`` — many folds, one per chunk, optionally in parallel.
-
-All three paths share ``finalize``, so they agree to floating-point
-reassociation (asserted by ``tests/core/test_reduction_equivalence.py``).
+folded in parallel worker processes and combined in chunk order.  The
+engine's one in-memory driver (a whole-log fold by default, chunk
+slices when a chunk size is set — see :mod:`repro.core.engine`), the
+JSONL file driver, and the streaming wrappers
+(:mod:`repro.core.streaming`) all run on these states and share
+``finalize``.
 
 Exact chunk-size invariance caveats worth knowing:
 
@@ -38,7 +30,8 @@ Exact chunk-size invariance caveats worth knowing:
   merged q99 exact under any merge pattern — not an approximation.
 - Welford/Chan moment merging and the per-action inverse-propensity
   sums reassociate float additions, so chunked results match whole-log
-  results to ~1e-12 relative, not bit-for-bit.
+  results to ~1e-12 relative, not bit-for-bit.  Worker count never
+  matters: chunk states merge in chunk order either way.
 """
 
 from __future__ import annotations
@@ -55,10 +48,7 @@ from repro.core.diagnostics import (
     WeightSummary,
     diagnose_from_stats,
 )
-from repro.core.estimators.base import (
-    EstimatorResult,
-    eligible_actions_fn,
-)
+from repro.core.estimators.base import EstimatorResult
 from repro.core.policies import Policy
 from repro.core.types import Dataset
 
@@ -401,9 +391,8 @@ class EstimatorReduction:
     """One estimator's fold/merge/finalize over one candidate policy.
 
     Subclasses supply :meth:`chunk_batch` (array math over a chunk's
-    columnar view — shared by the vectorized and chunked backends) and
-    :meth:`chunk_scalar` (the per-row reference loop), both returning a
-    :class:`ChunkTerms`; folding and merging are generic.
+    columnar view, returning a :class:`ChunkTerms`) and
+    :meth:`finalize`; folding and merging are generic.
     """
 
     #: Diagnostics profile, or ``None`` for estimators without a verdict.
@@ -442,10 +431,6 @@ class EstimatorReduction:
     def fold(self, state: FoldState, columns: DatasetColumns) -> FoldState:
         """Fold one chunk's columnar view into ``state``."""
         return self.fold_chunk(state, self.chunk_batch(columns))
-
-    def fold_scalar(self, state: FoldState, dataset: Dataset) -> FoldState:
-        """Fold the whole dataset via the per-row reference loop."""
-        return self.fold_chunk(state, self.chunk_scalar(dataset))
 
     def fold_chunk(self, state: FoldState, chunk: ChunkTerms) -> FoldState:
         if chunk.terms is not None:
@@ -493,9 +478,6 @@ class EstimatorReduction:
     def chunk_batch(self, columns: DatasetColumns) -> ChunkTerms:
         raise NotImplementedError
 
-    def chunk_scalar(self, dataset: Dataset) -> ChunkTerms:
-        raise NotImplementedError
-
     def finalize(self, state: FoldState, log: LogSummary) -> EstimatorResult:
         raise NotImplementedError
 
@@ -534,29 +516,6 @@ def _batch_weights_and_coverage(
     return weights, coverage_sum
 
 
-def _scalar_weights_and_coverage(
-    policy: Policy,
-    dataset: Dataset,
-    observed: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Per-row reference loop for weights + coverage (one pass)."""
-    eligible = eligible_actions_fn(dataset)
-    observed_set = set(np.asarray(observed).tolist())
-    weights = np.empty(len(dataset))
-    coverage_sum = 0.0
-    for index, interaction in enumerate(dataset):
-        actions = eligible(interaction)
-        probs = policy.distribution(interaction.context, actions)
-        pi_prob = 0.0
-        for position, action in enumerate(actions):
-            if action == interaction.action:
-                pi_prob = float(probs[position])
-            if action in observed_set:
-                coverage_sum += float(probs[position])
-        weights[index] = pi_prob / interaction.propensity
-    return weights, coverage_sum
-
-
 class IPSReduction(EstimatorReduction):
     """Plain inverse-propensity scoring as a reduction."""
 
@@ -568,14 +527,6 @@ class IPSReduction(EstimatorReduction):
         )
         return self._chunk_from_weights(
             weights, columns.rewards, coverage_sum
-        )
-
-    def chunk_scalar(self, dataset: Dataset) -> ChunkTerms:
-        weights, coverage_sum = _scalar_weights_and_coverage(
-            self.policy, dataset, self.context.observed_actions
-        )
-        return self._chunk_from_weights(
-            weights, dataset.rewards(), coverage_sum
         )
 
     def _chunk_from_weights(
@@ -723,32 +674,6 @@ class DirectMethodReduction(EstimatorReduction):
             matched=columns.n,
         )
 
-    def chunk_scalar(self, dataset: Dataset) -> ChunkTerms:
-        eligible = eligible_actions_fn(dataset)
-        observed_set = set(
-            np.asarray(self.context.observed_actions).tolist()
-        )
-        predictions = np.empty(len(dataset))
-        coverage_sum = 0.0
-        for index, interaction in enumerate(dataset):
-            actions = eligible(interaction)
-            probs = self.policy.distribution(interaction.context, actions)
-            predictions[index] = sum(
-                p * self.model.predict(interaction.context, a)
-                for p, a in zip(probs, actions)
-            )
-            coverage_sum += sum(
-                float(p)
-                for p, a in zip(probs, actions)
-                if a in observed_set
-            )
-        return ChunkTerms(
-            n=len(dataset),
-            terms=predictions,
-            coverage_sum=coverage_sum,
-            matched=len(dataset),
-        )
-
     def finalize(self, state: FoldState, log: LogSummary) -> EstimatorResult:
         n = state.terms.n
         return EstimatorResult(
@@ -794,44 +719,6 @@ class DoublyRobustReduction(EstimatorReduction):
             matched=int(np.count_nonzero(ratio > 0)),
         )
 
-    def chunk_scalar(self, dataset: Dataset) -> ChunkTerms:
-        eligible = eligible_actions_fn(dataset)
-        observed_set = set(
-            np.asarray(self.context.observed_actions).tolist()
-        )
-        terms = np.empty(len(dataset))
-        weights = np.empty(len(dataset))
-        matched = 0
-        coverage_sum = 0.0
-        for index, interaction in enumerate(dataset):
-            actions = eligible(interaction)
-            probs = self.policy.distribution(interaction.context, actions)
-            baseline = sum(
-                p * self.model.predict(interaction.context, a)
-                for p, a in zip(probs, actions)
-            )
-            pi_prob = 0.0
-            for position, action in enumerate(actions):
-                if action == interaction.action:
-                    pi_prob = float(probs[position])
-                if action in observed_set:
-                    coverage_sum += float(probs[position])
-            ratio = pi_prob / interaction.propensity
-            if ratio > 0:
-                matched += 1
-            residual = interaction.reward - self.model.predict(
-                interaction.context, interaction.action
-            )
-            terms[index] = baseline + ratio * residual
-            weights[index] = ratio
-        return ChunkTerms(
-            n=len(dataset),
-            terms=terms,
-            weights=weights,
-            coverage_sum=coverage_sum,
-            matched=matched,
-        )
-
     def finalize(self, state: FoldState, log: LogSummary) -> EstimatorResult:
         n = state.terms.n
         return EstimatorResult(
@@ -875,37 +762,6 @@ class SwitchReduction(EstimatorReduction):
             switched=int(np.count_nonzero(~use_ips)),
         )
 
-    def chunk_scalar(self, dataset: Dataset) -> ChunkTerms:
-        eligible = eligible_actions_fn(dataset)
-        terms = np.empty(len(dataset))
-        switched = 0
-        matched = 0
-        for index, interaction in enumerate(dataset):
-            actions = eligible(interaction)
-            pi_prob = self.policy.probability_of(
-                interaction.context, actions, interaction.action
-            )
-            weight = pi_prob / interaction.propensity
-            if weight > 0:
-                matched += 1
-            if weight <= self.tau:
-                terms[index] = weight * interaction.reward
-            else:
-                switched += 1
-                probs = self.policy.distribution(
-                    interaction.context, actions
-                )
-                terms[index] = sum(
-                    p * self.model.predict(interaction.context, a)
-                    for p, a in zip(probs, actions)
-                )
-        return ChunkTerms(
-            n=len(dataset),
-            terms=terms,
-            matched=matched,
-            switched=switched,
-        )
-
     def finalize(self, state: FoldState, log: LogSummary) -> EstimatorResult:
         n = state.terms.n
         return EstimatorResult(
@@ -944,12 +800,6 @@ class CompositeReduction(EstimatorReduction):
     def fold(self, state: list, columns: DatasetColumns) -> list:  # type: ignore[override]
         return [
             member.fold(part, columns)
-            for member, part in zip(self.members, state)
-        ]
-
-    def fold_scalar(self, state: list, dataset: Dataset) -> list:  # type: ignore[override]
-        return [
-            member.fold_scalar(part, dataset)
             for member, part in zip(self.members, state)
         ]
 

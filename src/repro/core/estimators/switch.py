@@ -47,9 +47,7 @@ class SwitchEstimator(OffPolicyEstimator):
         self,
         tau: float = 10.0,
         model: Optional[RewardModel] = None,
-        backend: Optional[str] = None,
     ) -> None:
-        super().__init__(backend=backend)
         if tau <= 0:
             raise ValueError("tau must be positive")
         self.tau = tau

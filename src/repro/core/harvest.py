@@ -13,9 +13,9 @@ side of the paper's pitch that exploration data is cheap at scale.
 :meth:`~repro.core.policies.Policy.act_batch` over a context stream in
 configurable batches and writes the sampled ``⟨x, a, r, p⟩`` tuples
 straight into a :class:`~repro.core.columns.DatasetColumns` view, so
-generated logs enter the vectorized estimators without a per-row
-object in between.  :func:`harvest_rows` is the scalar reference
-(legacy ``act()`` per row); :func:`harvest_dataset` picks between them.
+generated logs enter the estimators without a per-row object in
+between; :func:`harvest_dataset` wraps it for callers that want a
+:class:`~repro.core.types.Dataset`.
 """
 
 from __future__ import annotations
@@ -136,9 +136,7 @@ def harvest_columns(
     ``act_batch`` specifies (one uniform per row, in row order, for
     randomizing policies), so **the produced log is bit-identical for
     any** ``batch_size`` ≥ 1 given the same seeded generator — "per
-    row" is just ``batch_size=1`` through this same engine.  (The
-    legacy per-row reference :func:`harvest_rows` draws through
-    ``Generator.choice`` and is a different, equally valid stream.)
+    row" is just ``batch_size=1`` through this same engine.
 
     Audit hooks: ``rng`` may be a
     :class:`~repro.audit.streams.StreamRNG`, in which case each batch
@@ -221,75 +219,6 @@ def harvest_columns(
     )
 
 
-def harvest_rows(
-    policy: Policy,
-    contexts: Sequence[Context],
-    reward_fn: RewardFn,
-    rng: HarvestRNG,
-    *,
-    eligible: Optional[EligibleSpec] = None,
-    action_space: Optional[ActionSpace] = None,
-    reward_range: Optional[RewardRange] = None,
-    scenario: str = "generic",
-    timestamps: Optional[np.ndarray] = None,
-    ledger: Optional[DecisionLedger] = None,
-) -> Dataset:
-    """Scalar reference harvester: one legacy ``act()`` call per row.
-
-    Functionally equivalent to :func:`harvest_columns` but pays the
-    per-row costs the batch engine exists to amortize (``act``'s
-    ``Generator.choice``, per-row eligibility resolution, one
-    ``Interaction`` object per decision) — it is the throughput
-    baseline the benchmarks compare against, and the fallback for
-    policies whose statefulness resists batching.  Note the RNG stream
-    differs from the batch engine's (``Generator.choice`` vs one
-    uniform per row), so per-seed outputs match :func:`harvest_columns`
-    only distributionally.
-    """
-    contexts = tuple(contexts)
-    n = len(contexts)
-    eligible, per_row, _ = _resolve_eligibility(
-        contexts, eligible, action_space
-    )
-    shared = None if per_row else list(eligible)
-    interactions: list[Interaction] = []
-    with get_tracer().span("harvest.per_row", scenario=scenario, rows=n):
-        for index in range(n):
-            row_eligible = (
-                list(eligible[index]) if per_row else shared
-            )
-            row_rng = (
-                rng.generator_for_row(index)
-                if isinstance(rng, StreamRNG)
-                else rng
-            )
-            action, propensity = policy.act(
-                contexts[index], row_eligible, row_rng
-            )
-            reward = float(
-                reward_fn(
-                    np.array([index]), np.array([action], dtype=np.int64)
-                )[0]
-            )
-            if ledger is not None:
-                ledger.append(contexts[index], int(action), float(propensity))
-            interactions.append(
-                Interaction(
-                    context=contexts[index],
-                    action=int(action),
-                    reward=reward,
-                    propensity=float(propensity),
-                    timestamp=float(
-                        timestamps[index] if timestamps is not None else index
-                    ),
-                )
-            )
-    get_metrics().counter("harvest.rows_generated", scenario=scenario).inc(n)
-    return Dataset(
-        interactions, action_space=action_space, reward_range=reward_range
-    )
-
-
 def harvest_dataset(
     policy: Policy,
     contexts: Sequence[Context],
@@ -306,27 +235,9 @@ def harvest_dataset(
 ) -> Dataset:
     """Harvest an exploration :class:`~repro.core.types.Dataset`.
 
-    ``batch_size >= 1`` runs the batched engine
-    (:func:`harvest_columns`) and materializes the result;
-    ``batch_size=0`` selects the legacy per-row reference
-    (:func:`harvest_rows`) — a *different RNG stream*, kept for
-    baselines and for policies that cannot batch.  A ``ledger``
-    (and/or a :class:`~repro.audit.streams.StreamRNG` as ``rng``)
-    flows through to whichever engine runs.
+    Runs the batched engine (:func:`harvest_columns`, same arguments
+    and determinism contract) and materializes the result.
     """
-    if batch_size == 0:
-        return harvest_rows(
-            policy,
-            contexts,
-            reward_fn,
-            rng,
-            eligible=eligible,
-            action_space=action_space,
-            reward_range=reward_range,
-            scenario=scenario,
-            timestamps=timestamps,
-            ledger=ledger,
-        )
     columns = harvest_columns(
         policy,
         contexts,
@@ -448,17 +359,12 @@ class HarvestPipeline:
         estimator: Optional[OffPolicyEstimator] = None,
         mode: str = "strict",
         repair_propensity_floor: float = 1e-3,
-        backend: Optional[str] = None,
     ) -> None:
         self.scavenger = scavenger
         self.propensity_model = propensity_model
         self.action_space = action_space
         self.reward_range = reward_range
-        #: ``backend`` seeds the default estimator's execution path
-        #: (``"scalar"`` / ``"vectorized"`` / ``"chunked"``, see
-        #: :mod:`repro.core.engine`); an explicit ``estimator`` carries
-        #: its own backend and ignores this knob.
-        self.estimator = estimator or IPSEstimator(backend=backend)
+        self.estimator = estimator or IPSEstimator()
         self.mode = check_mode(mode)
         if not 0.0 < repair_propensity_floor <= 1.0:
             raise ValueError("repair_propensity_floor must be in (0, 1]")

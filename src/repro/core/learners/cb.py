@@ -310,11 +310,11 @@ class PolicyClassOptimizer:
     notes production systems use smarter search [7]; enumeration is
     exact and fine at the class sizes we simulate.
 
-    With a vectorized estimator (the default), the search runs against
-    the dataset's shared :class:`~repro.core.columns.DatasetColumns`
-    view: contexts are featurized and eligible-action sets resolved
-    once for the whole class, so each additional candidate costs only
-    its own ``(N, K)`` probability matrix and a few reductions.
+    The search runs against the dataset's shared
+    :class:`~repro.core.columns.DatasetColumns` view: contexts are
+    featurized and eligible-action sets resolved once for the whole
+    class, so each additional candidate costs only its own ``(N, K)``
+    probability matrix and a few reductions.
     """
 
     def __init__(
@@ -329,10 +329,7 @@ class PolicyClassOptimizer:
         self, policy_class: PolicyClass, dataset: Dataset
     ) -> list[tuple[Policy, float]]:
         """Evaluate every policy; returns ``(policy, value)`` pairs."""
-        if (
-            len(dataset) > 0
-            and self.estimator.resolved_backend() == "vectorized"
-        ):
+        if len(dataset) > 0:
             # Materialize the columnar view up front so the one-time
             # featurization pass is amortized across all |Π| members.
             dataset.columns()

@@ -57,7 +57,7 @@ class StreamingIPS:
     error is available at every step without storing the stream, and
     two streams that consumed disjoint tails can be combined with
     :meth:`merge_in` (Chan's parallel-variance merge — the same
-    associativity the chunked backend relies on).
+    associativity chunked folds rely on).
     """
 
     def __init__(self, policy: Policy, action_space: ActionSpace) -> None:

@@ -240,51 +240,11 @@ def simulate_exploration(
 
     Decisions are sampled in batches through the policy's
     :meth:`~repro.core.policies.Policy.act_batch` (see
-    :func:`simulate_exploration_columns`); pass ``batch_size=0`` for
-    the legacy per-row ``act()`` loop — note the two paths consume the
-    generator differently, so they match only distributionally.
+    :func:`simulate_exploration_columns`, which this materializes).
     """
-    if batch_size != 0:
-        return simulate_exploration_columns(
-            full_dataset, rng, logging_policy, batch_size=batch_size
-        ).to_dataset()
-    if len(full_dataset) == 0:
-        raise ValueError("empty dataset")
-    logging_policy = logging_policy or UniformRandomPolicy()
-    space = full_dataset.action_space
-    exploration = Dataset(
-        action_space=space, reward_range=full_dataset.reward_range
-    )
-    with get_tracer().span(
-        "harvest.machinehealth", policy=logging_policy.name
-    ) as span:
-        for interaction in full_dataset:
-            if interaction.full_rewards is None:
-                raise ValueError(
-                    "exploration simulation requires full feedback"
-                )
-            actions = (
-                space.actions(interaction.context)
-                if space is not None
-                else list(range(len(interaction.full_rewards)))
-            )
-            action, propensity = logging_policy.act(
-                interaction.context, actions, rng
-            )
-            exploration.append(
-                Interaction(
-                    context=interaction.context,
-                    action=action,
-                    reward=interaction.full_rewards[action],
-                    propensity=propensity,
-                    timestamp=interaction.timestamp,
-                )
-            )
-        span.set(rows=len(exploration))
-    get_metrics().counter("harvest.rows", scenario="machinehealth").inc(
-        len(exploration)
-    )
-    return exploration
+    return simulate_exploration_columns(
+        full_dataset, rng, logging_policy, batch_size=batch_size
+    ).to_dataset()
 
 
 def ground_truth_value(policy: Policy, full_dataset: Dataset) -> float:

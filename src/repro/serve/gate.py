@@ -45,14 +45,12 @@ class GateConfig:
     ``min_rows`` guards against promoting off a sliver of log;
     ``margin`` is the minimum DR improvement over the incumbent;
     ``require_ok`` rejects WARN verdicts too (default accepts them —
-    WARN means "look", UNRELIABLE means "do not act");
-    ``chunk_size`` tunes the chunked engine's fold size.
+    WARN means "look", UNRELIABLE means "do not act").
     """
 
     min_rows: int = 256
     margin: float = 0.0
     require_ok: bool = False
-    chunk_size: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,6 @@ def evaluate_candidate(
             log_path,
             [candidate, incumbent],
             [DoublyRobustEstimator()],
-            chunk_size=config.chunk_size,
             mode="strict",
         )
     except (OSError, ValueError) as error:

@@ -13,7 +13,6 @@ seed using stable string names.
 
 from __future__ import annotations
 
-import zlib
 from typing import Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -22,26 +21,13 @@ from repro.audit.streams import derive_child_seed
 
 T = TypeVar("T")
 
-#: Child-seed derivation schemes: ``"hkdf"`` (HKDF-SHA256, collision
-#: resistant — the default) and ``"legacy"`` (the pre-audit CRC32 mix,
-#: kept only to regenerate logs harvested before the migration; see
-#: ``docs/adr-0001-rng-streams.md``).
-DERIVATIONS = ("hkdf", "legacy")
-
 
 class RandomSource:
     """A tree of named, independently seeded NumPy generators."""
 
-    def __init__(
-        self, seed: int = 0, _name: str = "root", derivation: str = "hkdf"
-    ) -> None:
-        if derivation not in DERIVATIONS:
-            raise ValueError(
-                f"unknown derivation {derivation!r}; expected one of {DERIVATIONS}"
-            )
+    def __init__(self, seed: int = 0, _name: str = "root") -> None:
         self._seed = int(seed)
         self._name = _name
-        self._derivation = derivation
         self._rng = np.random.default_rng(self._seed)
 
     @property
@@ -59,31 +45,16 @@ class RandomSource:
         """The underlying NumPy generator."""
         return self._rng
 
-    @property
-    def derivation(self) -> str:
-        """Child-seed derivation scheme (``"hkdf"`` or ``"legacy"``)."""
-        return self._derivation
-
     def child(self, name: str) -> "RandomSource":
         """Derive an independent, deterministic child stream.
 
-        The same name always yields the same stream.  Under the default
-        ``"hkdf"`` derivation the child seed is HKDF-SHA256 of the
-        parent seed keyed by the (length-prefixed) child name, so
-        distinct names — sibling or nested — never collide.  The
-        ``"legacy"`` derivation reproduces the pre-audit CRC32 mix,
-        whose collisions (e.g. CRC32("plumless") == CRC32("buckeroo"))
-        could silently alias sibling streams; use it only to regenerate
-        logs harvested before the migration.
+        The same name always yields the same stream: the child seed is
+        HKDF-SHA256 of the parent seed keyed by the (length-prefixed)
+        child name, so distinct names — sibling or nested — never
+        collide (see ``docs/adr-0001-rng-streams.md``).
         """
-        if self._derivation == "legacy":
-            mixed = (
-                self._seed * 0x9E3779B1 + zlib.crc32(name.encode("utf-8"))
-            ) % (2**63)
-        else:
-            mixed = derive_child_seed(self._seed, name)
         return RandomSource(
-            mixed, _name=f"{self._name}.{name}", derivation=self._derivation
+            derive_child_seed(self._seed, name), _name=f"{self._name}.{name}"
         )
 
     # -- convenience draws -------------------------------------------------

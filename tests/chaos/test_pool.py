@@ -18,7 +18,7 @@ import pytest
 from repro.core import pool as worker_pool
 from repro.core import shm
 from repro.core.bootstrap import bootstrap_interval_from_terms
-from repro.core.engine import evaluate_jsonl_chunked, use_backend
+from repro.core.engine import evaluate_jsonl_chunked, use_engine
 from repro.core.estimators.ips import IPSEstimator
 from repro.core.policies import ConstantPolicy
 from repro.core.types import ActionSpace, Dataset, Interaction, RewardRange
@@ -65,10 +65,10 @@ class TestKilledWorker:
     def test_shared_backend_falls_back_bit_identical(self):
         dataset = make_dataset()
         policy = KillerPolicy(1)
-        with use_backend("chunked", chunk_size=25):
+        with use_engine(chunk_size=25):
             ref = IPSEstimator().estimate(ConstantPolicy(1), dataset)
         with pytest.warns(RuntimeWarning, match="worker pool died"):
-            with use_backend("shared", chunk_size=25, workers=2):
+            with use_engine(chunk_size=25, workers=2):
                 survived = IPSEstimator().estimate(policy, dataset)
         assert survived.value == ref.value
         assert survived.std_error == ref.std_error
@@ -99,13 +99,13 @@ class TestKilledWorker:
     def test_pool_is_usable_after_reset(self):
         dataset = make_dataset(n=80, seed=7)
         with pytest.warns(RuntimeWarning, match="worker pool died"):
-            with use_backend("shared", chunk_size=16, workers=2):
+            with use_engine(chunk_size=16, workers=2):
                 IPSEstimator().estimate(KillerPolicy(0), dataset)
         # The reset pool serves the next parallel call as if nothing
         # happened — same results as serial, no lingering breakage.
-        with use_backend("chunked", chunk_size=16):
+        with use_engine(chunk_size=16):
             ref = IPSEstimator().estimate(ConstantPolicy(0), dataset)
-        with use_backend("shared", chunk_size=16, workers=2):
+        with use_engine(chunk_size=16, workers=2):
             again = IPSEstimator().estimate(ConstantPolicy(0), dataset)
         assert again.value == ref.value
         dataset.columns().release_shared_block()
@@ -115,7 +115,7 @@ class TestKilledWorker:
         # parallel bootstrap: it must reset and still match serial.
         dataset = make_dataset(n=90, seed=8)
         with pytest.warns(RuntimeWarning, match="worker pool died"):
-            with use_backend("shared", chunk_size=16, workers=2):
+            with use_engine(chunk_size=16, workers=2):
                 IPSEstimator().estimate(KillerPolicy(0), dataset)
         dataset.columns().release_shared_block()
         terms = np.random.default_rng(1).random(1200)

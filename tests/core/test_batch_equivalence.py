@@ -1,9 +1,9 @@
-"""Scalar ↔ vectorized equivalence for the whole evaluation engine.
+"""Per-row reference ↔ columnar equivalence for the evaluation engine.
 
-The columnar backend (:mod:`repro.core.columns`) must be a pure
+The columnar engine (:mod:`repro.core.columns`) must be a pure
 performance optimization: for every estimator and every built-in policy
-type, the vectorized path has to reproduce the scalar reference to
-floating-point noise.  These tests pin that contract at ~1e-12 — far
+type, it has to reproduce the per-row reference in ``tests/oracles.py``
+to floating-point noise.  These tests pin that contract at ~1e-12 — far
 below any statistical meaning of the estimates — and include a
 hypothesis property test over randomly generated datasets.
 """
@@ -44,6 +44,7 @@ from repro.core.policies import (
 )
 from repro.core.types import ActionSpace, Dataset, Interaction, RewardRange
 
+from tests import oracles
 from tests.conftest import make_uniform_dataset
 
 TOL = 1e-12
@@ -106,14 +107,14 @@ def make_policies() -> list:
     ]
 
 
-def make_estimators(backend):
+def make_estimators():
     return [
-        IPSEstimator(backend=backend),
-        ClippedIPSEstimator(max_weight=2.0, backend=backend),
-        SNIPSEstimator(backend=backend),
-        DirectMethodEstimator(backend=backend),
-        DoublyRobustEstimator(backend=backend),
-        SwitchEstimator(tau=1.5, backend=backend),
+        IPSEstimator(),
+        ClippedIPSEstimator(max_weight=2.0),
+        SNIPSEstimator(),
+        DirectMethodEstimator(),
+        DoublyRobustEstimator(),
+        SwitchEstimator(tau=1.5),
     ]
 
 
@@ -167,7 +168,7 @@ DATASET_BUILDERS = {
 }
 
 
-#: Diagnostics aggregate across the whole dataset, so scalar/vectorized
+#: Diagnostics aggregate across the whole dataset, so per-row/columnar
 #: summation-order differences can reach a few ulps above the per-value
 #: TOL; 1e-9 is still far below every diagnostic threshold.
 DIAG_TOL = 1e-9
@@ -226,27 +227,24 @@ class TestEstimatorEquivalence:
         dataset = DATASET_BUILDERS[dataset_name]()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            for scalar_est, vector_est in zip(
-                make_estimators("scalar"), make_estimators("vectorized")
-            ):
+            for estimator in make_estimators():
                 for policy in make_policies():
-                    a = scalar_est.estimate(policy, dataset)
-                    b = vector_est.estimate(policy, dataset)
+                    a = oracles.estimate(estimator, policy, dataset)
+                    b = estimator.estimate(policy, dataset)
                     assert_results_match(a, b)
 
     def test_weight_and_term_vectors_match(self):
         dataset = make_uniform_dataset(300, seed=9)
+        ips = IPSEstimator()
         for policy in make_policies()[:6]:
-            scalar = IPSEstimator(backend="scalar")
-            vector = IPSEstimator(backend="vectorized")
             np.testing.assert_allclose(
-                vector.match_weights(policy, dataset),
-                scalar.match_weights(policy, dataset),
+                ips.match_weights(policy, dataset),
+                oracles.match_weights(policy, dataset),
                 atol=TOL,
             )
             np.testing.assert_allclose(
-                vector.weighted_rewards(policy, dataset),
-                scalar.weighted_rewards(policy, dataset),
+                ips.weighted_rewards(policy, dataset),
+                oracles.weighted_rewards(policy, dataset),
                 atol=TOL,
             )
 
@@ -254,14 +252,14 @@ class TestEstimatorEquivalence:
         dataset = make_uniform_dataset(250, seed=17)
         model = RewardModel(n_actions=3).fit(dataset)
         policy = EpsilonGreedyPolicy(ConstantPolicy(1), 0.2)
-        for make in (
-            lambda b: DirectMethodEstimator(model, backend=b),
-            lambda b: DoublyRobustEstimator(model, backend=b),
-            lambda b: SwitchEstimator(1.2, model, backend=b),
+        for estimator in (
+            DirectMethodEstimator(model),
+            DoublyRobustEstimator(model),
+            SwitchEstimator(1.2, model),
         ):
             assert_results_match(
-                make("scalar").estimate(policy, dataset),
-                make("vectorized").estimate(policy, dataset),
+                oracles.estimate(estimator, policy, dataset),
+                estimator.estimate(policy, dataset),
             )
 
     def test_policy_class_search_matches(self):
@@ -269,42 +267,54 @@ class TestEstimatorEquivalence:
         policy_class = PolicyClass.random_linear(
             8, 3, FEATURES, np.random.default_rng(1)
         )
-        scalar = PolicyClassOptimizer(IPSEstimator(backend="scalar"))
-        vector = PolicyClassOptimizer(IPSEstimator(backend="vectorized"))
-        scalar_scores = scalar.score_all(policy_class, dataset)
-        vector_scores = vector.score_all(policy_class, dataset)
-        for (pa, va), (pb, vb) in zip(scalar_scores, vector_scores):
-            assert pa is pb
-            assert vb == pytest.approx(va, abs=TOL)
-        best_scalar = scalar.optimize(policy_class, dataset)
-        best_vector = vector.optimize(policy_class, dataset)
-        assert best_scalar[0] is best_vector[0]
+        ips = IPSEstimator()
+        optimizer = PolicyClassOptimizer(ips)
+        scores = optimizer.score_all(policy_class, dataset)
+        reference = [
+            oracles.estimate(ips, policy, dataset).value
+            for policy in policy_class
+        ]
+        for (policy, value), expected, member in zip(
+            scores, reference, policy_class
+        ):
+            assert policy is member
+            assert value == pytest.approx(expected, abs=TOL)
+        best, _ = optimizer.optimize(policy_class, dataset)
+        assert best is policy_class.policies[int(np.nanargmax(reference))]
 
-    def test_bootstrap_and_comparison_backends_agree(self):
+    def test_bootstrap_and_comparison_backends_agree(self, monkeypatch):
         dataset = make_uniform_dataset(300, seed=31)
         policy = EpsilonGreedyPolicy(ConstantPolicy(1), 0.3)
-        rng = lambda: np.random.default_rng(0)  # noqa: E731
-        a = bootstrap_ips_interval(policy, dataset, rng=rng(), backend="scalar")
-        b = bootstrap_ips_interval(
-            policy, dataset, rng=rng(), backend="vectorized"
-        )
-        assert b.low == pytest.approx(a.low, abs=TOL)
-        assert b.high == pytest.approx(a.high, abs=TOL)
-        a = bootstrap_snips_interval(policy, dataset, rng=rng(), backend="scalar")
-        b = bootstrap_snips_interval(
-            policy, dataset, rng=rng(), backend="vectorized"
-        )
-        assert b.low == pytest.approx(a.low, abs=TOL)
-        assert b.high == pytest.approx(a.high, abs=TOL)
-
         challenger = UniformRandomPolicy()
-        ca = compare_policies(policy, challenger, dataset, backend="scalar")
-        cb = compare_policies(policy, challenger, dataset, backend="vectorized")
-        assert cb.difference == pytest.approx(ca.difference, abs=TOL)
-        assert cb.interval.low == pytest.approx(ca.interval.low, abs=TOL)
-        ba = evaluate_with_bound(policy, dataset, backend="scalar")
-        bb = evaluate_with_bound(policy, dataset, backend="vectorized")
-        assert bb.value == pytest.approx(ba.value, abs=TOL)
+
+        def run():
+            rng = lambda: np.random.default_rng(0)  # noqa: E731
+            return (
+                bootstrap_ips_interval(policy, dataset, rng=rng()),
+                bootstrap_snips_interval(policy, dataset, rng=rng()),
+                compare_policies(policy, challenger, dataset),
+                evaluate_with_bound(policy, dataset),
+            )
+
+        ips_b, snips_b, compared_b, bound_b = run()
+        # The reference run: the same code over per-row weights.
+        monkeypatch.setattr(
+            IPSEstimator, "match_weights",
+            lambda self, policy, dataset: oracles.match_weights(
+                policy, dataset
+            ),
+        )
+        ips_a, snips_a, compared_a, bound_a = run()
+        for a, b in ((ips_a, ips_b), (snips_a, snips_b)):
+            assert b.low == pytest.approx(a.low, abs=TOL)
+            assert b.high == pytest.approx(a.high, abs=TOL)
+        assert compared_b.difference == pytest.approx(
+            compared_a.difference, abs=TOL
+        )
+        assert compared_b.interval.low == pytest.approx(
+            compared_a.interval.low, abs=TOL
+        )
+        assert bound_b.value == pytest.approx(bound_a.value, abs=TOL)
 
 
 class TestBatchPolicyContract:
@@ -338,26 +348,28 @@ class TestBatchPolicyContract:
         policy = DeterministicFunctionPolicy(
             lambda context, actions: actions[0], name="opaque"
         )
-        engine.reset_fallback_warnings()
+        engine.reset_backend_warnings()
         with pytest.warns(RuntimeWarning, match="probabilities_batch"):
             policy.probabilities_batch(columns)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             policy.probabilities_batch(columns)  # second call: silent
-        engine.reset_fallback_warnings()
+        engine.reset_backend_warnings()
 
     def test_backend_switching(self):
-        assert engine.get_default_backend() == "vectorized"
-        with engine.use_backend("scalar"):
-            assert IPSEstimator().resolved_backend() == "scalar"
-            assert IPSEstimator(backend="vectorized").resolved_backend() == (
-                "vectorized"
-            )
-        assert IPSEstimator().resolved_backend() == "vectorized"
+        # The knobs switch how the fold runs, never what it computes.
+        dataset = make_uniform_dataset(120, seed=4)
+        policy = EpsilonGreedyPolicy(ConstantPolicy(2), 0.3)
+        whole = IPSEstimator().estimate(policy, dataset)
+        with engine.use_engine(chunk_size=16, workers=2):
+            assert (engine.get_chunk_size(), engine.get_workers()) == (16, 2)
+            chunked = IPSEstimator().estimate(policy, dataset)
+        dataset.columns().release_shared_block()
+        assert (engine.get_chunk_size(), engine.get_workers()) == (None, 1)
+        assert chunked.value == pytest.approx(whole.value, abs=TOL)
         with pytest.raises(ValueError):
-            engine.set_default_backend("gpu")
-        with pytest.raises(ValueError):
-            IPSEstimator(backend="nope")
+            with engine.use_engine(chunk_size=0):
+                pass  # pragma: no cover - never entered
 
 
 # -- hypothesis property test ------------------------------------------------
@@ -410,7 +422,7 @@ def random_policies(draw, n_actions: int):
 def test_property_scalar_vectorized_agree(data):
     dataset = data.draw(random_datasets())
     policy = data.draw(random_policies(dataset.action_space.n_actions))
-    for estimator_cls in (IPSEstimator, SNIPSEstimator):
-        a = estimator_cls(backend="scalar").estimate(policy, dataset)
-        b = estimator_cls(backend="vectorized").estimate(policy, dataset)
+    for estimator in (IPSEstimator(), SNIPSEstimator()):
+        a = oracles.estimate(estimator, policy, dataset)
+        b = estimator.estimate(policy, dataset)
         assert_results_match(a, b)

@@ -247,15 +247,13 @@ class TestTable2AcceptanceScenario:
     def test_flagged_on_both_backends_identically(self):
         from repro.loadbalance.policies import send_to_policy
 
+        from tests import oracles
+
         dataset = degenerate_jsq_log()
-        scalar = IPSEstimator(backend="scalar").estimate(
-            send_to_policy(1), dataset
-        )
-        vectorized = IPSEstimator(backend="vectorized").estimate(
-            send_to_policy(1), dataset
-        )
-        assert scalar.diagnostics.verdict == vectorized.diagnostics.verdict
-        assert scalar.diagnostics.verdict == VERDICT_UNRELIABLE
+        per_row = oracles.estimate(IPSEstimator(), send_to_policy(1), dataset)
+        columnar = IPSEstimator().estimate(send_to_policy(1), dataset)
+        assert per_row.diagnostics.verdict == columnar.diagnostics.verdict
+        assert per_row.diagnostics.verdict == VERDICT_UNRELIABLE
 
     def test_well_supported_machine_health_policy_not_flagged(self):
         from repro.machinehealth.dataset import (

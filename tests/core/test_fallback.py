@@ -9,6 +9,7 @@ from repro.core.estimators.ips import IPSEstimator
 from repro.core.policies import ConstantPolicy, UniformRandomPolicy
 from repro.core.types import Dataset, Interaction
 
+from tests import oracles
 from tests.conftest import make_uniform_dataset
 
 
@@ -92,11 +93,9 @@ class TestFallbackEstimator:
 
     def test_backends_agree(self):
         dataset = skewed_dataset()
-        scalar = FallbackEstimator(backend="scalar").estimate(
-            ConstantPolicy(1), dataset
+        per_row = oracles.estimate(
+            FallbackEstimator(), ConstantPolicy(1), dataset
         )
-        vectorized = FallbackEstimator(backend="vectorized").estimate(
-            ConstantPolicy(1), dataset
-        )
-        assert scalar.estimator == vectorized.estimator
-        assert scalar.value == pytest.approx(vectorized.value, rel=1e-9)
+        columnar = FallbackEstimator().estimate(ConstantPolicy(1), dataset)
+        assert per_row.estimator == columnar.estimator
+        assert per_row.value == pytest.approx(columnar.value, rel=1e-9)

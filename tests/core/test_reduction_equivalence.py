@@ -1,16 +1,18 @@
 """Property-style equivalence suite for the reduction kernel.
 
-The contract of :mod:`repro.core.estimators.reductions`: every backend
-is a different *driver* over the same fold/merge/finalize kernel, so
+The contract of :mod:`repro.core.estimators.reductions`: the engine's
+two knobs (chunk size, workers) only change how the same
+fold/merge/finalize kernel is driven, so
 
-- scalar == vectorized == chunked for every estimator, at every chunk
-  size (1, a prime, N, N+1), including diagnostics verdicts;
-- shared == chunked *bit-for-bit* at every chunk size and worker
-  count — parallel folding through shared memory must not move a
-  single ulp;
+- every estimator matches the per-row reference in ``tests/oracles.py``
+  at every chunk size (whole log, 1, a prime, N, N+1), including
+  diagnostics verdicts;
+- ``workers > 1`` is *bit-for-bit* the serial fold at every chunk size
+  and worker count — parallel folding through shared memory must not
+  move a single ulp — and the whole-log knob is exactly one fold;
 - merging partial states is associative — any merge tree over any
   partition finalizes to the same result;
-- the out-of-core JSONL driver matches the in-memory backends, and its
+- the out-of-core JSONL driver matches the in-memory fold, and its
   parallel folding is bit-identical to serial;
 - seeded bootstrap replicates are the same shards whether generated
   serially or across a worker pool.
@@ -24,11 +26,13 @@ from repro.core.bootstrap import (
     bootstrap_ips_interval,
     bootstrap_snips_interval,
 )
-from repro.core.columns import iter_chunk_columns
+from repro.core.columns import iter_column_slices
 from repro.core.engine import (
     evaluate_jsonl_chunked,
+    get_chunk_size,
+    get_workers,
     reset_backend_warnings,
-    use_backend,
+    use_engine,
     warn_missing_batch,
 )
 from repro.core.estimators.direct import DirectMethodEstimator
@@ -53,8 +57,12 @@ from repro.core.policies import (
 )
 from repro.core.types import ActionSpace, Dataset, Interaction
 
+from tests import oracles
+
 N = 223  # deliberately not a multiple of any chunk size below
 CHUNK_SIZES = (1, 7, N, N + 1)
+#: Every chunk-size knob setting, the whole-log default included.
+ENGINE_CHUNK_SIZES = (None,) + CHUNK_SIZES
 
 
 def make_skewed_dataset(n=N, seed=0, action_space=True):
@@ -124,6 +132,20 @@ def assert_results_match(got, ref, rel=1e-9):
             ), key
 
 
+def assert_bit_identical(got, ref, label):
+    __tracebackhide__ = True
+    # Bit-for-bit, not approx: the same float64 values folded through
+    # the same kernel in the same order.
+    assert got.value == ref.value or (
+        np.isnan(got.value) and np.isnan(ref.value)
+    ), label
+    assert got.std_error == ref.std_error or (
+        np.isnan(got.std_error) and np.isnan(ref.std_error)
+    ), label
+    assert got.n == ref.n
+    assert got.effective_n == ref.effective_n
+
+
 class TestBackendEquivalence:
     @pytest.mark.parametrize("with_space", [True, False],
                              ids=["action-space", "spaceless"])
@@ -131,34 +153,57 @@ class TestBackendEquivalence:
         dataset = make_skewed_dataset(action_space=with_space)
         for policy in all_policies():
             for estimator in all_estimators():
-                with use_backend("vectorized"):
-                    ref = estimator.estimate(policy, dataset)
-                with use_backend("scalar"):
-                    scalar = estimator.estimate(policy, dataset)
-                assert_results_match(scalar, ref)
-                for chunk_size in CHUNK_SIZES:
-                    with use_backend("chunked", chunk_size=chunk_size):
-                        chunked = estimator.estimate(policy, dataset)
-                    # Model-based terms reassociate gram sums; a hair
-                    # looser than the pure-sum estimators.
-                    assert_results_match(chunked, ref, rel=1e-8)
+                ref = oracles.estimate(estimator, policy, dataset)
+                for chunk_size in ENGINE_CHUNK_SIZES:
+                    with use_engine(chunk_size=chunk_size):
+                        serial = estimator.estimate(policy, dataset)
+                    # Chunk merging reassociates model-based gram sums;
+                    # a hair looser than the one whole-log fold.
+                    assert_results_match(
+                        serial, ref, rel=1e-9 if chunk_size is None else 1e-8
+                    )
+                    with use_engine(chunk_size=chunk_size, workers=2):
+                        parallel = estimator.estimate(policy, dataset)
+                    assert_bit_identical(
+                        parallel, serial,
+                        (estimator.name, policy.name, chunk_size),
+                    )
+        dataset.columns().release_shared_block()
+
+    def test_whole_log_knob_is_exactly_one_fold(self):
+        dataset = make_skewed_dataset()
+        policy = EpsilonGreedyPolicy(ConstantPolicy(2), 0.25)
+        log = LogSummary.from_columns(dataset.columns())
+        # The fallback ladder is a lazy walk over the other estimators.
+        for estimator in all_estimators()[:-1]:
+            reduction = estimator._reduction(
+                policy, dataset, ReductionContext.from_dataset(dataset)
+            )
+            one_fold = reduction.finalize(
+                reduction.fold(reduction.init_state(), dataset.columns()),
+                log,
+            )
+            with use_engine(chunk_size=None):
+                got = estimator.estimate(policy, dataset)
+            assert_bit_identical(got, one_fold, estimator.name)
 
     def test_match_weights_identical_across_backends(self):
         dataset = make_skewed_dataset()
         policy = EpsilonGreedyPolicy(ConstantPolicy(0), 0.1)
         ips = IPSEstimator()
-        with use_backend("vectorized"):
-            ref = ips.match_weights(policy, dataset)
-        with use_backend("chunked", chunk_size=7):
+        ref = ips.match_weights(policy, dataset)
+        np.testing.assert_allclose(
+            ref, oracles.match_weights(policy, dataset), rtol=1e-12
+        )
+        with use_engine(chunk_size=7):
             chunked = ips.match_weights(policy, dataset)
         np.testing.assert_array_equal(ref, chunked)
 
     def test_fallback_audit_trail_matches_on_chunked(self):
         dataset = make_skewed_dataset()
         policy = ConstantPolicy(2)
-        with use_backend("vectorized"):
-            ref = FallbackEstimator().estimate(policy, dataset)
-        with use_backend("chunked", chunk_size=13):
+        ref = oracles.estimate(FallbackEstimator(), policy, dataset)
+        with use_engine(chunk_size=13):
             chunked = FallbackEstimator().estimate(policy, dataset)
         assert chunked.estimator == ref.estimator
         assert chunked.details["degraded"] == ref.details["degraded"]
@@ -168,23 +213,9 @@ class TestBackendEquivalence:
 
 
 class TestSharedBackendEquivalence:
-    """shared == chunked bit-for-bit: same slices, different processes."""
+    """workers > 1 == serial bit-for-bit: same slices, different processes."""
 
     WORKER_COUNTS = (1, 2, 4)
-
-    @staticmethod
-    def _assert_bit_identical(shared, ref, label):
-        __tracebackhide__ = True
-        # Bit-for-bit, not approx: the workers fold the same float64
-        # values through the same kernel in the same order.
-        assert shared.value == ref.value or (
-            np.isnan(shared.value) and np.isnan(ref.value)
-        ), label
-        assert shared.std_error == ref.std_error or (
-            np.isnan(shared.std_error) and np.isnan(ref.std_error)
-        ), label
-        assert shared.n == ref.n
-        assert shared.effective_n == ref.effective_n
 
     @pytest.mark.parametrize("with_space", [True, False],
                              ids=["action-space", "spaceless"])
@@ -197,14 +228,12 @@ class TestSharedBackendEquivalence:
                       DoublyRobustEstimator()]
         for chunk_size in CHUNK_SIZES:
             for estimator in estimators:
-                with use_backend("chunked", chunk_size=chunk_size):
+                with use_engine(chunk_size=chunk_size):
                     ref = estimator.estimate(policy, dataset)
                 for workers in self.WORKER_COUNTS:
-                    with use_backend(
-                        "shared", chunk_size=chunk_size, workers=workers
-                    ):
+                    with use_engine(chunk_size=chunk_size, workers=workers):
                         shared = estimator.estimate(policy, dataset)
-                    self._assert_bit_identical(
+                    assert_bit_identical(
                         shared, ref,
                         (estimator.name, chunk_size, workers),
                     )
@@ -214,11 +243,11 @@ class TestSharedBackendEquivalence:
         dataset = make_skewed_dataset()
         for policy in all_policies():
             for estimator in all_estimators():
-                with use_backend("chunked", chunk_size=64):
+                with use_engine(chunk_size=64):
                     ref = estimator.estimate(policy, dataset)
-                with use_backend("shared", chunk_size=64, workers=2):
+                with use_engine(chunk_size=64, workers=2):
                     shared = estimator.estimate(policy, dataset)
-                self._assert_bit_identical(
+                assert_bit_identical(
                     shared, ref, (estimator.name, policy.name)
                 )
         dataset.columns().release_shared_block()
@@ -227,24 +256,23 @@ class TestSharedBackendEquivalence:
         dataset = make_skewed_dataset()
         policy = EpsilonGreedyPolicy(ConstantPolicy(0), 0.1)
         ips = IPSEstimator()
-        with use_backend("vectorized"):
-            ref = ips.match_weights(policy, dataset)
-        with use_backend("shared", chunk_size=7, workers=2):
+        ref = ips.match_weights(policy, dataset)
+        with use_engine(chunk_size=7, workers=2):
             shared = ips.match_weights(policy, dataset)
         np.testing.assert_array_equal(ref, shared)
 
     def test_shared_falls_back_when_disabled(self, monkeypatch):
-        # REPRO_NO_SHM is the kill switch: the shared backend must
+        # REPRO_NO_SHM is the kill switch: parallel folding must
         # degrade to the serial chunked plan, results unchanged.
         from repro.core import shm
 
         dataset = make_skewed_dataset(n=97, seed=3)
         policy = ConstantPolicy(1)
-        with use_backend("chunked", chunk_size=16):
+        with use_engine(chunk_size=16):
             ref = IPSEstimator().estimate(policy, dataset)
         monkeypatch.setenv("REPRO_NO_SHM", "1")
         assert not shm.available()
-        with use_backend("shared", chunk_size=16, workers=2):
+        with use_engine(chunk_size=16, workers=2):
             shared = IPSEstimator().estimate(policy, dataset)
         assert shared.value == ref.value
         assert shared.std_error == ref.std_error
@@ -259,7 +287,7 @@ class TestMergeAssociativity:
         reduction = estimator.reduction(policy, context)
         states = [
             reduction.fold(reduction.init_state(), chunk)
-            for chunk in iter_chunk_columns(dataset, chunk_size)
+            for chunk in iter_column_slices(dataset.columns(), chunk_size)
         ]
         log = LogSummary.from_columns(dataset.columns())
         return reduction, states, log
@@ -335,8 +363,7 @@ class TestJsonlDriver:
         loaded = Dataset.load_jsonl(path)
         for pi, policy in enumerate(policies):
             for ei, estimator in enumerate(estimators):
-                with use_backend("vectorized"):
-                    ref = estimator.estimate(policy, loaded)
+                ref = estimator.estimate(policy, loaded)
                 assert_results_match(
                     evaluation.results[pi][ei], ref, rel=1e-8
                 )
@@ -373,9 +400,7 @@ class TestJsonlDriver:
             collect_terms=True,
         )
         loaded = Dataset.load_jsonl(path)
-        expected = IPSEstimator(backend="vectorized").weighted_rewards(
-            policy, loaded
-        )
+        expected = IPSEstimator().weighted_rewards(policy, loaded)
         np.testing.assert_allclose(
             evaluation.terms[(policy.name, "ips")], expected, rtol=1e-12
         )
@@ -437,12 +462,12 @@ class TestBootstrapSharding:
 
 
 class TestBackendScopeHygiene:
-    def test_use_backend_clears_warning_memory(self):
+    def test_use_engine_clears_warnings(self):
         class NoBatchPolicy:
             pass
 
         reset_backend_warnings()
-        with use_backend("vectorized"):
+        with use_engine():
             with pytest.warns(RuntimeWarning):
                 warn_missing_batch(NoBatchPolicy)
             # Second call inside the scope: memory suppresses it.
@@ -457,14 +482,23 @@ class TestBackendScopeHygiene:
             warn_missing_batch(NoBatchPolicy)
         reset_backend_warnings()
 
-    def test_use_backend_scopes_chunk_options(self):
-        from repro.core.engine import get_chunk_size, get_workers
+    def test_use_engine_scopes_both_knobs(self):
+        assert (get_chunk_size(), get_workers()) == (None, 1)
+        with use_engine(chunk_size=17, workers=3):
+            assert (get_chunk_size(), get_workers()) == (17, 3)
+            with use_engine():
+                assert (get_chunk_size(), get_workers()) == (None, 1)
+            assert (get_chunk_size(), get_workers()) == (17, 3)
+        assert (get_chunk_size(), get_workers()) == (None, 1)
 
-        before = (get_chunk_size(), get_workers())
-        with use_backend("chunked", chunk_size=17, workers=3):
-            assert get_chunk_size() == 17
-            assert get_workers() == 3
-        assert (get_chunk_size(), get_workers()) == before
+    @pytest.mark.parametrize("knobs", [
+        {"chunk_size": 0}, {"chunk_size": -5}, {"workers": 0},
+    ])
+    def test_use_engine_rejects_bad_knobs(self, knobs):
+        with pytest.raises(ValueError):
+            with use_engine(**knobs):
+                pass  # pragma: no cover - never entered
+        assert (get_chunk_size(), get_workers()) == (None, 1)
 
 
 class TestStreamingOnKernel:
@@ -505,6 +539,6 @@ class TestStreamingOnKernel:
         stream = StreamingIPS(policy, dataset.action_space)
         stream.update_all(dataset)
         snap = stream.snapshot()
-        result = IPSEstimator(backend="scalar").estimate(policy, dataset)
+        result = oracles.estimate(IPSEstimator(), policy, dataset)
         assert snap.value == pytest.approx(result.value, rel=1e-12)
         assert snap.std_error == pytest.approx(result.std_error, rel=1e-12)

@@ -23,7 +23,7 @@ import pytest
 
 from repro.core import shm
 from repro.core.columns import DatasetColumns
-from repro.core.engine import evaluate_jsonl_chunked, use_backend
+from repro.core.engine import evaluate_jsonl_chunked, use_engine
 from repro.core.estimators.ips import IPSEstimator
 from repro.core.features import Featurizer
 from repro.core.policies import ConstantPolicy, EpsilonGreedyPolicy
@@ -183,14 +183,14 @@ class TestSegmentLifecycle:
         assert shm.owned_segments() == ()
 
     def test_clean_subprocess_emits_no_leak_warnings(self, tmp_path):
-        # A full shared-backend run + parallel bootstrap under
+        # A full shared-memory parallel fold + parallel bootstrap under
         # ``-W error``: any resource_tracker double-registration or
         # leftover segment at exit would fail or warn on stderr.
         script = tmp_path / "run_shared.py"
         script.write_text(
             "import numpy as np\n"
             "from repro.core.bootstrap import bootstrap_interval_from_terms\n"
-            "from repro.core.engine import use_backend\n"
+            "from repro.core.engine import use_engine\n"
             "from repro.core.estimators.ips import IPSEstimator\n"
             "from repro.core.policies import ConstantPolicy\n"
             "from repro.core.types import ActionSpace, Dataset, Interaction\n"
@@ -199,7 +199,7 @@ class TestSegmentLifecycle:
             "                    float(rng.uniform()), 1 / 3)\n"
             "        for i in range(200)]\n"
             "dataset = Dataset(rows, action_space=ActionSpace(3))\n"
-            "with use_backend('shared', chunk_size=32, workers=2):\n"
+            "with use_engine(chunk_size=32, workers=2):\n"
             "    IPSEstimator().estimate(ConstantPolicy(1), dataset)\n"
             "bootstrap_interval_from_terms(\n"
             "    rng.random(600), seed=3, n_boot=512, workers=2)\n"

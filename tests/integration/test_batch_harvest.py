@@ -5,8 +5,8 @@ The ISSUE-level acceptance test: for each of the three scenarios
 large batch size and harvesting one row at a time (``batch_size=1``,
 the "per-row" mode of the batched engine) produce **bit-identical**
 logs under the same seeded generator.  Plus: the generic engine's
-instrumentation, its legacy per-row reference path, and the columnar
-output's round trip into the evaluators.
+instrumentation, its ``Dataset`` wrapper, and the columnar output's
+round trip into the evaluators.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.cache import (
 )
 from repro.core.columns import DatasetColumns
 from repro.core.estimators.ips import IPSEstimator
-from repro.core.harvest import harvest_columns, harvest_dataset, harvest_rows
+from repro.core.harvest import harvest_columns, harvest_dataset
 from repro.core.policies import EpsilonGreedyPolicy, ConstantPolicy, UniformRandomPolicy
 from repro.core.types import ActionSpace
 from repro.loadbalance import (
@@ -149,35 +149,16 @@ class TestGenericEngine:
         assert [i.action for i in dataset] == columns.actions.tolist()
         assert [i.propensity for i in dataset] == columns.propensities.tolist()
 
-    def test_batch_size_zero_selects_legacy_stream(self):
-        """batch_size=0 is the Generator.choice reference — a different
-        (equally valid) stream, so actions may differ but the log is
-        still internally consistent."""
-        contexts = simple_contexts(80)
-        legacy = harvest_dataset(
-            UniformRandomPolicy(),
-            contexts,
-            lambda i, a: np.zeros(len(i)),
-            np.random.default_rng(4),
-            eligible=(0, 1, 2),
-            batch_size=0,
-        )
-        assert len(legacy) == 80
-        assert all(i.propensity == pytest.approx(1 / 3) for i in legacy)
-
-    def test_harvest_rows_instrumented(self):
-        with use_tracer() as tracer, use_metrics() as metrics:
-            harvest_rows(
+    def test_batch_size_zero_rejected(self):
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            harvest_dataset(
                 UniformRandomPolicy(),
-                simple_contexts(40),
+                simple_contexts(8),
                 lambda i, a: np.zeros(len(i)),
-                np.random.default_rng(0),
-                eligible=(0, 1),
-                scenario="legacy",
+                np.random.default_rng(4),
+                eligible=(0, 1, 2),
+                batch_size=0,
             )
-        assert metrics.value("harvest.rows_generated", scenario="legacy") == 40
-        names = [span["name"] for _, span in flatten_spans(tracer.span_tree())]
-        assert "harvest.per_row" in names
 
 
 class TestMachineHealthBatching:
@@ -218,7 +199,7 @@ class TestMachineHealthBatching:
         columns = simulate_exploration_columns(
             full.full, np.random.default_rng(11)
         )
-        result = IPSEstimator(backend="vectorized").estimate(
+        result = IPSEstimator().estimate(
             UniformRandomPolicy(), columns.to_dataset()
         )
         assert result.n == 400

@@ -237,8 +237,6 @@ class TestCliOnCorruptedLog:
             [
                 "evaluate",
                 path,
-                "--backend",
-                "chunked",
                 "--chunk-size",
                 "128",
                 "--mode",
@@ -251,6 +249,6 @@ class TestCliOnCorruptedLog:
         )
         captured = capsys.readouterr()
         assert code == 0
-        assert "backend: chunked" in captured.out
+        assert "chunks)" in captured.out  # the streamed path's banner
         assert "constant[1]" in captured.out
         assert "rejected" in captured.err  # quarantine summary on stderr

@@ -1,16 +1,16 @@
-"""Out-of-core acceptance: chunked evaluation under a hard memory cap.
+"""Out-of-core acceptance: streamed evaluation under a hard memory cap.
 
-The chunked backend's reason to exist is logs that don't fit in
-memory.  This suite proves it the blunt way: evaluate a 500k-row JSONL
-log in a subprocess whose *address space* is capped with ``RLIMIT_AS``
-at a level the whole-log (vectorized) path demonstrably cannot satisfy
-— the same policy/estimator run MemoryErrors there — and check the
-chunked run completes and prints the same estimates as an uncapped
-vectorized run.
+``evaluate --chunk-size`` exists for logs that don't fit in memory.
+This suite proves it the blunt way: evaluate a 500k-row JSONL log in a
+subprocess whose *address space* is capped with ``RLIMIT_AS`` at a
+level the default whole-log path demonstrably cannot satisfy — the
+same policy/estimator run MemoryErrors there — and check the streamed
+run completes and prints the same estimates as an uncapped whole-log
+run.
 
 Sizing (measured on CPython 3.11 / NumPy baseline ≈150 MB of VA):
 loading 500k interactions as Python objects needs >450 MB of address
-space, while the chunked path folds 8192-row chunks and stays under
+space, while the streamed path folds 8192-row chunks and stays under
 180 MB.  The 384 MB cap splits those with margin on both sides.
 
 ``REPRO_MEMORY_ROWS`` scales the log down for quick local iterations;
@@ -64,7 +64,7 @@ def big_log(tmp_path_factory):
     return str(path)
 
 
-def run_evaluate(path, backend, cap_bytes=None, extra=()):
+def run_evaluate(path, cap_bytes=None, extra=()):
     def limit():
         if cap_bytes is not None:
             import resource
@@ -75,7 +75,7 @@ def run_evaluate(path, backend, cap_bytes=None, extra=()):
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "repro", "evaluate", path,
-         "--backend", backend, *EVALUATE_ARGS, *extra],
+         *EVALUATE_ARGS, *extra],
         capture_output=True,
         text=True,
         env=env,
@@ -86,17 +86,16 @@ def run_evaluate(path, backend, cap_bytes=None, extra=()):
 
 class TestAddressSpaceCap:
     def test_vectorized_cannot_fit_under_the_cap(self, big_log):
-        result = run_evaluate(big_log, "vectorized", cap_bytes=CAP_BYTES)
+        result = run_evaluate(big_log, cap_bytes=CAP_BYTES)
         assert result.returncode != 0, (
             "the whole-log path fit under the cap — raise N_ROWS or "
-            "lower CAP_BYTES, the test no longer separates the backends"
+            "lower CAP_BYTES, the test no longer separates the two paths"
         )
         assert "MemoryError" in result.stderr
 
     def test_chunked_completes_under_the_same_cap(self, big_log):
         result = run_evaluate(
-            big_log, "chunked", cap_bytes=CAP_BYTES,
-            extra=("--chunk-size", "8192"),
+            big_log, cap_bytes=CAP_BYTES, extra=("--chunk-size", "8192"),
         )
         assert result.returncode == 0, result.stderr[-2000:]
         assert f"({N_ROWS} interactions" in result.stdout
@@ -104,14 +103,13 @@ class TestAddressSpaceCap:
 
     def test_capped_chunked_matches_uncapped_vectorized(self, big_log):
         chunked = run_evaluate(
-            big_log, "chunked", cap_bytes=CAP_BYTES,
-            extra=("--chunk-size", "8192"),
+            big_log, cap_bytes=CAP_BYTES, extra=("--chunk-size", "8192"),
         )
-        vectorized = run_evaluate(big_log, "vectorized")
+        vectorized = run_evaluate(big_log)
         assert chunked.returncode == 0, chunked.stderr[-2000:]
         assert vectorized.returncode == 0, vectorized.stderr[-2000:]
         # Identical tables (4-decimal estimates and stderrs) modulo the
-        # banner line naming the backend.
+        # banner line, which counts chunks only on the streamed path.
         assert (
             chunked.stdout.splitlines()[1:]
             == vectorized.stdout.splitlines()[1:]
@@ -123,18 +121,16 @@ class TestAddressSpaceCap:
         # not O(log) — the same 384 MB cap that kills the whole-log
         # path must accommodate parallel folding with segments mapped.
         result = run_evaluate(
-            big_log, "chunked", cap_bytes=CAP_BYTES,
+            big_log, cap_bytes=CAP_BYTES,
             extra=("--chunk-size", "8192", "--workers", "2"),
         )
         assert result.returncode == 0, result.stderr[-2000:]
         assert f"({N_ROWS} interactions" in result.stdout
 
     def test_parallel_chunked_matches_serial_chunked(self, big_log):
-        serial = run_evaluate(
-            big_log, "chunked", extra=("--chunk-size", "8192"),
-        )
+        serial = run_evaluate(big_log, extra=("--chunk-size", "8192"))
         parallel = run_evaluate(
-            big_log, "chunked", cap_bytes=CAP_BYTES,
+            big_log, cap_bytes=CAP_BYTES,
             extra=("--chunk-size", "8192", "--workers", "2"),
         )
         assert serial.returncode == 0, serial.stderr[-2000:]

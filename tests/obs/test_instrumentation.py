@@ -12,7 +12,7 @@ import math
 import pytest
 
 from repro.core.bootstrap import BOOTSTRAP_SHARD, bootstrap_interval_from_terms
-from repro.core.engine import evaluate_jsonl_chunked
+from repro.core.engine import evaluate_jsonl_chunked, use_engine
 from repro.core.estimators.base import EstimatorResult
 from repro.core.estimators.fallback import select_down_ladder
 from repro.core.estimators.ips import IPSEstimator, SNIPSEstimator
@@ -23,21 +23,28 @@ from repro.obs.tracing import use_tracer
 from repro.obs.report import flatten_spans
 from tests.conftest import make_uniform_dataset
 
-BACKENDS = ("scalar", "vectorized", "chunked")
+#: Engine knob settings: whole-log fold, chunk slices, parallel slices.
+ENGINES = {
+    "whole": {},
+    "chunked": {"chunk_size": 64},
+    "parallel": {"chunk_size": 64, "workers": 2},
+}
 
 
 class TestObservationNeutrality:
     """Tracing on vs off changes nothing about the numbers."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("estimator_cls", [IPSEstimator, SNIPSEstimator])
-    def test_estimates_bit_identical(self, backend, estimator_cls):
+    def test_estimates_bit_identical(self, engine, estimator_cls):
         dataset = make_uniform_dataset(400, seed=5)
         policy = ConstantPolicy(1)
-        estimator = estimator_cls(backend=backend)
-        plain = estimator.estimate(policy, dataset)
-        with use_tracer(), use_metrics():
-            traced = estimator.estimate(policy, dataset)
+        estimator = estimator_cls()
+        with use_engine(**ENGINES[engine]):
+            plain = estimator.estimate(policy, dataset)
+            with use_tracer(), use_metrics():
+                traced = estimator.estimate(policy, dataset)
+        dataset.columns().release_shared_block()
         assert traced.value == plain.value  # bit-identical, not approx
         assert traced.std_error == plain.std_error
         assert traced.n == plain.n
@@ -200,11 +207,12 @@ class TestMetricMirroring:
         dataset = make_uniform_dataset(200, seed=17)
         policy = ConstantPolicy(0)
         totals = {}
-        for backend in BACKENDS:
-            with use_metrics() as metrics:
-                IPSEstimator(backend=backend).estimate(policy, dataset)
-            totals[backend] = metrics.total("estimator.verdicts")
-        assert totals == {"scalar": 1.0, "vectorized": 1.0, "chunked": 1.0}
+        for engine, knobs in ENGINES.items():
+            with use_engine(**knobs), use_metrics() as metrics:
+                IPSEstimator().estimate(policy, dataset)
+            totals[engine] = metrics.total("estimator.verdicts")
+        dataset.columns().release_shared_block()
+        assert totals == dict.fromkeys(ENGINES, 1.0)
 
     def test_harvest_rows_counted_per_scenario(self):
         import numpy as np

@@ -4,7 +4,8 @@ The property the HKDF scheme buys over the legacy CRC32 mix: derived
 keys are collision-free in practice for *any* pair of distinct stream
 identities, not just the ones we happen to use.  The CRC32 mix fails
 this concretely — ``crc32(b"plumless") == crc32(b"buckeroo")`` — so
-two siblings with those names share one RNG stream.
+under it two siblings with those names shared one RNG stream (the
+mix is gone; ``docs/adr-0001-rng-streams.md`` records why).
 """
 
 import zlib
@@ -66,10 +67,6 @@ class TestDerivationInjectivity:
 class TestLegacyCollisionWitness:
     def test_crc32_collides_on_known_pair(self):
         assert zlib.crc32(b"plumless") == zlib.crc32(b"buckeroo")
-
-    def test_legacy_derivation_aliases_streams(self):
-        root = RandomSource(42, derivation="legacy")
-        assert root.child("plumless").seed == root.child("buckeroo").seed
 
     def test_hkdf_derivation_separates_them(self):
         root = RandomSource(42)

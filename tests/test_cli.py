@@ -53,9 +53,10 @@ class TestEvaluateSubcommand:
         return code, out
 
     def test_default_backend_is_vectorized(self, log_path, capsys):
+        # The default loads the log and folds it whole: no chunk count.
         code, out = self._run([log_path], capsys)
         assert code == 0
-        assert "backend: vectorized" in out
+        assert out.splitlines()[0].endswith("(200 interactions)")
         assert "uniform-random" in out
         assert "ips" in out
 
@@ -67,28 +68,24 @@ class TestEvaluateSubcommand:
             "--estimator", "ips",
             "--estimator", "snips",
         ]
-        code_v, out_v = self._run(args + ["--backend", "vectorized"], capsys)
-        code_s, out_s = self._run(args + ["--backend", "scalar"], capsys)
-        code_c, out_c = self._run(
-            args + ["--backend", "chunked", "--chunk-size", "33"], capsys
+        code_w, out_w = self._run(args, capsys)
+        code_c, out_c = self._run(args + ["--chunk-size", "33"], capsys)
+        code_p, out_p = self._run(
+            args + ["--chunk-size", "33", "--workers", "2"], capsys
         )
-        assert code_v == code_s == code_c == 0
-        # Identical tables modulo the backend banner line.
+        assert code_w == code_c == code_p == 0
+        # Identical tables modulo the banner line.
         strip = lambda out: out.splitlines()[1:]  # noqa: E731
-        assert strip(out_v) == strip(out_s) == strip(out_c)
+        assert strip(out_w) == strip(out_c) == strip(out_p)
 
     def test_chunked_banner_reports_chunks(self, log_path, capsys):
-        code, out = self._run(
-            [log_path, "--backend", "chunked", "--chunk-size", "64"], capsys
-        )
+        code, out = self._run([log_path, "--chunk-size", "64"], capsys)
         assert code == 0
-        assert "backend: chunked" in out
         assert "4 chunks" in out  # 200 rows / 64 per chunk
 
     def test_chunked_workers_match_serial(self, log_path, capsys):
         args = [
             log_path,
-            "--backend", "chunked",
             "--chunk-size", "25",
             "--policy", "constant:1",
             "--estimator", "ips",
@@ -100,12 +97,30 @@ class TestEvaluateSubcommand:
         assert out_1 == out_2
 
     def test_default_backend_restored_after_run(self, log_path, capsys):
-        from repro.core.engine import get_default_backend, set_default_backend
+        from repro.core.engine import get_chunk_size, get_workers
 
-        self._run([log_path, "--backend", "scalar"], capsys)
-        # The flag is an explicit process-wide switch, documented as such.
-        assert get_default_backend() == "scalar"
-        set_default_backend("vectorized")
+        for extra in ([], ["--chunk-size", "64"]):
+            code, _ = self._run(
+                [log_path, "--workers", "2", "--bootstrap", "50",
+                 "--seed", "1"] + extra,
+                capsys,
+            )
+            assert code == 0
+            # The flags are scoped to the run; nothing leaks past it.
+            assert (get_chunk_size(), get_workers()) == (None, 1)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"),
+        ("--chunk-size", "0"),
+        ("--chunk-size", "-8"),
+        ("--bootstrap", "-3"),
+    ])
+    def test_out_of_range_knob_rejected(self, log_path, capsys, flag, value):
+        code = main(["evaluate", log_path, flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {flag} must be >= ")
+        assert captured.out == ""
 
     def test_empty_log_errors(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
@@ -206,11 +221,9 @@ class TestBootstrapFlag:
         args = [log_path, "--policy", "constant:1",
                 "--bootstrap", "300", "--seed", "9"]
         _, in_memory = self._run(list(args), capsys)
-        _, chunked = self._run(
-            args + ["--backend", "chunked", "--chunk-size", "40"], capsys
-        )
+        _, chunked = self._run(args + ["--chunk-size", "40"], capsys)
         # The IPS terms feeding the bootstrap are identical, so the
-        # seeded intervals agree exactly across backends.
+        # seeded intervals agree exactly between the two paths.
         assert (
             self._bootstrap_lines(in_memory)
             == self._bootstrap_lines(chunked)
@@ -268,7 +281,7 @@ class TestObservabilityFlags:
         manifest_path = tmp_path / "run_manifest.json"
         code, _out, err = self._run(
             [log_path,
-             "--backend", "chunked", "--chunk-size", "64", "--workers", "2",
+             "--chunk-size", "64", "--workers", "2",
              "--policy", "uniform", "--policy", "constant:1",
              "--bootstrap", "300", "--seed", "3",
              "--manifest", str(manifest_path)],
@@ -279,7 +292,8 @@ class TestObservabilityFlags:
         data = json.loads(manifest_path.read_text())
         assert data["schema_version"] == 1
         assert data["command"] == "evaluate"
-        assert data["config"]["backend"] == "chunked"
+        assert data["config"]["chunk_size"] == 64
+        assert "backend" not in data["config"]
         assert len(data["results"]) == 2  # 2 policies × 1 estimator
         assert all("bootstrap" in r for r in data["results"])
         assert "sha256" in data["input"]

@@ -81,3 +81,83 @@ def test_key_estimators_share_interface():
     for cls in (IPSEstimator, SNIPSEstimator, DirectMethodEstimator,
                 DoublyRobustEstimator, SwitchEstimator):
         assert issubclass(cls, OffPolicyEstimator)
+
+
+#: Names the one-evaluation-path refactor removed, by module.
+REMOVED = {
+    "repro.core": (
+        "get_default_backend", "set_default_backend", "use_backend",
+        "harvest_rows",
+    ),
+    "repro.core.engine": (
+        "BACKENDS", "get_default_backend", "set_default_backend",
+        "resolve_backend", "use_backend", "reset_fallback_warnings",
+    ),
+    "repro.core.columns": ("iter_chunk_columns",),
+    "repro.core.harvest": ("harvest_rows",),
+    "repro.simsys.random_source": ("DERIVATIONS",),
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(REMOVED))
+def test_removed_names_stay_gone(module_name):
+    module = importlib.import_module(module_name)
+    for name in REMOVED[module_name]:
+        assert not hasattr(module, name), f"{module_name}.{name} is back"
+
+
+def test_no_public_signature_takes_a_backend():
+    import inspect
+
+    from repro.core import bootstrap, comparison, estimators
+    from repro.core.harvest import HarvestPipeline
+
+    public = [HarvestPipeline] + [
+        obj
+        for module in (estimators, bootstrap, comparison)
+        for name, obj in vars(module).items()
+        if not name.startswith("_") and callable(obj)
+    ]
+    for obj in public:
+        methods = inspect.getmembers(obj, callable) if inspect.isclass(obj) else []
+        for fn in [obj] + [method for _, method in methods]:
+            try:
+                parameters = inspect.signature(fn).parameters
+            except (TypeError, ValueError):  # builtins without signatures
+                continue
+            assert "backend" not in parameters, fn
+
+
+def test_estimators_expose_no_backend_attribute():
+    from repro.core.estimators import IPSEstimator, OffPolicyEstimator
+
+    for owner in (OffPolicyEstimator, IPSEstimator()):
+        assert not hasattr(owner, "backend")
+        assert not hasattr(owner, "resolved_backend")
+
+
+def test_evaluate_rejects_the_backend_flag(tmp_path, capsys):
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["evaluate", str(tmp_path / "log.jsonl"),
+              "--backend", "vectorized"])
+    assert excinfo.value.code == 2
+    assert "--backend" in capsys.readouterr().err
+
+
+def test_random_source_has_one_derivation():
+    from repro.simsys.random_source import RandomSource
+
+    with pytest.raises(TypeError):
+        RandomSource(1, derivation="legacy")
+
+
+def test_gate_config_has_no_chunk_size():
+    import dataclasses
+
+    from repro.serve.gate import GateConfig
+
+    assert "chunk_size" not in {
+        field.name for field in dataclasses.fields(GateConfig)
+    }
