@@ -540,29 +540,33 @@ class TestHarvestThroughput:
         )
 
     def test_bench_harvest_loadbalance(self, benchmark):
-        from repro.loadbalance.harvest import (
-            batch_exploration_columns,
-            synthetic_decision_snapshots,
-        )
+        from repro.audit.streams import StreamRegistry
+        from repro.core.coordinator import HarvestJob
+        from repro.core.harvest import harvest_columns
+        from repro.loadbalance.harvest import exploration_shard_inputs
         from repro.loadbalance.policies import weighted_random_policy
-        from repro.loadbalance.proxy import fig5_servers
 
-        servers = fig5_servers()
         policy = weighted_random_policy([0.7, 0.3])
-        snapshots = synthetic_decision_snapshots(N_HARVEST, 2, seed=21)
-        batch_seconds = _timed(
-            benchmark,
-            lambda: batch_exploration_columns(
-                policy, snapshots, servers, np.random.default_rng(0)
-            ),
-        )
-        small = synthetic_decision_snapshots(N_HARVEST_PER_ROW, 2, seed=21)
-        per_row_seconds = self._per_row_seconds(
-            lambda: batch_exploration_columns(
-                policy, small, servers, np.random.default_rng(0),
-                batch_size=1,
+
+        def inputs_for(rows):
+            job = HarvestJob(
+                scenario="loadbalance", rows=rows, master_seed=21,
+                policy=policy, config={"seed": 21},
             )
-        )
+            return exploration_shard_inputs(job, StreamRegistry(21))
+
+        def harvest(inputs, size=8_192):
+            return harvest_columns(
+                policy, inputs.contexts, inputs.reward_fn,
+                np.random.default_rng(0),
+                action_space=inputs.action_space, batch_size=size,
+                scenario="loadbalance",
+            )
+
+        inputs = inputs_for(N_HARVEST)
+        batch_seconds = _timed(benchmark, lambda: harvest(inputs))
+        small = inputs_for(N_HARVEST_PER_ROW)
+        per_row_seconds = self._per_row_seconds(lambda: harvest(small, 1))
         self._record(
             "loadbalance", policy.name, N_HARVEST, batch_seconds,
             N_HARVEST_PER_ROW, per_row_seconds,

@@ -44,7 +44,6 @@ from repro.cache.harvest import (
     candidate_reward_matrix,
     eviction_dataset_from_log,
     reconstruct_rewards,
-    resample_eviction_columns,
     train_cb_eviction,
 )
 from repro.cache.replay import replay_evaluate, replay_rank, requests_from_log
@@ -80,7 +79,6 @@ __all__ = [
     "candidate_reward_matrix",
     "eviction_dataset_from_log",
     "reconstruct_rewards",
-    "resample_eviction_columns",
     "train_cb_eviction",
     "replay_evaluate",
     "replay_rank",

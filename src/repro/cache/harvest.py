@@ -16,12 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.audit.ledger import DecisionLedger
 from repro.cache.eviction import candidate_features
 from repro.cache.keyspace_log import KeyspaceEvent, parse_keyspace_line
-from repro.core.columns import DatasetColumns
 from repro.core.features import Featurizer
-from repro.core.harvest import DEFAULT_BATCH_SIZE, HarvestRNG, harvest_columns
 from repro.core.learners.cb import PerActionFeaturesLearner
 from repro.core.policies import Policy, UniformRandomPolicy
 from repro.core.propensity import DeclaredPropensityModel
@@ -95,7 +92,7 @@ def candidate_reward_matrix(
     entry ``[t, s]`` is the capped time until candidate ``s``'s key
     reappears after eviction time ``t`` (slots beyond the row's sample
     hold the cap, but are never eligible).  This is what lets
-    :func:`resample_eviction_columns` replay the same decision points
+    :func:`exploration_shard_inputs` replay the same decision points
     under a different eviction policy.
     """
     import bisect
@@ -144,10 +141,9 @@ def eviction_decision_points(
     eligible slots, the event time, and the ``(N, sample_size)``
     look-ahead reward matrix of :func:`candidate_reward_matrix`.
     This is the whole deterministic prepare step of an eviction
-    harvest, shared by :func:`resample_eviction_columns` and the
-    shard-input builder (:func:`exploration_shard_inputs`) — the
-    decision points depend only on the log, never on the harvesting
-    policy or RNG.
+    harvest (see the shard-input builder,
+    :func:`exploration_shard_inputs`) — the decision points depend only
+    on the log, never on the harvesting policy or RNG.
     """
     events = _coerce_events(lines_or_events)
     evictions, rewards = candidate_reward_matrix(events, sample_size, reward_cap)
@@ -163,57 +159,6 @@ def eviction_decision_points(
     ]
     timestamps = np.array([event.time for event in evictions])
     return contexts, eligible, timestamps, rewards
-
-
-def resample_eviction_columns(
-    lines_or_events,
-    policy: Policy,
-    rng: HarvestRNG,
-    sample_size: int = 5,
-    reward_cap: float = DEFAULT_REWARD_CAP,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    ledger: Optional[DecisionLedger] = None,
-) -> DatasetColumns:
-    """Replay logged eviction points under ``policy``, in batches.
-
-    The cache instance of the batch harvest engine: every EVICT event
-    in the keyspace log becomes a decision point whose candidate
-    features form the context (see :func:`eviction_decision_points`);
-    ``policy`` re-decides all of them through
-    :meth:`~repro.core.policies.Policy.act_batch`, and the revealed
-    reward is the chosen candidate's look-ahead time-to-next-access
-    from :func:`candidate_reward_matrix`.  Eligibility is per-row
-    (only the slots actually sampled at that decision).  Output is
-    columnar and bit-identical for any ``batch_size`` under a fixed
-    generator.
-    """
-    events = _coerce_events(lines_or_events)
-    with get_tracer().span(
-        "harvest.cache", sample_size=sample_size, batched=True
-    ) as span:
-        contexts, eligible, timestamps, rewards = eviction_decision_points(
-            events, sample_size, reward_cap
-        )
-
-        def reveal(indices: np.ndarray, actions: np.ndarray) -> np.ndarray:
-            return rewards[indices, actions]
-
-        columns = harvest_columns(
-            policy,
-            contexts,
-            reveal,
-            rng,
-            eligible=eligible,
-            action_space=eviction_action_space(sample_size),
-            batch_size=batch_size,
-            reward_range=RewardRange(0.0, reward_cap, maximize=True),
-            scenario="cache",
-            timestamps=timestamps,
-            ledger=ledger,
-        )
-        span.set(rows=columns.n, events=len(events))
-    get_metrics().counter("harvest.rows", scenario="cache").inc(columns.n)
-    return columns
 
 
 def exploration_shard_inputs(job, registry):

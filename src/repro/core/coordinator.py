@@ -28,6 +28,12 @@ primitives:
   payloads are spliced in ordinal order
   (:func:`~repro.audit.shards.splice_payloads`) into ONE ledger whose
   entries and head are bit-identical to a serial harvest.
+- **Sealing is optional.**  An unsealed job (``HarvestJob(sealed=
+  False)``, a plain ``repro harvest``) runs the same plan, streams,
+  pool fan-out and retries, but builds no ledger: its payloads carry
+  only the sampled columns, are checked for geometry (``start``,
+  ``n``, column lengths) instead of re-chained, and are concatenated
+  without a splice.  Its rows equal the sealed job's rows exactly.
 - **Resumable by construction.**  Worker loss (crash, SIGKILL,
   ``BrokenProcessPool``) costs exactly the unfinished shards: the pool
   is reset and only those shards are re-derived.  A shard that keeps
@@ -98,11 +104,12 @@ class HarvestJob:
     """The complete, picklable description of one sharded harvest.
 
     This is the *entire* state a worker needs: scenario name, row
-    count, master seed, shard size, the logging policy, and the
-    scenario config dict.  Everything else — contexts, reward law,
-    generators, ledger shards — is re-derived deterministically from
-    these on the worker side, which is what makes shards re-derivable
-    after a crash without any state transfer.
+    count, master seed, shard size, the logging policy, the scenario
+    config dict, and whether to seal the decisions into a ledger.
+    Everything else — contexts, reward law, generators, ledger shards
+    — is re-derived deterministically from these on the worker side,
+    which is what makes shards re-derivable after a crash without any
+    state transfer.
     """
 
     scenario: str
@@ -112,6 +119,9 @@ class HarvestJob:
     shard_size: int = DEFAULT_BATCH_SIZE
     batch_size: int = DEFAULT_BATCH_SIZE
     config: Mapping = field(default_factory=dict)
+    #: Chain every decision into a :class:`DecisionLedger` (``repro
+    #: harvest --ledger``).  The sampled rows do not depend on it.
+    sealed: bool = True
     #: Override the scenario's registered builder (dotted
     #: ``module:function``); tests and external scenarios hook in here.
     builder: Optional[str] = None
@@ -262,19 +272,22 @@ def _harvest_shard_impl(
     sampled decisions) are exactly what the serial harvest produces.
     The in-process path passes the *true* predecessor head instead, so
     its sealed entries can be adopted by the splice without re-hashing
-    the chain a second time.
+    the chain a second time.  An unsealed job builds no ledger and its
+    payload carries no chain fields.
     """
     key = job.stream_key()
     rng = StreamRNG(
         registry, key, shard_size=job.shard_size, start_ordinal=spec.start
     )
-    ledger = DecisionLedger(
-        key,
-        shard_size=job.shard_size,
-        genesis=genesis,
-        start_ordinal=spec.start,
-        master_fingerprint=registry.master_fingerprint,
-    )
+    ledger = None
+    if job.sealed:
+        ledger = DecisionLedger(
+            key,
+            shard_size=job.shard_size,
+            genesis=genesis,
+            start_ordinal=spec.start,
+            master_fingerprint=registry.master_fingerprint,
+        )
 
     def shard_reward_fn(indices: np.ndarray, actions: np.ndarray) -> np.ndarray:
         return inputs.reward_fn(indices + spec.start, actions)
@@ -291,21 +304,25 @@ def _harvest_shard_impl(
         scenario=job.scenario,
         ledger=ledger,
     )
-    entries = ledger.entries()
-    return {
+    payload = {
         "start": spec.start,
         "n": spec.n,
         "actions": columns.actions,
         "rewards": columns.rewards,
         "propensities": columns.propensities,
-        "context_shas": [entry.context_sha for entry in entries],
-        "genesis": genesis,
-        "head": ledger.head,
-        "entries": entries,
         "derivations": registry.derivations(),
         "span": None,
         "seconds": 0.0,
     }
+    if ledger is not None:
+        entries = ledger.entries()
+        payload.update(
+            context_shas=[entry.context_sha for entry in entries],
+            genesis=genesis,
+            head=ledger.head,
+            entries=entries,
+        )
+    return payload
 
 
 def _shard_worker(payload: tuple) -> dict:
@@ -374,10 +391,14 @@ def _shard_worker(payload: tuple) -> dict:
 
 @dataclass
 class ShardedHarvest:
-    """The result of one coordinated harvest: columns + spliced chain."""
+    """The result of one coordinated harvest: columns + spliced chain.
+
+    ``ledger`` is ``None`` (and ``shard_map`` empty) for an unsealed
+    job; the chain accessors below are for sealed harvests only.
+    """
 
     columns: DatasetColumns
-    ledger: DecisionLedger
+    ledger: Optional[DecisionLedger]
     registry: StreamRegistry
     plan: ShardPlan
     shard_map: list
@@ -417,7 +438,8 @@ class ShardedHarvest:
 
 
 class HarvestCoordinator:
-    """Fan a :class:`HarvestJob` over the pool; splice one verified chain.
+    """Fan a :class:`HarvestJob` over the pool; splice one verified chain
+    when the job is sealed.
 
     ``workers=1`` runs the shards sequentially in-process (same plan,
     same provisional-seal-then-splice path, no pool); ``workers>=2``
@@ -457,18 +479,25 @@ class HarvestCoordinator:
     # -- pieces --------------------------------------------------------------
 
     def _validate_payload(self, spec: ShardSpec, payload: dict) -> None:
-        """Re-chain a returned payload; raise when it does not recompute."""
+        """Check a returned payload's geometry and, when sealed, re-chain
+        it; raise :class:`ShardPayloadError` when either fails."""
         if int(payload["start"]) != spec.start or int(payload["n"]) != spec.n:
             raise ShardPayloadError(
                 f"shard {spec.index} payload covers rows "
                 f"[{payload['start']}, {payload['start'] + payload['n']}), "
                 f"expected [{spec.start}, {spec.stop})"
             )
-        if len(payload["context_shas"]) != spec.n:
-            raise ShardPayloadError(
-                f"shard {spec.index} payload carries "
-                f"{len(payload['context_shas'])} digests for {spec.n} rows"
-            )
+        names = ("actions", "rewards", "propensities")
+        if self.job.sealed:
+            names += ("context_shas",)
+        for name in names:
+            if len(payload[name]) != spec.n:
+                raise ShardPayloadError(
+                    f"shard {spec.index} payload carries "
+                    f"{len(payload[name])} {name} for {spec.n} rows"
+                )
+        if not self.job.sealed:
+            return
         head = chain_digests(
             self.job.stream_key(),
             payload["context_shas"],
@@ -554,7 +583,9 @@ class HarvestCoordinator:
             else:
                 payloads = self._run_pool(plan, inputs, registry, tracer, metrics)
             result = self._assemble(plan, inputs, registry, payloads)
-            span.set(rows=inputs.n, retries=result.retries, head=result.head)
+            span.set(rows=inputs.n, retries=result.retries)
+            if result.ledger is not None:
+                span.set(head=result.head)
         return result
 
     def _run_in_process(
@@ -572,7 +603,7 @@ class HarvestCoordinator:
             payload = self._harvest_local(
                 spec, inputs, registry, tracer, genesis=prev
             )
-            prev = payload["head"]
+            prev = payload.get("head", GENESIS)
             payloads[spec.index] = self._accept(spec, payload, tracer, metrics)
         return payloads
 
@@ -671,12 +702,14 @@ class HarvestCoordinator:
     def _assemble(self, plan, inputs, registry, payloads) -> ShardedHarvest:
         job = self.job
         ordered = [payloads[spec.index] for spec in plan]
-        ledger, shard_map = splice_payloads(
-            job.stream_key(),
-            ordered,
-            shard_size=job.shard_size,
-            master_fingerprint=registry.master_fingerprint,
-        )
+        ledger, shard_map = None, []
+        if job.sealed:
+            ledger, shard_map = splice_payloads(
+                job.stream_key(),
+                ordered,
+                shard_size=job.shard_size,
+                master_fingerprint=registry.master_fingerprint,
+            )
         n = inputs.n
         actions = np.empty(n, dtype=np.int64)
         rewards = np.empty(n, dtype=np.float64)

@@ -35,7 +35,6 @@ from repro.loadbalance.access_log import (
 from repro.loadbalance.proxy import LoadBalancerSim, SimulationResult, fig5_servers
 from repro.loadbalance.harvest import (
     DecisionSnapshots,
-    batch_exploration_columns,
     batch_latency_law,
     build_lb_pipeline,
     dataset_from_access_log,
@@ -68,7 +67,6 @@ __all__ = [
     "SimulationResult",
     "fig5_servers",
     "DecisionSnapshots",
-    "batch_exploration_columns",
     "batch_latency_law",
     "build_lb_pipeline",
     "dataset_from_access_log",

@@ -10,9 +10,11 @@ reward "[-] request latency").
 For *generating* exploration data at scale the module also ships a
 batched path: :func:`synthetic_decision_snapshots` draws decision-time
 snapshots (connection counts + request features) without running the
-event-driven proxy, and :func:`batch_exploration_columns` routes them
-through any policy's :meth:`~repro.core.policies.Policy.act_batch`
-with the Fig. 5 latency law fully vectorized — the per-request
+event-driven proxy, and :func:`exploration_shard_inputs` pairs them
+with the Fig. 5 latency law, fully vectorized, for the shard
+coordinator (:class:`~repro.core.coordinator.HarvestCoordinator`) to
+sample through any policy's
+:meth:`~repro.core.policies.Policy.act_batch` — the per-request
 feedback loop of :class:`~repro.loadbalance.proxy.LoadBalancerSim` is
 deliberately absent, which is exactly what makes the rows independent
 and batchable.
@@ -25,17 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.audit.ledger import DecisionLedger
 from repro.audit.streams import ShardedNormal, StreamKey, StreamRegistry
-from repro.core.harvest import (
-    DEFAULT_BATCH_SIZE,
-    HarvestPipeline,
-    HarvestRNG,
-    LogScavenger,
-    harvest_columns,
-)
-from repro.core.columns import DatasetColumns
-from repro.core.policies import Policy
+from repro.core.harvest import HarvestPipeline, LogScavenger
 from repro.core.propensity import (
     DeclaredPropensityModel,
     EmpiricalPropensityModel,
@@ -348,92 +341,6 @@ def latency_noise_stream(
         shard_size=shard_size,
         scale=scale,
     )
-
-
-def batch_exploration_columns(
-    policy: Policy,
-    snapshots: DecisionSnapshots,
-    server_configs: Sequence[ServerConfig],
-    rng: HarvestRNG,
-    *,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    latency_noise: float = 0.01,
-    noise_seed: int = 0,
-    noise: Optional[ShardedNormal] = None,
-    noise_start: int = 0,
-    timeout: float = LATENCY_CAP,
-    ledger: Optional[DecisionLedger] = None,
-) -> DatasetColumns:
-    """Batched exploration harvest over decision snapshots, columnar.
-
-    The load-balance instance of the batch engine: the policy samples
-    upstreams via :meth:`~repro.core.policies.Policy.act_batch` (one
-    ``rng`` uniform per row) and observed latencies come from
-    :func:`batch_latency_law` plus Gaussian noise, clamped to
-    ``[0.001, timeout]`` exactly as the proxy does — so the produced
-    log is bit-identical for any ``batch_size``.
-
-    Two noise schemes:
-
-    - ``noise=`` (a :class:`~repro.audit.streams.ShardedNormal`, see
-      :func:`latency_noise_stream`): shard-derived, addressed by global
-      row ``noise_start + i`` — the audited scheme, fork-equivalent
-      under sharding.  Harvesting rows ``[k·S, (k+1)·S)`` of a run in
-      isolation means passing the sliced snapshots with
-      ``noise_start=k·S`` and the *same* noise stream parameters.
-      ``latency_noise``/``noise_seed`` are ignored when set.
-    - legacy ``latency_noise``/``noise_seed``: one up-front
-      whole-run ``normal(size=n)`` draw on a
-      :class:`~repro.simsys.random_source.RandomSource` child,
-      indexed by local row — batch-size independent but *not*
-      re-derivable per shard, kept for unaudited harvests.
-    """
-    if len(server_configs) == 0:
-        raise ValueError("need at least one server")
-    if latency_noise < 0:
-        raise ValueError("latency noise must be non-negative")
-    if noise_start < 0:
-        raise ValueError("noise_start must be non-negative")
-    n = len(snapshots)
-    latency_matrix = batch_latency_law(snapshots, server_configs)
-    if noise is not None:
-
-        def observe(indices: np.ndarray, actions: np.ndarray) -> np.ndarray:
-            latency = latency_matrix[indices, actions] + noise.values(
-                indices + noise_start
-            )
-            return np.minimum(np.maximum(latency, 0.001), timeout)
-
-    else:
-        if latency_noise > 0:
-            flat_noise = RandomSource(
-                noise_seed, _name="lb-harvest"
-            ).child("latency-noise").generator.normal(0.0, latency_noise, size=n)
-        else:
-            flat_noise = np.zeros(n)
-
-        def observe(indices: np.ndarray, actions: np.ndarray) -> np.ndarray:
-            latency = latency_matrix[indices, actions] + flat_noise[indices]
-            return np.minimum(np.maximum(latency, 0.001), timeout)
-
-    n_servers = len(server_configs)
-    with get_tracer().span(
-        "harvest.loadbalance", n_servers=n_servers, batched=True
-    ) as span:
-        columns = harvest_columns(
-            policy,
-            snapshots.contexts,
-            observe,
-            rng,
-            action_space=lb_action_space(n_servers),
-            batch_size=batch_size,
-            reward_range=lb_reward_range(),
-            scenario="loadbalance",
-            ledger=ledger,
-        )
-        span.set(rows=columns.n)
-    get_metrics().counter("harvest.rows", scenario="loadbalance").inc(columns.n)
-    return columns
 
 
 def exploration_shard_inputs(job, registry: StreamRegistry):

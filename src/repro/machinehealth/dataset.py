@@ -117,6 +117,27 @@ def build_full_feedback_dataset(
     return MachineHealthDataset(full=dataset, events=events, encoder=encoder)
 
 
+def _stack_full_feedback(full_dataset: Dataset) -> tuple:
+    """``(contexts, profiles, timestamps)`` of a full-feedback dataset.
+
+    ``profiles`` is the ``(N, n_actions)`` matrix every harvest of the
+    dataset gathers its revealed rewards from.
+    """
+    interactions = list(full_dataset)
+    if any(interaction.full_rewards is None for interaction in interactions):
+        raise ValueError("exploration simulation requires full feedback")
+    profiles = np.asarray(
+        [interaction.full_rewards for interaction in interactions],
+        dtype=np.float64,
+    )
+    contexts = tuple(interaction.context for interaction in interactions)
+    timestamps = np.asarray(
+        [interaction.timestamp for interaction in interactions],
+        dtype=np.float64,
+    )
+    return contexts, profiles, timestamps
+
+
 def simulate_exploration_columns(
     full_dataset: Dataset,
     rng: "harvest.HarvestRNG",
@@ -141,19 +162,7 @@ def simulate_exploration_columns(
     if len(full_dataset) == 0:
         raise ValueError("empty dataset")
     logging_policy = logging_policy or UniformRandomPolicy()
-    interactions = list(full_dataset)
-    for interaction in interactions:
-        if interaction.full_rewards is None:
-            raise ValueError("exploration simulation requires full feedback")
-    profiles = np.asarray(
-        [interaction.full_rewards for interaction in interactions],
-        dtype=np.float64,
-    )
-    contexts = [interaction.context for interaction in interactions]
-    timestamps = np.asarray(
-        [interaction.timestamp for interaction in interactions],
-        dtype=np.float64,
-    )
+    contexts, profiles, timestamps = _stack_full_feedback(full_dataset)
     space = full_dataset.action_space
 
     def reveal(indices: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -203,16 +212,7 @@ def exploration_shard_inputs(job, registry):
         n_machines=int(config.get("n_machines", 1000)),
         seed=int(config.get("seed", 0)),
     ).full
-    interactions = list(full)
-    profiles = np.asarray(
-        [interaction.full_rewards for interaction in interactions],
-        dtype=np.float64,
-    )
-    contexts = tuple(interaction.context for interaction in interactions)
-    timestamps = np.asarray(
-        [interaction.timestamp for interaction in interactions],
-        dtype=np.float64,
-    )
+    contexts, profiles, timestamps = _stack_full_feedback(full)
 
     def reveal(indices: np.ndarray, actions: np.ndarray) -> np.ndarray:
         return profiles[indices, actions]

@@ -82,14 +82,44 @@ class TestHarvestLedger:
         ]
         assert heads[0] == heads[1]
 
-    def test_workers_without_ledger_errors(self, tmp_path, capsys):
-        code = main(
-            ["harvest", "loadbalance", str(tmp_path / "x.jsonl"),
-             "--rows", "50", "--workers", "2"]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "--workers requires --ledger" in captured.err
+    def test_plain_workers_flag_is_bit_identical(self, tmp_path, capsys):
+        logs = []
+        for workers in ("1", "2"):
+            log = tmp_path / f"plain_w{workers}.jsonl"
+            code = main(
+                ["harvest", "loadbalance", str(log), "--rows", "300",
+                 "--seed", "7", "--shard-size", "128", "--workers", workers]
+            )
+            assert code == 0
+            logs.append(log.read_bytes())
+        out = capsys.readouterr().out
+        assert "sharded: 3 shard(s) x 128 rows, 2 worker(s)" in out
+        assert logs[0] == logs[1]
+
+    @pytest.mark.parametrize(
+        "scenario, rows",
+        [("machinehealth", 300), ("loadbalance", 300), ("cache", 3000)],
+    )
+    def test_plain_equals_ledgered_minus_chain(
+        self, tmp_path, capsys, scenario, rows
+    ):
+        lines = {}
+        for extra in ((), ("--ledger",)):
+            log = tmp_path / f"{scenario}{''.join(extra)}.jsonl"
+            code = main(
+                ["harvest", scenario, str(log), "--rows", str(rows),
+                 "--seed", "7", "--shard-size", "128", *extra]
+            )
+            assert code == 0
+            lines[extra] = log.read_text().splitlines()
+        capsys.readouterr()
+        plain, ledgered = lines[()], lines[("--ledger",)]
+        assert len(plain) == len(ledgered) > 128
+        for plain_line, ledgered_line in zip(plain, ledgered):
+            record = json.loads(ledgered_line)
+            metadata = record.pop("metadata")
+            assert set(metadata) == {"ledger"}
+            assert json.dumps(record) == plain_line
 
     def test_workers_must_be_positive(self, tmp_path, capsys):
         code = main(

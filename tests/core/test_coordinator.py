@@ -1,5 +1,7 @@
 """The harvest coordinator: plans, payload validation, retries, splicing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,68 @@ class TestRetries:
         # initial + one retry both corrupted, then the local fallback.
         assert coordinator.attempts[2] == 2
         assert_matches_serial(result, reference_columns, reference_ledger)
+
+
+class TruncatingCoordinator(HarvestCoordinator):
+    """Drops the last row of one column in shard 1's first delivery."""
+
+    def __init__(self, *args, column, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.column = column
+        self.truncated = 0
+
+    def _receive(self, spec, payload):
+        if spec.index == 1 and self.truncated == 0:
+            self.truncated += 1
+            payload = dict(payload)
+            payload[self.column] = payload[self.column][:-1]
+        return payload
+
+
+class TestUnsealed:
+    def test_same_rows_and_streams_without_a_chain(self):
+        job = synthetic_job()
+        sealed = HarvestCoordinator(job, workers=2).run()
+        unsealed = HarvestCoordinator(
+            dataclasses.replace(job, sealed=False), workers=2
+        ).run()
+        assert unsealed.ledger is None
+        assert unsealed.shard_map == []
+        for name in ("actions", "rewards", "propensities", "timestamps"):
+            np.testing.assert_array_equal(
+                getattr(unsealed.columns, name), getattr(sealed.columns, name)
+            )
+        assert unsealed.registry.derivations() == sealed.registry.derivations()
+
+    def test_payload_carries_no_chain_fields(self):
+        from repro.audit.shards import ShardPlan
+        from repro.core.coordinator import _harvest_shard_impl
+
+        job = synthetic_job(rows=40, shard_size=40, sealed=False)
+        registry = StreamRegistry(job.master_seed)
+        inputs = build_inputs(job, registry)
+        spec = ShardPlan(inputs.n, job.shard_size)[0]
+        payload = _harvest_shard_impl(job, inputs, registry, spec)
+        assert not {"context_shas", "genesis", "head", "entries"} & set(payload)
+        HarvestCoordinator(job)._validate_payload(spec, payload)
+
+    @pytest.mark.parametrize("column", ["actions", "rewards", "propensities"])
+    def test_truncated_payload_is_rederived(self, column):
+        job = synthetic_job(sealed=False)
+        reference = HarvestCoordinator(job, workers=1).run()
+        coordinator = TruncatingCoordinator(job, workers=2, column=column)
+        with pytest.warns(
+            RuntimeWarning, match=f"re-deriving shard 1: .* 31 {column} for 32"
+        ):
+            result = coordinator.run()
+        assert coordinator.truncated == 1
+        assert coordinator.attempts == {i: int(i == 1) for i in range(7)}
+        assert result.retries == 1
+        assert result.ledger is None
+        for name in ("actions", "rewards", "propensities"):
+            np.testing.assert_array_equal(
+                getattr(result.columns, name), getattr(reference.columns, name)
+            )
 
 
 class TestUnpicklableJob:

@@ -12,22 +12,15 @@ round trip into the evaluators.
 import numpy as np
 import pytest
 
-from repro.cache import (
-    BigSmallWorkload,
-    CacheSim,
-    random_eviction_policy,
-    resample_eviction_columns,
-)
+from repro.audit.streams import StreamRegistry
+from repro.cache import random_eviction_policy
 from repro.core.columns import DatasetColumns
+from repro.core.coordinator import HarvestJob, build_inputs
 from repro.core.estimators.ips import IPSEstimator
 from repro.core.harvest import harvest_columns, harvest_dataset
 from repro.core.policies import EpsilonGreedyPolicy, ConstantPolicy, UniformRandomPolicy
 from repro.core.types import ActionSpace
-from repro.loadbalance import (
-    batch_exploration_columns,
-    fig5_servers,
-    synthetic_decision_snapshots,
-)
+from repro.loadbalance import fig5_servers, synthetic_decision_snapshots
 from repro.loadbalance.policies import weighted_random_policy
 from repro.machinehealth.dataset import (
     build_full_feedback_dataset,
@@ -37,7 +30,6 @@ from repro.machinehealth.dataset import (
 from repro.obs.metrics import use_metrics
 from repro.obs.report import flatten_spans
 from repro.obs.tracing import use_tracer
-from repro.simsys.random_source import RandomSource
 
 
 def assert_identical(a: DatasetColumns, b: DatasetColumns) -> None:
@@ -46,6 +38,27 @@ def assert_identical(a: DatasetColumns, b: DatasetColumns) -> None:
     assert (a.propensities == b.propensities).all()
     assert (a.rewards == b.rewards).all()
     assert (a.timestamps == b.timestamps).all()
+
+
+def scenario_inputs(scenario, rows, config):
+    """The scenario's shard-coordinator inputs for ``rows``."""
+    job = HarvestJob(
+        scenario=scenario, rows=rows, master_seed=0,
+        policy=UniformRandomPolicy(), config=config,
+    )
+    return build_inputs(job, StreamRegistry(job.master_seed))
+
+
+def harvest_inputs(inputs, policy, rng, **kwargs):
+    """Harvest every row of ``inputs`` under ``policy`` with ``rng``."""
+    return harvest_columns(
+        policy, inputs.contexts, inputs.reward_fn, rng,
+        eligible=inputs.eligible,
+        action_space=inputs.action_space,
+        reward_range=inputs.reward_range,
+        timestamps=inputs.timestamps,
+        **kwargs,
+    )
 
 
 def simple_contexts(n, seed=0):
@@ -207,69 +220,61 @@ class TestMachineHealthBatching:
 
 
 class TestLoadBalanceBatching:
-    @pytest.fixture(scope="class")
-    def snapshots(self):
-        return synthetic_decision_snapshots(600, n_servers=2, seed=3)
+    def inputs(self, latency_noise=0.01):
+        return scenario_inputs(
+            "loadbalance", 600, {"seed": 3, "latency_noise": latency_noise}
+        )
 
-    def test_batch_sizes_bit_identical(self, snapshots):
-        servers = fig5_servers()
+    def test_batch_sizes_bit_identical(self):
+        inputs = self.inputs()
         policy = weighted_random_policy([0.7, 0.3])
         logs = [
-            batch_exploration_columns(
-                policy,
-                snapshots,
-                servers,
-                np.random.default_rng(5),
-                batch_size=size,
+            harvest_inputs(
+                inputs, policy, np.random.default_rng(5), batch_size=size
             )
             for size in (1, 113, 8192)
         ]
         for other in logs[1:]:
             assert_identical(logs[0], other)
 
-    def test_latencies_follow_fig5_law(self, snapshots):
+    def test_latencies_follow_fig5_law(self):
         """Noise off → observed latency is exactly the linear law."""
         from repro.loadbalance.harvest import batch_latency_law
 
-        servers = fig5_servers()
-        columns = batch_exploration_columns(
+        columns = harvest_inputs(
+            self.inputs(latency_noise=0.0),
             UniformRandomPolicy(),
-            snapshots,
-            servers,
             np.random.default_rng(5),
-            latency_noise=0.0,
         )
-        law = batch_latency_law(snapshots, servers)
+        law = batch_latency_law(
+            synthetic_decision_snapshots(600, n_servers=2, seed=3),
+            fig5_servers(),
+        )
         expected = law[np.arange(columns.n), columns.actions]
         assert np.allclose(columns.rewards, np.maximum(expected, 0.001))
 
-    def test_noise_stream_independent_of_batch_size(self, snapshots):
-        servers = fig5_servers()
-        small = batch_exploration_columns(
-            UniformRandomPolicy(), snapshots, servers,
-            np.random.default_rng(5), batch_size=7, latency_noise=0.05,
+    def test_noise_stream_independent_of_batch_size(self):
+        inputs = self.inputs(latency_noise=0.05)
+        small = harvest_inputs(
+            inputs, UniformRandomPolicy(), np.random.default_rng(5),
+            batch_size=7,
         )
-        large = batch_exploration_columns(
-            UniformRandomPolicy(), snapshots, servers,
-            np.random.default_rng(5), batch_size=600, latency_noise=0.05,
+        large = harvest_inputs(
+            inputs, UniformRandomPolicy(), np.random.default_rng(5),
+            batch_size=600,
         )
         assert_identical(small, large)
 
 
 class TestCacheBatching:
     @pytest.fixture(scope="class")
-    def log_lines(self):
-        workload = BigSmallWorkload(
-            n_big=20, n_small=200, randomness=RandomSource(0, _name="wl")
-        )
-        sim = CacheSim(150, random_eviction_policy(), seed=0)
-        result = sim.run(workload.requests(4000), keep_log=True)
-        return result.log_lines
+    def inputs(self):
+        return scenario_inputs("cache", 4000, {"seed": 0})
 
-    def test_batch_sizes_bit_identical(self, log_lines):
+    def test_batch_sizes_bit_identical(self, inputs):
         logs = [
-            resample_eviction_columns(
-                log_lines,
+            harvest_inputs(
+                inputs,
                 random_eviction_policy(),
                 np.random.default_rng(9),
                 batch_size=size,
@@ -280,12 +285,9 @@ class TestCacheBatching:
         for other in logs[1:]:
             assert_identical(logs[0], other)
 
-    def test_actions_respect_sampled_slots(self, log_lines):
-        columns = resample_eviction_columns(
-            log_lines,
-            random_eviction_policy(),
-            np.random.default_rng(9),
-            sample_size=5,
+    def test_actions_respect_sampled_slots(self, inputs):
+        columns = harvest_inputs(
+            inputs, random_eviction_policy(), np.random.default_rng(9)
         )
         assert (columns.actions < 5).all()
         assert (columns.actions >= 0).all()
@@ -295,11 +297,11 @@ class TestCacheBatching:
         ]
         assert chosen_ok.all()
 
-    def test_rewards_capped_and_positive(self, log_lines):
+    def test_rewards_capped_and_positive(self, inputs):
         from repro.cache.harvest import DEFAULT_REWARD_CAP
 
-        columns = resample_eviction_columns(
-            log_lines, random_eviction_policy(), np.random.default_rng(9)
+        columns = harvest_inputs(
+            inputs, random_eviction_policy(), np.random.default_rng(9)
         )
         assert (columns.rewards >= 0).all()
         assert (columns.rewards <= DEFAULT_REWARD_CAP).all()

@@ -8,33 +8,19 @@ replaying the prefix.  Proven here for the generic engine and all
 three scenarios.
 """
 
-import dataclasses
-
 import numpy as np
-import pytest
 
 from repro.audit.ledger import DecisionLedger
 from repro.audit.streams import StreamKey, StreamRegistry
-from repro.cache import (
-    BigSmallWorkload,
-    CacheSim,
-    random_eviction_policy,
-    resample_eviction_columns,
-)
-from repro.cache.keyspace_log import parse_keyspace_line
+from repro.cache import random_eviction_policy
+from repro.core.coordinator import HarvestJob, build_inputs
 from repro.core.harvest import harvest_columns
 from repro.core.policies import UniformRandomPolicy
-from repro.loadbalance import (
-    batch_exploration_columns,
-    fig5_servers,
-    synthetic_decision_snapshots,
-)
 from repro.loadbalance.policies import weighted_random_policy
 from repro.machinehealth.dataset import (
     build_full_feedback_dataset,
     simulate_exploration_columns,
 )
-from repro.simsys.random_source import RandomSource
 
 S = 64  # shard size; logs span 3 shards, the middle one is re-derived
 MASTER_SEED = 2017
@@ -56,6 +42,28 @@ def shard_ledger_from(full_ledger, key, start, shard_size=S):
     genesis = entries[start - 1].hash if start else full_ledger.genesis
     return DecisionLedger(
         key, shard_size=shard_size, genesis=genesis, start_ordinal=start
+    )
+
+
+def scenario_inputs(scenario, rows, policy, config, shard_size=S):
+    """``(inputs, registry)`` of the scenario's shard-input builder."""
+    job = HarvestJob(
+        scenario=scenario, rows=rows, master_seed=MASTER_SEED,
+        policy=policy, shard_size=shard_size, config=config,
+    )
+    registry = StreamRegistry(MASTER_SEED)
+    return build_inputs(job, registry), registry
+
+
+def harvest_inputs(inputs, policy, stream, start, stop, **kwargs):
+    """Harvest rows ``[start, stop)`` of ``inputs`` by global index."""
+    return harvest_columns(
+        policy, inputs.contexts[start:stop],
+        lambda indices, actions: inputs.reward_fn(indices + start, actions),
+        stream,
+        eligible=inputs.eligible_slice(start, stop),
+        action_space=inputs.action_space,
+        **kwargs,
     )
 
 
@@ -156,68 +164,52 @@ class TestMachineHealthForkEquivalence:
 
 
 class TestLoadBalanceForkEquivalence:
-    def slice_snapshots(self, snapshots, start, stop):
-        return dataclasses.replace(
-            snapshots,
-            contexts=snapshots.contexts[start:stop],
-            connections=snapshots.connections[start:stop],
-            kind_index=snapshots.kind_index[start:stop],
-            weights=snapshots.weights[start:stop],
-        )
+    policy = weighted_random_policy([0.7, 0.3])
 
     def test_middle_shard(self):
-        snapshots = synthetic_decision_snapshots(3 * S, n_servers=2, seed=3)
-        servers = fig5_servers()
-        policy = weighted_random_policy([0.7, 0.3])
+        # Latency noise off: the ledgered decision fields are the claim.
+        inputs, _ = scenario_inputs(
+            "loadbalance", 3 * S, self.policy,
+            {"seed": 3, "latency_noise": 0.0},
+        )
         stream, key = streams_for("loadbalance")
         full_ledger = DecisionLedger(key, shard_size=S)
-        # Latency noise off: its stream is indexed by global row up
-        # front, which is exactly the ambient pattern the decision
-        # stream escapes.  The ledgered decision fields are the claim.
-        full = batch_exploration_columns(
-            policy, snapshots, servers, stream,
-            batch_size=50, latency_noise=0.0, ledger=full_ledger,
+        full = harvest_inputs(
+            inputs, self.policy, stream, 0, 3 * S,
+            batch_size=50, ledger=full_ledger,
         )
         shard_stream, _ = streams_for("loadbalance", start_ordinal=S)
         shard_ledger = shard_ledger_from(full_ledger, key, S)
-        shard = batch_exploration_columns(
-            policy, self.slice_snapshots(snapshots, S, 2 * S), servers,
-            shard_stream,
-            batch_size=50, latency_noise=0.0, ledger=shard_ledger,
+        shard = harvest_inputs(
+            inputs, self.policy, shard_stream, S, 2 * S,
+            batch_size=50, ledger=shard_ledger,
         )
         assert_shard_matches(full, shard, S, 2 * S)
         assert_ledger_shard_matches(full_ledger, shard_ledger, S, 2 * S)
 
     def test_middle_shard_with_latency_noise(self):
-        # The satellite claim of the sharded-harvest refactor: latency
-        # noise now rides a ShardedNormal stream addressed by global
+        # Latency noise rides a ShardedNormal stream addressed by global
         # row, so the *rewards* of a middle shard — not just its
         # ledgered decision fields — re-derive in isolation from
         # (master seed, key, start ordinal).
-        from repro.loadbalance.harvest import latency_noise_stream
-
-        snapshots = synthetic_decision_snapshots(3 * S, n_servers=2, seed=3)
-        servers = fig5_servers()
-        policy = weighted_random_policy([0.7, 0.3])
+        config = {"seed": 3, "latency_noise": 0.01}
+        full_inputs, _ = scenario_inputs(
+            "loadbalance", 3 * S, self.policy, config
+        )
         stream, key = streams_for("loadbalance")
-        full_registry = StreamRegistry(MASTER_SEED)
         full_ledger = DecisionLedger(key, shard_size=S)
-        full = batch_exploration_columns(
-            policy, snapshots, servers, stream,
-            batch_size=50,
-            noise=latency_noise_stream(full_registry, S, scale=0.01),
-            ledger=full_ledger,
+        full = harvest_inputs(
+            full_inputs, self.policy, stream, 0, 3 * S,
+            batch_size=50, ledger=full_ledger,
+        )
+        shard_inputs, shard_registry = scenario_inputs(
+            "loadbalance", 3 * S, self.policy, config
         )
         shard_stream, _ = streams_for("loadbalance", start_ordinal=S)
-        shard_registry = StreamRegistry(MASTER_SEED)
         shard_ledger = shard_ledger_from(full_ledger, key, S)
-        shard = batch_exploration_columns(
-            policy, self.slice_snapshots(snapshots, S, 2 * S), servers,
-            shard_stream,
-            batch_size=50,
-            noise=latency_noise_stream(shard_registry, S, scale=0.01),
-            noise_start=S,
-            ledger=shard_ledger,
+        shard = harvest_inputs(
+            shard_inputs, self.policy, shard_stream, S, 2 * S,
+            batch_size=50, ledger=shard_ledger,
         )
         assert_shard_matches(full, shard, S, 2 * S)
         assert_ledger_shard_matches(full_ledger, shard_ledger, S, 2 * S)
@@ -231,21 +223,17 @@ class TestLoadBalanceForkEquivalence:
     def test_noise_scheme_batch_grid_independent(self):
         # Same stream parameters, wildly different batch grids — the
         # noise is addressed by row, never by draw order.
-        snapshots = synthetic_decision_snapshots(2 * S, n_servers=2, seed=3)
-        servers = fig5_servers()
-        from repro.loadbalance.harvest import latency_noise_stream
-
+        policy = weighted_random_policy([0.6, 0.4])
         outputs = []
         for batch_size in (7, 2 * S):
+            inputs, _ = scenario_inputs(
+                "loadbalance", 2 * S, policy,
+                {"seed": 3, "latency_noise": 0.01},
+            )
             stream, _ = streams_for("loadbalance")
             outputs.append(
-                batch_exploration_columns(
-                    weighted_random_policy([0.6, 0.4]),
-                    snapshots, servers, stream,
-                    batch_size=batch_size,
-                    noise=latency_noise_stream(
-                        StreamRegistry(MASTER_SEED), S, scale=0.01
-                    ),
+                harvest_inputs(
+                    inputs, policy, stream, 0, 2 * S, batch_size=batch_size
                 )
             )
         assert (outputs[0].rewards == outputs[1].rewards).all()
@@ -255,40 +243,29 @@ class TestLoadBalanceForkEquivalence:
 class TestCacheForkEquivalence:
     SHARD = 32  # eviction counts are workload-dependent; smaller shards
 
-    @pytest.fixture(scope="class")
-    def events(self):
-        workload = BigSmallWorkload(
-            n_big=20, n_small=200, randomness=RandomSource(0, _name="wl")
-        )
-        sim = CacheSim(150, random_eviction_policy(), seed=0)
-        result = sim.run(workload.requests(8000), keep_log=True)
-        parsed = [parse_keyspace_line(line) for line in result.log_lines]
-        return [event for event in parsed if event is not None]
-
-    def test_middle_shard(self, events):
+    def test_middle_shard(self):
         S_c = self.SHARD
+        policy = random_eviction_policy()
+        # The look-ahead rewards are data, not randomness — the verifier
+        # has the full keyspace log, so the shard's inputs are a slice.
+        inputs, _ = scenario_inputs(
+            "cache", 8000, policy, {"seed": 0}, shard_size=S_c
+        )
+        assert inputs.n >= 3 * S_c  # the workload evicts enough to shard
         stream, key = streams_for("cache", shard_size=S_c)
         full_ledger = DecisionLedger(key, shard_size=S_c)
-        full = resample_eviction_columns(
-            events, random_eviction_policy(), stream,
+        full = harvest_inputs(
+            inputs, policy, stream, 0, inputs.n,
             batch_size=64, ledger=full_ledger,
         )
-        assert full.n >= 3 * S_c  # the workload evicts enough to shard
-        # The shard's decision points are its EVICT events; the GET
-        # history rides along because the look-ahead reward is data,
-        # not randomness — the verifier has the full keyspace log.
-        evictions = [e for e in events if e.kind == "EVICT"]
-        shard_events = [
-            e for e in events if e.kind != "EVICT"
-        ] + evictions[S_c: 2 * S_c]
         shard_stream, _ = streams_for(
             "cache", shard_size=S_c, start_ordinal=S_c
         )
         shard_ledger = shard_ledger_from(
             full_ledger, key, S_c, shard_size=S_c
         )
-        shard = resample_eviction_columns(
-            shard_events, random_eviction_policy(), shard_stream,
+        shard = harvest_inputs(
+            inputs, policy, shard_stream, S_c, 2 * S_c,
             batch_size=64, ledger=shard_ledger,
         )
         assert_shard_matches(full, shard, S_c, 2 * S_c)

@@ -425,6 +425,22 @@ class TestHarvestSubcommand:
         assert code == 1
         assert "batch-size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "ledger", [(), ("--ledger",)], ids=["plain", "ledger"]
+    )
+    @pytest.mark.parametrize("flag", ["--shard-size", "--workers"])
+    def test_out_of_range_knob_rejected(self, tmp_path, capsys, flag, ledger):
+        out = tmp_path / "x.jsonl"
+        code = main(
+            ["harvest", "loadbalance", str(out), "--rows", "50", flag, "0",
+             *ledger]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {flag} must be >= 1\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_rejects_unknown_policy(self, tmp_path, capsys):
         code = main(
             ["harvest", "machinehealth", str(tmp_path / "x.jsonl"),

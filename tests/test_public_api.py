@@ -83,7 +83,7 @@ def test_key_estimators_share_interface():
         assert issubclass(cls, OffPolicyEstimator)
 
 
-#: Names the one-evaluation-path refactor removed, by module.
+#: Names the one-path refactors (evaluation, then harvest) removed, by module.
 REMOVED = {
     "repro.core": (
         "get_default_backend", "set_default_backend", "use_backend",
@@ -96,6 +96,10 @@ REMOVED = {
     "repro.core.columns": ("iter_chunk_columns",),
     "repro.core.harvest": ("harvest_rows",),
     "repro.simsys.random_source": ("DERIVATIONS",),
+    "repro.loadbalance": ("batch_exploration_columns",),
+    "repro.loadbalance.harvest": ("batch_exploration_columns",),
+    "repro.cache": ("resample_eviction_columns",),
+    "repro.cache.harvest": ("resample_eviction_columns",),
 }
 
 
