@@ -148,11 +148,13 @@ class ContextColumns:
         )
         self._row_index = np.arange(n)
         self._feature_matrices: dict[tuple[str, ...], np.ndarray] = {}
-        self._hashed_matrices: dict[int, tuple[object, np.ndarray]] = {}
-        # Dataset-level memos (see shared_block / ips_weights); kept at
-        # this level so every construction path initializes them.
+        self._hashed_matrices: dict[tuple, np.ndarray] = {}
+        # Dataset-level memos (see shared_block / ips_weights and
+        # repro.core.estimators.direct.fit_default_model); kept at this
+        # level so every construction path initializes them.
         self._shared_block = None
         self._ips_weight_cache: dict[int, tuple[object, np.ndarray]] = {}
+        self._default_model = None
 
     # -- memoized featurizations -------------------------------------------
 
@@ -175,13 +177,15 @@ class ContextColumns:
         return cached
 
     def hashed_matrix(self, featurizer: "Featurizer") -> np.ndarray:
-        """``(N, n_dims)`` hashed context matrix, memoized per featurizer."""
-        entry = self._hashed_matrices.get(id(featurizer))
-        if entry is None or entry[0] is not featurizer:
-            matrix = featurizer.matrix(list(self.contexts))
-            entry = (featurizer, matrix)
-            self._hashed_matrices[id(featurizer)] = entry
-        return entry[1]
+        """``(N, n_dims)`` hashed context matrix, memoized per featurizer
+        configuration (:attr:`~repro.core.features.Featurizer.cache_key`),
+        so equal featurizers — every default reward model's — share one."""
+        key = featurizer.cache_key
+        cached = self._hashed_matrices.get(key)
+        if cached is None:
+            cached = featurizer.matrix(list(self.contexts))
+            self._hashed_matrices[key] = cached
+        return cached
 
     # -- batch building blocks ---------------------------------------------
 
@@ -630,6 +634,7 @@ class ColumnsSlice(DatasetColumns):
         self._hashed_matrices = {}
         self._shared_block = None
         self._ips_weight_cache = {}
+        self._default_model = None
         self.actions = parent.actions[start:stop]
         self.rewards = parent.rewards[start:stop]
         self.propensities = parent.propensities[start:stop]
@@ -677,9 +682,9 @@ class ColumnsSlice(DatasetColumns):
 
     def hashed_matrix(self, featurizer: "Featurizer") -> np.ndarray:
         """Hashed context matrix for this slice, reusing parent memos."""
-        entry = self._parent._hashed_matrices.get(id(featurizer))
-        if entry is not None and entry[0] is featurizer:
-            return entry[1][self._start:self._stop]
+        parent_matrix = self._parent._hashed_matrices.get(featurizer.cache_key)
+        if parent_matrix is not None:
+            return parent_matrix[self._start:self._stop]
         return super().hashed_matrix(featurizer)
 
 

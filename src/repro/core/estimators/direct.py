@@ -19,6 +19,7 @@ from repro.core.estimators.base import OffPolicyEstimator
 from repro.core.features import Featurizer
 from repro.core.policies import Policy
 from repro.core.types import Context, Dataset
+from repro.obs.tracing import get_tracer
 
 
 class RewardModel:
@@ -47,19 +48,28 @@ class RewardModel:
         self._fitted = False
 
     def fit(self, dataset: Dataset) -> "RewardModel":
-        """Fit per-action ridge regressions on the logged interactions."""
+        """Fit per-action ridge regressions on the logged interactions.
+
+        Folds the dataset's memoized hashed-feature matrix through a
+        :class:`RewardModelFolder` — the fold streamed evaluation
+        (:func:`repro.core.engine.evaluate_jsonl_chunked`) runs chunk by
+        chunk — and solves once.  A refit replaces every weight vector:
+        actions absent from ``dataset`` predict its global mean again.
+        """
         if len(dataset) == 0:
             raise ValueError("cannot fit a reward model on an empty dataset")
-        self._global_mean = float(dataset.rewards().mean())
-        by_action: dict[int, list] = {}
-        for interaction in dataset:
-            by_action.setdefault(interaction.action, []).append(interaction)
-        dims = self.featurizer.n_dims
-        for action, rows in by_action.items():
-            X = np.stack([self.featurizer.vector(r.context) for r in rows])
-            y = np.array([r.reward for r in rows])
-            gram = X.T @ X + self.l2 * np.eye(dims)
-            self._weights[action] = np.linalg.solve(gram, X.T @ y)
+        columns = dataset.columns()
+        with get_tracer().span("reward_model.fit", rows=columns.n) as span:
+            folder = RewardModelFolder(self.featurizer, self.l2)
+            folder.fold_matrix(
+                columns.hashed_matrix(self.featurizer),
+                columns.actions,
+                columns.rewards,
+            )
+            fitted = folder.finalize(self.n_actions)
+            span.set(actions=len(fitted._weights))
+        self._weights = fitted._weights
+        self._global_mean = fitted._global_mean
         self._fitted = True
         return self
 
@@ -106,8 +116,9 @@ class RewardModelFolder:
     Ridge regression is itself a reduction: the per-action Gram matrix
     ``ΣX'X`` and moment vector ``ΣX'y`` are sums over rows, so the
     chunked file driver folds them during its discovery pass and solves
-    once at the end — the same normal equations :meth:`RewardModel.fit`
-    solves, up to float reassociation of the sums.
+    once at the end.  :meth:`RewardModel.fit` is one :meth:`fold_matrix`
+    of the whole log, so the two agree up to float reassociation of the
+    sums.
     """
 
     def __init__(
@@ -128,12 +139,20 @@ class RewardModelFolder:
         actions: np.ndarray,
         rewards: np.ndarray,
     ) -> None:
-        """Fold one chunk of (context, action, reward) rows."""
+        """Featurize one chunk of (context, action, reward) rows and fold it."""
+        self.fold_matrix(self.featurizer.matrix(list(contexts)), actions, rewards)
+
+    def fold_matrix(
+        self,
+        phi: np.ndarray,
+        actions: np.ndarray,
+        rewards: np.ndarray,
+    ) -> None:
+        """Fold rows already hashed into ``phi`` (one row per action/reward)."""
         actions = np.asarray(actions)
         rewards = np.asarray(rewards, dtype=float)
         if actions.size == 0:
             return
-        phi = self.featurizer.matrix(list(contexts))
         for action in np.unique(actions):
             mask = actions == action
             X = phi[mask]
@@ -178,13 +197,17 @@ class RewardModelFolder:
 def fit_default_model(dataset: Dataset) -> RewardModel:
     """The model DM/DR/SWITCH fit when none is supplied: one reward
     model over the dataset's own action space (or the largest logged
-    action id when the log carries no action space)."""
-    n_actions = (
-        dataset.action_space.n_actions
-        if dataset.action_space is not None
-        else int(dataset.actions().max()) + 1
-    )
-    return RewardModel(n_actions).fit(dataset)
+    action id when the log carries no action space).
+
+    Memoized on the dataset's columnar view, so every estimate against
+    one log — any policy, any model-based estimator, the ``auto``
+    ladder's DM rung — shares a single fit.  Mutating the dataset
+    rebuilds the view, which forces a refit.
+    """
+    columns = dataset.columns()
+    if columns._default_model is None:
+        columns._default_model = RewardModel(columns.n_actions).fit(dataset)
+    return columns._default_model
 
 
 class DirectMethodEstimator(OffPolicyEstimator):

@@ -17,6 +17,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.types import Context
+from repro.obs.tracing import get_tracer
 
 RawRecord = Mapping[str, Union[str, int, float, bool]]
 
@@ -139,11 +140,59 @@ class Featurizer:
         out[start : start + self.n_dims] = base
         return out
 
+    @property
+    def cache_key(self) -> tuple:
+        """Hashable configuration: featurizers with equal keys hash every
+        context identically, so memos may share their matrices.
+        Subclasses with extra configuration must extend it."""
+        return (type(self), self.n_dims, self.bias)
+
     def matrix(self, contexts: Sequence[Context]) -> np.ndarray:
-        """Stack context vectors into an ``(n, n_dims)`` matrix."""
-        return np.stack([self.vector(c) for c in contexts]) if contexts else np.zeros(
-            (0, self.n_dims)
-        )
+        """Hash contexts into an ``(n, n_dims)`` matrix, one row each.
+
+        Bit-identical to stacking :meth:`vector` rows.  Rows are grouped
+        by key order, each distinct name's ``(slot, sign)`` is resolved
+        once, and ``sign · value`` is added column by column in key
+        order — the order in which :meth:`vector` sums colliding slots.
+        Subclasses that override :meth:`vector` or :meth:`_slot` get the
+        per-row loop instead.
+        """
+        n = len(contexts)
+        with get_tracer().span(
+            "features.hash", rows=n, n_dims=self.n_dims
+        ) as span:
+            if (
+                type(self).vector is not Featurizer.vector
+                or type(self)._slot is not Featurizer._slot
+            ):
+                if not n:
+                    return np.zeros((0, self.n_dims))
+                return np.stack([self.vector(c) for c in contexts])
+            # key order -> (its rows, their values flattened row-major)
+            groups: dict[tuple[str, ...], tuple[list[int], list]] = {}
+            for row, context in enumerate(contexts):
+                names = tuple(context)
+                group = groups.get(names)
+                if group is None:
+                    group = groups[names] = ([], [])
+                group[0].append(row)
+                group[1].extend(context.values())
+            span.set(key_orders=len(groups))
+            out = np.zeros((n, self.n_dims))
+            slots: dict[str, tuple[int, float]] = {}
+            for names, (rows, flat) in groups.items():
+                if not names:
+                    continue
+                values = np.array(flat, dtype=float).reshape(len(rows), -1)
+                at = np.asarray(rows)
+                for column, name in enumerate(names):
+                    if name not in slots:
+                        slots[name] = self._slot(name)
+                    index, sign = slots[name]
+                    out[at, index] += sign * values[:, column]
+            if self.bias:
+                out[:, -1] = 1.0
+            return out
 
 
 def interaction_features(context: Context, pairs: Sequence[tuple[str, str]]) -> Context:

@@ -50,7 +50,7 @@ class SupervisedTrainer:
         """Fit one model per action using every interaction's reward."""
         if len(dataset) == 0:
             raise ValueError("cannot train on an empty dataset")
-        X = np.stack([self.featurizer.vector(i.context) for i in dataset])
+        X = self.featurizer.matrix([i.context for i in dataset])
         self._models = []
         for action in range(self.n_actions):
             y = []

@@ -161,7 +161,7 @@ class RegressionPropensityModel(PropensityModel):
             raise ValueError("contexts and actions length mismatch")
         if not contexts:
             raise ValueError("cannot fit on zero examples")
-        X = [self.featurizer.vector(c) for c in contexts]
+        X = self.featurizer.matrix(list(contexts))
         n = len(X)
         step = 0
         for _ in range(self.epochs):

@@ -659,4 +659,5 @@ def _build_columns(
     columns._identity_error = None
     columns._shared_block = None
     columns._ips_weight_cache = {}
+    columns._default_model = None
     return columns

@@ -3,14 +3,30 @@
 import numpy as np
 import pytest
 
-from repro.core.estimators.direct import DirectMethodEstimator, RewardModel
+from repro.core.estimators.direct import (
+    DirectMethodEstimator,
+    RewardModel,
+    RewardModelFolder,
+    fit_default_model,
+)
 from repro.core.estimators.doubly_robust import DoublyRobustEstimator
-from repro.core.estimators.ips import IPSEstimator
+from repro.core.estimators.fallback import FallbackEstimator
+from repro.core.estimators.ips import (
+    ClippedIPSEstimator,
+    IPSEstimator,
+    SNIPSEstimator,
+)
+from repro.core.estimators.switch import SwitchEstimator
 from repro.core.features import Featurizer
-from repro.core.policies import ConstantPolicy, UniformRandomPolicy
+from repro.core.policies import (
+    ConstantPolicy,
+    EpsilonGreedyPolicy,
+    UniformRandomPolicy,
+)
 from repro.core.types import ActionSpace, Dataset, Interaction
 
 from tests.conftest import make_uniform_dataset
+from tests.oracles import fit_reward_model_rows
 
 
 def true_value(action: int) -> float:
@@ -47,6 +63,35 @@ class TestRewardModel:
             RewardModel(0)
         with pytest.raises(ValueError):
             RewardModel(2, l2=-1.0)
+
+    def test_refit_replaces_every_weight(self):
+        first = Dataset(
+            [
+                Interaction({"x": float(x)}, x % 2, reward=float(x), propensity=0.5)
+                for x in range(1, 7)
+            ]
+        )
+        second = Dataset(
+            [Interaction({"x": 1.0}, 0, reward=0.0, propensity=1.0)] * 4
+        )
+        model = RewardModel(2).fit(first)
+        assert model.predict({"x": 2.0}, 1) != pytest.approx(0.0)
+        model.fit(second)
+        # Action 1 is absent from the second log: it must predict that
+        # log's global mean, not the first fit's weights.
+        assert model.predict({"x": 2.0}, 1) == 0.0
+
+    def test_fit_matches_per_row_reference(self):
+        dataset = make_uniform_dataset(800, seed=12)
+        for featurizer in (Featurizer(16), Featurizer(5, bias=False)):
+            fitted = RewardModel(3, featurizer=featurizer, l2=0.5).fit(dataset)
+            reference = fit_reward_model_rows(
+                RewardModel(3, featurizer=featurizer, l2=0.5), dataset
+            )
+            assert fitted._global_mean == reference._global_mean
+            assert sorted(fitted._weights) == sorted(reference._weights)
+            for action, weights in reference._weights.items():
+                assert np.array_equal(fitted._weights[action], weights)
 
 
 class TestDirectMethod:
@@ -153,3 +198,115 @@ class TestDoublyRobust:
     def test_empty_dataset_raises(self):
         with pytest.raises(ValueError):
             DoublyRobustEstimator().estimate(ConstantPolicy(0), Dataset())
+
+
+def _policy_class():
+    """Eleven candidates: uniform, two constants, eight ε-greedy wraps."""
+    return [UniformRandomPolicy(), ConstantPolicy(0), ConstantPolicy(1)] + [
+        EpsilonGreedyPolicy(ConstantPolicy(a), eps)
+        for a in (0, 1)
+        for eps in (0.05, 0.1, 0.2, 0.4)
+    ]
+
+
+def _partial_support_log(n: int, seed: int) -> Dataset:
+    """A 3-action log that never logged action 2: the ``auto`` ladder
+    serves ``constant[2]`` from its DM rung."""
+    logged = make_uniform_dataset(n, n_actions=2, seed=seed)
+    return Dataset(list(logged), action_space=ActionSpace(3))
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of ``Featurizer.matrix`` and ``RewardModelFolder.finalize``."""
+    counts = {"matrix": 0, "finalize": 0}
+
+    def counting(name, original):
+        def wrapper(self, *args, **kwargs):
+            counts[name] += 1
+            return original(self, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        Featurizer, "matrix", counting("matrix", Featurizer.matrix)
+    )
+    monkeypatch.setattr(
+        RewardModelFolder,
+        "finalize",
+        counting("finalize", RewardModelFolder.finalize),
+    )
+    return counts
+
+
+class TestOneFitPerLog:
+    """One hashed matrix and one default reward model per log."""
+
+    ESTIMATORS = {
+        "dm": lambda model=None: DirectMethodEstimator(model),
+        "dr": lambda model=None: DoublyRobustEstimator(model),
+        "switch": lambda model=None: SwitchEstimator(model=model),
+        "auto": lambda model=None: FallbackEstimator(
+            None
+            if model is None
+            else (
+                IPSEstimator(),
+                ClippedIPSEstimator(),
+                SNIPSEstimator(),
+                DirectMethodEstimator(model),
+            )
+        ),
+    }
+
+    def test_class_search_hashes_and_fits_once(self, calls):
+        dataset = make_uniform_dataset(600, seed=13)
+        policies = _policy_class()
+        assert len(policies) == 11
+        for policy in policies:
+            for make in self.ESTIMATORS.values():
+                make().estimate(policy, dataset)
+        assert calls == {"matrix": 1, "finalize": 1}
+
+    def test_shared_fit_equals_per_estimate_oracle_fits(self):
+        dataset = _partial_support_log(600, seed=14)
+        served_by_auto = set()
+        for policy in _policy_class() + [ConstantPolicy(2)]:
+            for name, make in self.ESTIMATORS.items():
+                shared = make().estimate(policy, dataset)
+                own = make(
+                    fit_reward_model_rows(RewardModel(3), dataset)
+                ).estimate(policy, dataset)
+                assert shared.estimator == own.estimator, name
+                assert shared.value.hex() == own.value.hex(), name
+                assert shared.std_error.hex() == own.std_error.hex(), name
+                if name == "auto":
+                    served_by_auto.add(shared.estimator)
+        assert "direct-method" in served_by_auto
+
+    def test_append_forces_refit(self, calls):
+        dataset = make_uniform_dataset(300, seed=15)
+        estimator = DoublyRobustEstimator()
+        estimator.estimate(ConstantPolicy(1), dataset)
+        first = fit_default_model(dataset)
+        assert calls["finalize"] == 1
+        dataset.append(Interaction({"load": 0.5}, 2, reward=1.0, propensity=0.5))
+        estimator.estimate(ConstantPolicy(1), dataset)
+        assert calls["finalize"] == 2
+        assert fit_default_model(dataset) is not first
+
+    def test_explicit_model_is_never_replaced(self, calls):
+        dataset = make_uniform_dataset(300, seed=16)
+        model = fit_reward_model_rows(RewardModel(3), dataset)
+        for make in self.ESTIMATORS.values():
+            make(model).estimate(ConstantPolicy(2), dataset)
+        assert calls["finalize"] == 0
+        assert dataset.columns()._default_model is None
+
+    def test_equal_featurizers_share_one_matrix(self, calls):
+        dataset = make_uniform_dataset(300, seed=17)
+        for _ in range(20):
+            RewardModel(3).fit(dataset)
+        assert len(dataset.columns()._hashed_matrices) == 1
+        assert calls["matrix"] == 1
+        RewardModel(3, featurizer=Featurizer(16)).fit(dataset)
+        assert len(dataset.columns()._hashed_matrices) == 2

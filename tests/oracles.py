@@ -10,6 +10,8 @@ then reuse the reduction's own ``fold_chunk``/``finalize``, so a
 disagreement localizes to the per-row quantities, not the bookkeeping.
 
 Used by the equivalence suites and by the perf bench's scalar rows.
+:func:`fit_reward_model_rows` is the same kind of reference for
+:meth:`~repro.core.estimators.direct.RewardModel.fit`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.estimators.base import EstimatorResult, eligible_actions_fn
+from repro.core.estimators.direct import RewardModel
 from repro.core.estimators.fallback import FallbackEstimator, select_down_ladder
 from repro.core.estimators.reductions import (
     ChunkTerms,
@@ -28,6 +31,29 @@ from repro.core.estimators.reductions import (
     SwitchReduction,
 )
 from repro.core.types import Dataset
+
+
+def fit_reward_model_rows(model: RewardModel, dataset: Dataset) -> RewardModel:
+    """The per-row reference for ``model.fit(dataset)``.
+
+    Hashes each interaction with ``featurizer.vector``, stacks the rows
+    of each logged action, and solves that action's ridge normal
+    equations; the global mean comes from the reward list.
+    """
+    by_action: dict[int, list] = {}
+    for interaction in dataset:
+        by_action.setdefault(interaction.action, []).append(interaction)
+    dims = model.featurizer.n_dims
+    weights = {}
+    for action, rows in by_action.items():
+        X = np.stack([model.featurizer.vector(r.context) for r in rows])
+        y = np.array([r.reward for r in rows])
+        gram = X.T @ X + model.l2 * np.eye(dims)
+        weights[action] = np.linalg.solve(gram, X.T @ y)
+    model._weights = weights
+    model._global_mean = float(dataset.rewards().mean())
+    model._fitted = True
+    return model
 
 
 def match_weights(policy, dataset: Dataset) -> np.ndarray:

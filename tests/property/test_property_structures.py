@@ -99,6 +99,56 @@ class TestFeaturizerProperties:
             featurizer.vector(context), featurizer.vector(dict(context))
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    # Few names over 2-4 dims: slots collide constantly,
+                    # and rows list shared names in different orders.
+                    st.sampled_from(["a", "b", "c", "d", "load", "x=1", "é"]),
+                    st.one_of(
+                        st.booleans(),
+                        st.integers(-(2**62), 2**62),
+                        st.floats(-1e6, 1e6, allow_nan=False),
+                    ),
+                ),
+                max_size=6,
+                unique_by=lambda item: item[0],
+            ),
+            max_size=12,
+        ),
+        st.integers(2, 4),
+        st.booleans(),
+    )
+    def test_matrix_is_stacked_vectors_bit_for_bit(self, rows, n_dims, bias):
+        featurizer = Featurizer(n_dims=n_dims, bias=bias)
+        contexts = [dict(row) for row in rows]
+        matrix = featurizer.matrix(contexts)
+        stacked = (
+            np.stack([featurizer.vector(c) for c in contexts])
+            if contexts
+            else np.zeros((0, n_dims))
+        )
+        assert matrix.shape == stacked.shape
+        assert np.array_equal(matrix, stacked)
+        assert matrix.tobytes() == stacked.tobytes()
+
+    def test_vector_override_keeps_per_row_path(self):
+        class Doubled(Featurizer):
+            def vector(self, context):
+                return 2.0 * super().vector(context)
+
+        contexts = [{"a": 1.5, "b": -2.0}, {"b": 3.0, "a": 0.25}, {}]
+        doubled = Doubled(n_dims=4)
+        expected = np.stack([doubled.vector(c) for c in contexts])
+        assert np.array_equal(doubled.matrix(contexts), expected)
+        assert not np.array_equal(
+            Featurizer(n_dims=4).matrix(contexts), expected
+        )
+        # A subclass never shares a memo entry with the base class.
+        assert doubled.cache_key != Featurizer(n_dims=4).cache_key
+
 
 class TestBoundsProperties:
     @given(
