@@ -644,59 +644,10 @@ class ChainFollower:
         """
         meta = self.metadata_of(record)
         if meta is None:
-            if self.engaged:
-                return [(LEDGER, "record carries no ledger metadata mid-chain")]
-            return []
-        missing = [f for f in self.REQUIRED_FIELDS if f not in meta]
-        if missing:
-            return [(LEDGER, f"ledger metadata missing field(s) {missing}")]
-        issues: list[Tuple[str, str]] = []
-        context = record.get("context")
-        if not isinstance(context, Mapping):
-            # The ledger committed to a context digest; a record whose
-            # context is gone (or no longer a mapping) cannot honour
-            # that commitment — deleting the field is tampering too.
-            issues.append(
-                (LEDGER, "ledgered record's context is missing or not a mapping")
-            )
-        else:
-            try:
-                recomputed_sha = context_digest(context)
-            except (TypeError, ValueError):
-                recomputed_sha = None
-            if recomputed_sha != meta["context_sha"]:
-                issues.append(
-                    (LEDGER, "context digest mismatch (context tampered)")
-                )
-        try:
-            recomputed = entry_hash(
-                str(meta["prev"]),
-                str(meta["stream"]),
-                int(meta["ordinal"]),
-                str(meta["context_sha"]),
-                int(record["action"]),
-                float(record["propensity"]),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            return issues + [(LEDGER, f"record hash not recomputable: {error}")]
-        if recomputed != meta["hash"]:
-            issues.append(
-                (
-                    LEDGER,
-                    f"record hash mismatch at ordinal {meta['ordinal']} "
-                    "(action/propensity/metadata tampered)",
-                )
-            )
-        if self.strict_links and meta["prev"] != self.head:
-            issues.append(
-                (
-                    LEDGER,
-                    f"chain break at ordinal {meta['ordinal']}: prev "
-                    f"{str(meta['prev'])[:12]}… does not match head "
-                    f"{self.head[:12]}…",
-                )
-            )
-        return issues
+            return [_UNLEDGERED_MID_CHAIN] if self.engaged else []
+        return _binding_issues(
+            record, meta, self.head if self.strict_links else None
+        )
 
     def observe(self, record: Mapping) -> bool:
         """Advance the head past ``record``; True if it opened a gap.
@@ -707,7 +658,10 @@ class ChainFollower:
         is detected.  To verify a shard in isolation, anchor the
         follower at the shard's recorded ``prev`` via ``genesis``.
         """
-        meta = self.metadata_of(record)
+        return self._advance(self.metadata_of(record))
+
+    def _advance(self, meta: Optional[Mapping]) -> bool:
+        """:meth:`observe` for a record whose ledger block is ``meta``."""
         if meta is None or "hash" not in meta:
             return False
         self.engaged = True
@@ -717,6 +671,84 @@ class ChainFollower:
             self.n_gaps += 1
         self.head = str(meta["hash"])
         return gap
+
+
+_UNLEDGERED_MID_CHAIN = (LEDGER, "record carries no ledger metadata mid-chain")
+
+
+def _binding_issues(
+    record: Mapping, meta: Mapping, head: Optional[str] = None
+) -> list[Tuple[str, str]]:
+    """:meth:`ChainFollower.check` of a record whose ledger block is ``meta``.
+
+    Without ``head`` the result depends on the record alone, so one
+    check serves every walk the record takes part in; ``head`` (strict
+    links) adds the linkage check against it.
+    """
+    missing = [f for f in ChainFollower.REQUIRED_FIELDS if f not in meta]
+    if missing:
+        return [(LEDGER, f"ledger metadata missing field(s) {missing}")]
+    issues: list[Tuple[str, str]] = []
+    context = record.get("context")
+    if not isinstance(context, Mapping):
+        # The ledger committed to a context digest; a record whose
+        # context is gone (or no longer a mapping) cannot honour
+        # that commitment — deleting the field is tampering too.
+        issues.append(
+            (LEDGER, "ledgered record's context is missing or not a mapping")
+        )
+    else:
+        try:
+            recomputed_sha = context_digest(context)
+        except (TypeError, ValueError):
+            recomputed_sha = None
+        if recomputed_sha != meta["context_sha"]:
+            issues.append(
+                (LEDGER, "context digest mismatch (context tampered)")
+            )
+    try:
+        recomputed = entry_hash(
+            str(meta["prev"]),
+            str(meta["stream"]),
+            int(meta["ordinal"]),
+            str(meta["context_sha"]),
+            int(record["action"]),
+            float(record["propensity"]),
+        )
+    except (KeyError, TypeError, ValueError) as error:
+        return issues + [(LEDGER, f"record hash not recomputable: {error}")]
+    if recomputed != meta["hash"]:
+        issues.append(
+            (
+                LEDGER,
+                f"record hash mismatch at ordinal {meta['ordinal']} "
+                "(action/propensity/metadata tampered)",
+            )
+        )
+    if head is not None and meta["prev"] != head:
+        issues.append(
+            (
+                LEDGER,
+                f"chain break at ordinal {meta['ordinal']}: prev "
+                f"{str(meta['prev'])[:12]}… does not match head "
+                f"{head[:12]}…",
+            )
+        )
+    return issues
+
+
+#: ``(line number, ledger block or None, binding issues)`` of one record.
+_CheckedRecord = Tuple[int, Optional[Mapping], list]
+
+
+def _checked_records(
+    records: Iterable[Tuple[int, Mapping]],
+) -> Iterator[_CheckedRecord]:
+    """Look up each record's ledger block and check its binding, once."""
+    for line_number, record in records:
+        meta = ChainFollower.metadata_of(record)
+        issues = [] if meta is None else _binding_issues(record, meta)
+        yield line_number, meta, issues
 
 
 def verify_records(
@@ -742,6 +774,23 @@ def verify_records(
     manifest's ``ledger.n``) additionally pins the ledgered record
     count.
     """
+    return _verify_checked(
+        _checked_records(records),
+        expected_head=expected_head,
+        genesis=genesis,
+        expected_n=expected_n,
+    )
+
+
+def _verify_checked(
+    checked: Iterable[_CheckedRecord],
+    expected_head: Optional[str],
+    genesis: str,
+    expected_n: Optional[int],
+) -> ChainVerification:
+    """:func:`verify_records` over records already checked by
+    :func:`_checked_records` (a sharded verify walks each record twice
+    — whole log and its shard — on one binding check)."""
     follower = ChainFollower(genesis=genesis)
     result = ChainVerification(
         n=0,
@@ -768,18 +817,16 @@ def verify_records(
         segment_start = None
         segment_n = 0
 
-    for line_number, record in records:
+    for line_number, meta, issues in checked:
         result.n += 1
         last_line = line_number
-        issues = follower.check(record)
-        meta = follower.metadata_of(record)
-        if meta is None and not issues:
-            continue
-        gap = follower.observe(record) if meta is not None else False
-        if meta is not None:
-            result.n_ledgered += 1
-        binding_broken = bool(issues)
-        if binding_broken:
+        if meta is None:
+            if not follower.engaged:
+                continue
+            issues, gap = [_UNLEDGERED_MID_CHAIN], False
+        else:
+            gap = follower._advance(meta)
+        if issues:
             for reason, detail in issues:
                 result.issues.append(ChainIssue(line_number, reason, detail))
             close_segment(line_number - 1)

@@ -29,7 +29,9 @@ bookkeeping:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.audit.ledger import (
@@ -37,9 +39,12 @@ from repro.audit.ledger import (
     ChainVerification,
     DecisionLedger,
     entry_hash,
-    verify_records,
 )
-from repro.audit.ledger import _jsonl_records
+from repro.audit.ledger import (
+    _checked_records,
+    _jsonl_records,
+    _verify_checked,
+)
 from repro.audit.streams import StreamKey
 
 __all__ = [
@@ -349,37 +354,42 @@ def verify_sharded_records(
     contiguity, head-to-prev linkage, final head vs the spliced
     head), and the whole chain is walked end to end.
 
-    Materializes the record list (O(file) memory) — the per-shard
-    pass needs routed groups; sharded logs verified here are run
-    artifacts, not out-of-core datasets.
+    Each record's binding is checked once; the whole-log walk and its
+    shard's walk share that result.  Materializes the checked record
+    list (O(file) memory) — the per-shard pass needs routed groups;
+    sharded logs verified here are run artifacts, not out-of-core
+    datasets.
     """
-    from repro.audit.ledger import ChainFollower
-
-    records = list(records)
+    checked = list(_checked_records(records))
     ordered = sorted(shards, key=lambda shard: int(shard["start"]))
-    overall = verify_records(
-        iter(records),
+    overall = _verify_checked(
+        checked,
         expected_head=expected_head,
         genesis=genesis,
         expected_n=expected_n,
     )
     splice_issues = _splice_geometry_issues(ordered, genesis, expected_head)
 
-    grouped: dict[int, list] = {position: [] for position in range(len(ordered))}
+    grouped: list[list] = [[] for _ in ordered]
     starts = [int(shard["start"]) for shard in ordered]
     stops = [int(shard["start"]) + int(shard["n"]) for shard in ordered]
-    for line_number, record in records:
-        meta = ChainFollower.metadata_of(record)
+    # The running maximum of the stops is sorted, and its first entry
+    # past an ordinal is the first shard (in start order) that ends past
+    # it; that shard holds the ordinal iff it starts at or before it.
+    # This is the shard a scan in start order finds, even when a
+    # malformed map overlaps.
+    reach = list(accumulate(stops, max))
+    for item in checked:
+        line_number, meta, _ = item
         if meta is None or "ordinal" not in meta:
             continue
         try:
             ordinal = int(meta["ordinal"])
         except (TypeError, ValueError):
             continue
-        for position, (start, stop) in enumerate(zip(starts, stops)):
-            if start <= ordinal < stop:
-                grouped[position].append((line_number, record))
-                break
+        position = bisect_right(reach, ordinal)
+        if position < len(ordered) and starts[position] <= ordinal:
+            grouped[position].append(item)
         else:
             splice_issues.append(
                 f"line {line_number}: ledgered ordinal {ordinal} falls "
@@ -388,8 +398,8 @@ def verify_sharded_records(
 
     result = ShardedVerification(overall=overall, splice_issues=splice_issues)
     for position, shard in enumerate(ordered):
-        verification = verify_records(
-            iter(grouped[position]),
+        verification = _verify_checked(
+            grouped[position],
             expected_head=str(shard["head"]),
             genesis=str(shard["prev"]),
             expected_n=int(shard["n"]),

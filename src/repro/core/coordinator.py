@@ -159,6 +159,9 @@ class HarvestInputs:
     action_space: Optional[ActionSpace] = None
     reward_range: Optional[RewardRange] = None
     timestamps: Optional[np.ndarray] = None
+    #: Facts about the build a builder reports on the ``scenario.build``
+    #: span (e.g. machine health's ``distinct_contexts``).
+    trace_attributes: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.contexts = tuple(self.contexts)
@@ -185,7 +188,9 @@ def build_inputs(job: HarvestJob, registry: StreamRegistry) -> HarvestInputs:
     ``registry`` is the stream authority the builder must use for any
     randomness beyond the scenario's own config seed (e.g. the
     loadbalance latency noise) so all derivations land in the
-    provenance log.
+    provenance log.  The build runs under a ``scenario.build`` span
+    tagged with ``scenario``, the requested ``rows`` and the builder's
+    :attr:`HarvestInputs.trace_attributes`.
     """
     path = job.builder or SCENARIO_BUILDERS.get(job.scenario)
     if path is None:
@@ -197,7 +202,12 @@ def build_inputs(job: HarvestJob, registry: StreamRegistry) -> HarvestInputs:
     if not function_name:
         raise ValueError(f"builder {path!r} is not module:function")
     builder = getattr(importlib.import_module(module_name), function_name)
-    return builder(job, registry)
+    with get_tracer().span(
+        "scenario.build", scenario=job.scenario, rows=job.rows
+    ) as span:
+        inputs = builder(job, registry)
+        span.set(**inputs.trace_attributes)
+    return inputs
 
 
 def synthetic_shard_inputs(

@@ -51,17 +51,36 @@ class FeatureEncoder:
         """Learn vocabularies and (optionally) scaling from records."""
         if not records:
             raise ValueError("cannot fit an encoder on zero records")
+        columns: dict[str, list] = {}
         for fieldname in self.categorical:
-            seen: list[str] = []
-            for record in records:
-                value = str(record.get(fieldname, ""))
-                if value not in seen:
-                    seen.append(value)
-            self._vocab[fieldname] = seen
+            columns[fieldname] = [
+                record.get(fieldname, "") for record in records
+            ]
         for fieldname in self.numeric:
-            values = np.array(
-                [float(record.get(fieldname, 0.0)) for record in records]
-            )
+            columns[fieldname] = [
+                float(record.get(fieldname, 0.0)) for record in records
+            ]
+        return self.fit_columns(columns)
+
+    def fit_columns(self, columns: Mapping[str, Sequence]) -> "FeatureEncoder":
+        """Learn what :meth:`fit` learns, from one column per field.
+
+        ``columns[name]`` holds field ``name``'s value for every record,
+        in record order; every declared field must be present.  Each
+        vocabulary keeps first-seen order of the ``str`` values, and
+        numeric columns are read as float64 — so the columns of a
+        record list fit exactly the encoder the records fit.
+        """
+        for fieldname in self.categorical + self.numeric:
+            if len(columns[fieldname]) == 0:
+                raise ValueError(
+                    f"cannot fit an encoder on an empty {fieldname!r} column"
+                )
+        for fieldname in self.categorical:
+            values = map(str, columns[fieldname])
+            self._vocab[fieldname] = list(dict.fromkeys(values))
+        for fieldname in self.numeric:
+            values = np.asarray(columns[fieldname], dtype=np.float64)
             self._means[fieldname] = float(values.mean())
             std = float(values.std())
             self._stds[fieldname] = std if std > 0 else 1.0

@@ -9,7 +9,8 @@ wait — full feedback.  We reproduce that structure synthetically:
 - :mod:`~repro.machinehealth.fleet` — machines with hardware/OS/
   failure-history features.
 - :mod:`~repro.machinehealth.failures` — a recovery/downtime model in
-  which the optimal wait time depends on the context.
+  which the optimal wait time depends on the context, drawn as
+  columns (:func:`failure_columns`).
 - :mod:`~repro.machinehealth.dataset` — full-feedback datasets and the
   partial-feedback exploration simulation used in Figs. 3–4.
 """
@@ -17,8 +18,10 @@ wait — full feedback.  We reproduce that structure synthetically:
 from repro.machinehealth.fleet import FleetConfig, Machine, generate_fleet
 from repro.machinehealth.failures import (
     DowntimeModel,
+    FailureColumns,
     FailureEvent,
     WAIT_TIMES,
+    failure_columns,
     generate_failures,
 )
 from repro.machinehealth.dataset import (
@@ -42,8 +45,10 @@ __all__ = [
     "Machine",
     "generate_fleet",
     "DowntimeModel",
+    "FailureColumns",
     "FailureEvent",
     "WAIT_TIMES",
+    "failure_columns",
     "generate_failures",
     "MachineHealthDataset",
     "build_full_feedback_dataset",

@@ -36,10 +36,11 @@ from repro.core.types import ActionSpace, Dataset, Interaction, RewardRange
 from repro.machinehealth.failures import (
     WAIT_TIMES,
     DowntimeModel,
+    FailureColumns,
     FailureEvent,
-    generate_failures,
+    failure_columns,
 )
-from repro.machinehealth.fleet import FleetConfig, generate_fleet
+from repro.machinehealth.fleet import FAILURE_KINDS, FleetConfig, generate_fleet
 from repro.obs.metrics import get_metrics
 from repro.obs.tracing import get_tracer
 from repro.simsys.random_source import RandomSource
@@ -49,16 +50,6 @@ DEFAULT_ACTION = len(WAIT_TIMES) - 1
 
 #: Downtime cap (minutes × VMs) used as the reward range upper bound.
 DOWNTIME_CAP = 600.0
-
-
-def _build_encoder(events: list[FailureEvent]) -> FeatureEncoder:
-    encoder = FeatureEncoder(
-        categorical=["hardware_sku", "os_version", "failure_kind"],
-        numeric=["age_years", "n_vms", "prior_failures"],
-        standardize=True,
-    )
-    encoder.fit([event.context_record() for event in events])
-    return encoder
 
 
 @dataclass
@@ -79,6 +70,91 @@ class MachineHealthDataset:
         return self.full.split(train_fraction)
 
 
+@dataclass(frozen=True, eq=False)
+class _IncidentColumns:
+    """One scenario build: the columns both dataset views are read from.
+
+    ``contexts`` holds one encoded context per incident, each row its
+    own dict; ``profiles`` is the ``(N, len(WAIT_TIMES))`` matrix of
+    capped downtimes; ``distinct_contexts`` counts the distinct
+    (machine, failure kind) pairs the contexts were encoded from.
+    """
+
+    failures: FailureColumns
+    encoder: FeatureEncoder
+    contexts: list
+    profiles: np.ndarray
+    distinct_contexts: int
+
+
+def _incident_columns(
+    n_events: int,
+    n_machines: int,
+    seed: int,
+    model: Optional[DowntimeModel] = None,
+) -> _IncidentColumns:
+    """Draw the fleet and its incidents and encode them, column-wise.
+
+    The encoder is fitted on the per-incident columns (the values its
+    records would hold, in incident order), every distinct (machine,
+    kind) pair is encoded once, and every incident gets a copy of its
+    pair's context.
+    """
+    randomness = RandomSource(seed, _name="machine-health")
+    machines = generate_fleet(FleetConfig(n_machines=n_machines), randomness)
+    failures = failure_columns(
+        machines, n_events, randomness.child("failures"), model
+    )
+    rows = failures.machine
+
+    def per_incident(field: str, dtype) -> np.ndarray:
+        fleet = np.asarray([getattr(m, field) for m in machines], dtype=dtype)
+        return fleet[rows]
+
+    encoder = FeatureEncoder(
+        categorical=["hardware_sku", "os_version", "failure_kind"],
+        numeric=["age_years", "n_vms", "prior_failures"],
+        standardize=True,
+    )
+    encoder.fit_columns(
+        {
+            "hardware_sku": per_incident("hardware_sku", object),
+            "os_version": per_incident("os_version", object),
+            "failure_kind": np.asarray(FAILURE_KINDS, dtype=object)[
+                failures.kind
+            ],
+            "age_years": per_incident("age_years", np.float64),
+            "n_vms": per_incident("n_vms", np.int64),
+            "prior_failures": per_incident("prior_failures", np.int64),
+        }
+    )
+    pairs = rows * len(FAILURE_KINDS) + failures.kind
+    distinct, inverse = np.unique(pairs, return_inverse=True)
+    templates = []
+    for pair in distinct.tolist():
+        machine, kind = divmod(pair, len(FAILURE_KINDS))
+        record = machines[machine].context_record()
+        record["failure_kind"] = FAILURE_KINDS[kind]
+        templates.append(encoder.encode(record))
+    return _IncidentColumns(
+        failures=failures,
+        encoder=encoder,
+        contexts=[templates[index].copy() for index in inverse.tolist()],
+        profiles=np.minimum(failures.downtime_profiles(), DOWNTIME_CAP),
+        distinct_contexts=len(templates),
+    )
+
+
+def _action_space() -> ActionSpace:
+    return ActionSpace(
+        len(WAIT_TIMES), labels=[f"wait-{w}min" for w in WAIT_TIMES]
+    )
+
+
+def _reward_range() -> RewardRange:
+    return RewardRange(0.0, DOWNTIME_CAP, maximize=False)
+
+
 def build_full_feedback_dataset(
     n_events: int = 5000,
     n_machines: int = 1000,
@@ -88,33 +164,33 @@ def build_full_feedback_dataset(
     """Generate a fleet and a fully-logged incident dataset.
 
     Draws ``n_events`` incidents and logs them under the wait-10
-    default with full feedback attached.
+    default with full feedback attached.  The dataset, its events and
+    its encoder are materialized from the same columns the coordinated
+    harvest builds its inputs from (:func:`exploration_shard_inputs`).
     """
-    randomness = RandomSource(seed, _name="machine-health")
-    machines = generate_fleet(FleetConfig(n_machines=n_machines), randomness)
-    events = generate_failures(
-        machines, n_events, randomness.child("failures"), model or DowntimeModel()
-    )
-    encoder = _build_encoder(events)
+    incidents = _incident_columns(n_events, n_machines, seed, model)
     dataset = Dataset(
-        action_space=ActionSpace(
-            len(WAIT_TIMES), labels=[f"wait-{w}min" for w in WAIT_TIMES]
-        ),
-        reward_range=RewardRange(0.0, DOWNTIME_CAP, maximize=False),
-    )
-    for index, event in enumerate(events):
-        profile = [min(d, DOWNTIME_CAP) for d in event.downtime_profile()]
-        dataset.append(
+        [
             Interaction(
-                context=encoder.encode(event.context_record()),
+                context=context,
                 action=DEFAULT_ACTION,
                 reward=profile[DEFAULT_ACTION],
                 propensity=1.0,  # the default policy is deterministic
                 timestamp=float(index),
                 full_rewards=profile,
             )
-        )
-    return MachineHealthDataset(full=dataset, events=events, encoder=encoder)
+            for index, (context, profile) in enumerate(
+                zip(incidents.contexts, incidents.profiles.tolist())
+            )
+        ],
+        action_space=_action_space(),
+        reward_range=_reward_range(),
+    )
+    return MachineHealthDataset(
+        full=dataset,
+        events=incidents.failures.events(),
+        encoder=incidents.encoder,
+    )
 
 
 def _stack_full_feedback(full_dataset: Dataset) -> tuple:
@@ -198,31 +274,34 @@ def exploration_shard_inputs(job, registry):
 
     See :data:`repro.core.coordinator.SCENARIO_BUILDERS`.  Recognized
     ``job.config`` keys: ``seed`` (fleet + failure draw), ``n_machines``.
-    The full-feedback dataset is deterministic in ``(rows, seed,
-    n_machines)`` — exactly the
-    :class:`~repro.core.coordinator.HarvestInputs` determinism contract
-    — so every worker rebuilds identical contexts and reward profiles
-    from the config alone.
+    The inputs are deterministic in ``(rows, seed, n_machines)`` —
+    exactly the :class:`~repro.core.coordinator.HarvestInputs`
+    determinism contract — so every worker rebuilds identical contexts
+    and reward profiles from the config alone.  They are read straight
+    off the scenario's columns: the same contexts, profiles and
+    timestamps :func:`build_full_feedback_dataset` logs, without a
+    per-row event, interaction or dataset.
     """
     from repro.core.coordinator import HarvestInputs
 
     config = job.config
-    full = build_full_feedback_dataset(
-        n_events=job.rows,
-        n_machines=int(config.get("n_machines", 1000)),
-        seed=int(config.get("seed", 0)),
-    ).full
-    contexts, profiles, timestamps = _stack_full_feedback(full)
+    incidents = _incident_columns(
+        job.rows,
+        int(config.get("n_machines", 1000)),
+        int(config.get("seed", 0)),
+    )
+    profiles = incidents.profiles
 
     def reveal(indices: np.ndarray, actions: np.ndarray) -> np.ndarray:
         return profiles[indices, actions]
 
     return HarvestInputs(
-        contexts=contexts,
+        contexts=incidents.contexts,
         reward_fn=reveal,
-        action_space=full.action_space,
-        reward_range=full.reward_range,
-        timestamps=timestamps,
+        action_space=_action_space(),
+        reward_range=_reward_range(),
+        timestamps=np.arange(len(profiles), dtype=np.float64),
+        trace_attributes={"distinct_contexts": incidents.distinct_contexts},
     )
 
 

@@ -11,12 +11,16 @@ has something real to learn.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from repro.simsys.random_source import RandomSource
+from repro.simsys.random_source import RandomSource, choice_cdf
 
 HARDWARE_SKUS = ("gen4-compute", "gen5-compute", "gen5-memory", "gen6-compute")
 OS_VERSIONS = ("os-2012r2", "os-2016", "os-2019")
+#: Fleet mix of :data:`HARDWARE_SKUS` and :data:`OS_VERSIONS`.
+SKU_WEIGHTS = (0.25, 0.35, 0.15, 0.25)
+OS_WEIGHTS = (0.2, 0.45, 0.35)
 FAILURE_KINDS = ("network", "disk", "kernel", "firmware")
 
 
@@ -57,16 +61,19 @@ def generate_fleet(config: FleetConfig, randomness: RandomSource) -> list[Machin
     """Generate a fleet of machines with mixed hardware and history.
 
     Older SKUs skew toward higher ages and more prior failures, the
-    correlation a real fleet would show.
+    correlation a real fleet would show.  The SKU picks have a stream
+    of their own and are drawn in one batch; the ``attributes`` stream
+    interleaves each machine's age, failure count, OS and VM count.
     """
     if config.n_machines <= 0:
         raise ValueError("fleet must contain at least one machine")
-    machines = []
     sku_rng = randomness.child("sku")
+    skus = sku_rng.choice_indices(SKU_WEIGHTS, config.n_machines)
     attr_rng = randomness.child("attributes")
-    for machine_id in range(config.n_machines):
-        sku = sku_rng.choice(HARDWARE_SKUS, p=[0.25, 0.35, 0.15, 0.25])
-        generation = HARDWARE_SKUS.index(sku)
+    os_cdf = choice_cdf(OS_WEIGHTS).tolist()
+    uniform = attr_rng.generator.random
+    machines = []
+    for machine_id, generation in enumerate(skus.tolist()):
         # Newer generations are younger on average.
         age_scale = max(0.5, (3 - generation)) / 3.0
         age = min(
@@ -80,8 +87,8 @@ def generate_fleet(config: FleetConfig, randomness: RandomSource) -> list[Machin
         machines.append(
             Machine(
                 machine_id=machine_id,
-                hardware_sku=sku,
-                os_version=attr_rng.choice(OS_VERSIONS, p=[0.2, 0.45, 0.35]),
+                hardware_sku=HARDWARE_SKUS[generation],
+                os_version=OS_VERSIONS[bisect_right(os_cdf, uniform())],
                 age_years=round(age, 2),
                 n_vms=attr_rng.randint(1, config.max_vms + 1),
                 prior_failures=prior_failures,

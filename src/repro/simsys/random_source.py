@@ -22,6 +22,19 @@ from repro.audit.streams import derive_child_seed
 T = TypeVar("T")
 
 
+def choice_cdf(p: Sequence[float]) -> np.ndarray:
+    """The cumulative weights :meth:`RandomSource.choice` searches.
+
+    ``Generator.choice(p=p)`` normalizes ``cumsum(p)`` by its last
+    entry and returns the right-side insertion point of one
+    ``random()`` draw; searching this array (or ``bisect_right`` on its
+    ``tolist()``) with the same draw returns the same index.
+    """
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 class RandomSource:
     """A tree of named, independently seeded NumPy generators."""
 
@@ -79,6 +92,17 @@ class RandomSource:
         """Choose one item, optionally with probabilities ``p``."""
         index = int(self._rng.choice(len(items), p=p))
         return items[index]
+
+    def choice_indices(self, p: Sequence[float], size: int) -> np.ndarray:
+        """``size`` weighted indices into ``p``, drawn in one batch.
+
+        Equal, draw for draw, to ``size`` successive
+        ``choice(range(len(p)), p=p)`` calls: one ``random(size)`` call
+        searched against :func:`choice_cdf`, exactly what
+        ``Generator.choice`` does on each call.
+        """
+        uniforms = self._rng.random(size)
+        return np.searchsorted(choice_cdf(p), uniforms, side="right")
 
     def sample(self, items: Sequence[T], k: int) -> list[T]:
         """Sample ``k`` distinct items uniformly without replacement."""

@@ -252,6 +252,77 @@ class TestVerifyLedger:
         assert "cannot read" in captured.err
 
 
+def _flip_action(lines):
+    record = json.loads(lines[37])
+    record["action"] = (record["action"] + 1) % 10
+    lines[37] = json.dumps(record)
+
+
+def _alter_context(lines):
+    record = json.loads(lines[90])
+    name = next(iter(record["context"]))
+    record["context"][name] += 0.5
+    lines[90] = json.dumps(record)
+
+
+def _delete_line(lines):
+    del lines[120]
+
+
+def _swap_lines(lines):
+    lines[150], lines[151] = lines[151], lines[150]
+
+
+def _foreign_ordinal(lines):
+    record = json.loads(lines[60])
+    record["metadata"]["ledger"]["ordinal"] = 9999
+    lines[60] = json.dumps(record)
+
+
+class TestShardedVerifyReport:
+    """``verify-ledger --manifest --json`` over 19 shards prints exactly
+    the report of the two-walk, scan-routed reference verifier."""
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [None, _flip_action, _alter_context, _delete_line, _swap_lines,
+         _foreign_ordinal],
+        ids=lambda t: "clean" if t is None else t.__name__.strip("_"),
+    )
+    def test_json_report_matches_reference(self, tmp_path, capsys, tamper):
+        from repro.audit.ledger import _jsonl_records
+        from tests import oracles
+
+        log = tmp_path / "mh.jsonl"
+        manifest = tmp_path / "mh_manifest.json"
+        assert main(
+            ["harvest", "machinehealth", str(log), "--rows", "300",
+             "--seed", "7", "--ledger", "--shard-size", "16",
+             "--manifest", str(manifest)]
+        ) == 0
+        capsys.readouterr()
+        if tamper is not None:
+            lines = log.read_text().splitlines()
+            tamper(lines)
+            log.write_text("\n".join(lines) + "\n")
+        ledger = RunManifest.load(str(manifest)).to_dict()["ledger"]
+        assert len(ledger["shards"]) == 19
+        code = main(
+            ["verify-ledger", str(log), "--manifest", str(manifest), "--json"]
+        )
+        reference = oracles.verify_sharded_records(
+            _jsonl_records(str(log)),
+            ledger["shards"],
+            expected_head=ledger["head"],
+            expected_n=ledger["n"],
+        )
+        assert capsys.readouterr().out == (
+            json.dumps(reference.report(), indent=2) + "\n"
+        )
+        assert code == (0 if reference.ok else 1)
+        assert reference.ok is (tamper is None)
+
+
 class TestLedgeredLogDownstream:
     def test_evaluate_consumes_ledgered_log(self, tmp_path, capsys):
         _, log, _, _ = harvest(tmp_path, capsys)

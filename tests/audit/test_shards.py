@@ -231,6 +231,27 @@ class TestVerifySharded:
         assert any("outside every manifest shard" in i for i in result.splice_issues)
 
 
+    def test_overlapping_map_routes_like_a_scan(self):
+        # A malformed map whose shards overlap: each record goes to the
+        # first shard (in start order) that holds its ordinal.
+        from tests import oracles
+
+        records, shard_map, head = self.sharded_log()
+        shard_map[1] = dict(shard_map[1], start=8, n=24)
+        shard_map[2] = dict(shard_map[2], start=30, n=2)
+        ours = verify_sharded_records(
+            records, shard_map, expected_head=head, expected_n=40
+        )
+        reference = oracles.verify_sharded_records(
+            records, shard_map, expected_head=head, expected_n=40
+        )
+        assert ours.report() == reference.report()
+        # Rows 30 and 31 sit in shards 1 and 2 both; shard 1 takes them.
+        assert [e["verification"].n for e in ours.shards] == [16, 16, 0]
+        outside = [i for i in ours.splice_issues if "outside every" in i]
+        assert len(outside) == 8  # ordinals 32..39
+
+
 class TestShardedNormal:
     def test_access_order_and_grid_independent(self):
         from repro.audit.streams import ShardedNormal, StreamKey, StreamRegistry

@@ -19,6 +19,7 @@ from repro.core.coordinator import (
 from repro.core.harvest import harvest_columns
 from repro.core.policies import UniformRandomPolicy
 from repro.core.types import ActionSpace
+from repro.obs.tracing import use_tracer
 
 
 @pytest.fixture(autouse=True)
@@ -117,6 +118,38 @@ class TestInputs:
             eligible=((0,), (0, 1), (1,), (0, 1, 2)),
         )
         assert per_row.eligible_slice(1, 3) == ((0, 1), (1,))
+
+
+class TestScenarioBuildSpan:
+    @staticmethod
+    def build_spans(tree):
+        found = []
+        for node in tree:
+            if node["name"] == "scenario.build":
+                found.append(node)
+            found.extend(TestScenarioBuildSpan.build_spans(node.get("children", ())))
+        return found
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_span_per_run(self, workers):
+        with use_tracer() as tracer:
+            HarvestCoordinator(synthetic_job(), workers=workers).run()
+        (span,) = self.build_spans(tracer.span_tree())
+        assert span["attributes"] == {"scenario": "synthetic", "rows": 200}
+
+    def test_machinehealth_reports_distinct_contexts(self):
+        job = synthetic_job(
+            scenario="machinehealth", rows=50, config={"n_machines": 5}
+        )
+        with use_tracer() as tracer:
+            inputs = build_inputs(job, StreamRegistry(job.master_seed))
+        (span,) = self.build_spans(tracer.span_tree())
+        distinct = {tuple(c.items()) for c in inputs.contexts}
+        assert span["attributes"] == {
+            "scenario": "machinehealth",
+            "rows": 50,
+            "distinct_contexts": len(distinct),
+        }
 
 
 class TestEquivalence:

@@ -12,12 +12,27 @@ disagreement localizes to the per-row quantities, not the bookkeeping.
 Used by the equivalence suites and by the perf bench's scalar rows.
 :func:`fit_reward_model_rows` is the same kind of reference for
 :meth:`~repro.core.estimators.direct.RewardModel.fit`.
+
+The machine-health references (:func:`machinehealth_rows` and the
+builder :func:`machinehealth_shard_inputs`) build the scenario one
+machine and one incident at a time, with one
+:meth:`~repro.simsys.random_source.RandomSource.choice` call per pick —
+the loop the columnar build in :mod:`repro.machinehealth` must match
+bit for bit.  :func:`verify_sharded_records` is the two-walk sharded
+verifier (every record checked by the whole-log walk and again by its
+shard's walk, each record routed by a scan over the shards) that
+:func:`repro.audit.shards.verify_sharded_records` must report exactly.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.audit.ledger import ChainFollower, verify_records
+from repro.audit.shards import ShardedVerification, _splice_geometry_issues
+from repro.core.coordinator import HarvestInputs
 from repro.core.estimators.base import EstimatorResult, eligible_actions_fn
 from repro.core.estimators.direct import RewardModel
 from repro.core.estimators.fallback import FallbackEstimator, select_down_ladder
@@ -30,7 +45,18 @@ from repro.core.estimators.reductions import (
     ReductionContext,
     SwitchReduction,
 )
-from repro.core.types import Dataset
+from repro.core.features import FeatureEncoder
+from repro.core.types import ActionSpace, Dataset, RewardRange
+from repro.machinehealth.dataset import DOWNTIME_CAP
+from repro.machinehealth.failures import NEVER, WAIT_TIMES, DowntimeModel, FailureEvent
+from repro.machinehealth.fleet import (
+    FAILURE_KINDS,
+    HARDWARE_SKUS,
+    OS_VERSIONS,
+    FleetConfig,
+    Machine,
+)
+from repro.simsys.random_source import RandomSource
 
 
 def fit_reward_model_rows(model: RewardModel, dataset: Dataset) -> RewardModel:
@@ -217,3 +243,186 @@ def estimate(estimator, policy, dataset: Dataset) -> EstimatorResult:
     return reduction.finalize(
         state, LogSummary.from_columns(dataset.columns())
     )
+
+
+# -- machine health -----------------------------------------------------------
+
+
+def fleet_rows(config: FleetConfig, randomness: RandomSource) -> list[Machine]:
+    """The per-machine reference for ``generate_fleet``."""
+    machines = []
+    sku_rng = randomness.child("sku")
+    attr_rng = randomness.child("attributes")
+    for machine_id in range(config.n_machines):
+        sku = sku_rng.choice(HARDWARE_SKUS, p=[0.25, 0.35, 0.15, 0.25])
+        generation = HARDWARE_SKUS.index(sku)
+        age_scale = max(0.5, (3 - generation)) / 3.0
+        age = min(
+            config.max_age_years,
+            attr_rng.exponential(config.max_age_years * age_scale / 2.0),
+        )
+        prior_failures = min(
+            config.max_prior_failures,
+            int(attr_rng.exponential(1.0 + age / 2.0)),
+        )
+        machines.append(
+            Machine(
+                machine_id=machine_id,
+                hardware_sku=sku,
+                os_version=attr_rng.choice(OS_VERSIONS, p=[0.2, 0.45, 0.35]),
+                age_years=round(age, 2),
+                n_vms=attr_rng.randint(1, config.max_vms + 1),
+                prior_failures=prior_failures,
+            )
+        )
+    return machines
+
+
+def sample_event_rows(
+    model: DowntimeModel, machine: Machine, rng: RandomSource
+) -> FailureEvent:
+    """The per-draw reference for ``DowntimeModel.sample_event``."""
+    kind = rng.choice(FAILURE_KINDS, p=model.failure_kind_probabilities(machine))
+    if rng.bernoulli(model.recovery_probability(machine, kind)):
+        scale = model.recovery_scale_minutes(machine, kind)
+        recovery = float(math.exp(rng.normal(math.log(scale), 0.6)))
+    else:
+        recovery = NEVER
+    return FailureEvent(
+        machine=machine,
+        failure_kind=kind,
+        recovery_minutes=recovery,
+        reboot_minutes=model.reboot_minutes(machine, rng),
+    )
+
+
+def failures_rows(
+    machines: list[Machine], n_events: int, randomness: RandomSource
+) -> list[FailureEvent]:
+    """The per-incident reference for ``generate_failures``."""
+    model = DowntimeModel()
+    pick_rng = randomness.child("which-machine")
+    event_rng = randomness.child("events")
+    weights = [1.0 + m.prior_failures + m.age_years / 2.0 for m in machines]
+    total = sum(weights)
+    probabilities = [w / total for w in weights]
+    return [
+        sample_event_rows(
+            model, pick_rng.choice(machines, p=probabilities), event_rng
+        )
+        for _ in range(n_events)
+    ]
+
+
+def machinehealth_rows(n_events: int, n_machines: int, seed: int) -> dict:
+    """The per-row reference for the machine-health scenario build.
+
+    Returns the fleet, the events, the fitted encoder, one encoded
+    context per incident, the ``(N, 10)`` capped downtime profiles and
+    the timestamps — what ``build_full_feedback_dataset`` logs and
+    ``exploration_shard_inputs`` harvests.
+    """
+    randomness = RandomSource(seed, _name="machine-health")
+    machines = fleet_rows(FleetConfig(n_machines=n_machines), randomness)
+    events = failures_rows(machines, n_events, randomness.child("failures"))
+    encoder = FeatureEncoder(
+        categorical=["hardware_sku", "os_version", "failure_kind"],
+        numeric=["age_years", "n_vms", "prior_failures"],
+        standardize=True,
+    )
+    encoder.fit([event.context_record() for event in events])
+    return {
+        "machines": machines,
+        "events": events,
+        "encoder": encoder,
+        "contexts": [encoder.encode(event.context_record()) for event in events],
+        "profiles": np.asarray(
+            [
+                [min(d, DOWNTIME_CAP) for d in event.downtime_profile()]
+                for event in events
+            ],
+            dtype=np.float64,
+        ),
+        "timestamps": np.asarray(
+            [float(index) for index in range(n_events)], dtype=np.float64
+        ),
+    }
+
+
+def machinehealth_shard_inputs(job, registry) -> HarvestInputs:
+    """A ``HarvestJob.builder`` over :func:`machinehealth_rows`."""
+    rows = machinehealth_rows(
+        job.rows,
+        int(job.config.get("n_machines", 1000)),
+        int(job.config.get("seed", 0)),
+    )
+    profiles = rows["profiles"]
+
+    def reveal(indices: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        return profiles[indices, actions]
+
+    return HarvestInputs(
+        contexts=rows["contexts"],
+        reward_fn=reveal,
+        action_space=ActionSpace(
+            len(WAIT_TIMES), labels=[f"wait-{w}min" for w in WAIT_TIMES]
+        ),
+        reward_range=RewardRange(0.0, DOWNTIME_CAP, maximize=False),
+        timestamps=rows["timestamps"],
+    )
+
+
+# -- sharded ledger verification ----------------------------------------------
+
+
+def verify_sharded_records(
+    records, shards, expected_head=None, expected_n=None, genesis="0" * 64
+) -> ShardedVerification:
+    """The two-walk reference for ``shards.verify_sharded_records``."""
+    records = list(records)
+    ordered = sorted(shards, key=lambda shard: int(shard["start"]))
+    overall = verify_records(
+        iter(records),
+        expected_head=expected_head,
+        genesis=genesis,
+        expected_n=expected_n,
+    )
+    splice_issues = _splice_geometry_issues(ordered, genesis, expected_head)
+    grouped: dict[int, list] = {position: [] for position in range(len(ordered))}
+    starts = [int(shard["start"]) for shard in ordered]
+    stops = [int(shard["start"]) + int(shard["n"]) for shard in ordered]
+    for line_number, record in records:
+        meta = ChainFollower.metadata_of(record)
+        if meta is None or "ordinal" not in meta:
+            continue
+        try:
+            ordinal = int(meta["ordinal"])
+        except (TypeError, ValueError):
+            continue
+        for position, (start, stop) in enumerate(zip(starts, stops)):
+            if start <= ordinal < stop:
+                grouped[position].append((line_number, record))
+                break
+        else:
+            splice_issues.append(
+                f"line {line_number}: ledgered ordinal {ordinal} falls "
+                f"outside every manifest shard"
+            )
+    result = ShardedVerification(overall=overall, splice_issues=splice_issues)
+    for position, shard in enumerate(ordered):
+        result.shards.append(
+            {
+                "index": int(shard.get("index", position)),
+                "start": int(shard["start"]),
+                "n": int(shard["n"]),
+                "prev": str(shard["prev"]),
+                "head": str(shard["head"]),
+                "verification": verify_records(
+                    iter(grouped[position]),
+                    expected_head=str(shard["head"]),
+                    genesis=str(shard["prev"]),
+                    expected_n=int(shard["n"]),
+                ),
+            }
+        )
+    return result

@@ -14,6 +14,7 @@ from repro.audit.ledger import verify_jsonl
 from repro.core.policies import ConstantPolicy, EpsilonGreedyPolicy, UniformRandomPolicy
 from repro.core.types import Dataset
 from repro.obs.monitors import MonitorSuite, serving_monitors, use_monitors
+from repro.obs.tracing import use_tracer
 from repro.serve import DecisionService
 
 
@@ -50,6 +51,13 @@ class TestDecide:
         decisions = service.decide(64)
         expected = ((decisions.rows * 31 + decisions.actions * 17) % 97) / 96.0
         assert np.array_equal(decisions.rewards, expected)
+
+    def test_boot_builds_the_pool_under_a_span(self):
+        with use_tracer() as tracer:
+            make_service(pool_rows=64)
+        (root,) = tracer.span_tree()
+        assert root["name"] == "scenario.build"
+        assert root["attributes"] == {"scenario": "synthetic", "rows": 64}
 
     def test_nonpositive_count_rejected(self):
         service = make_service()
