@@ -37,7 +37,6 @@ loop pays nothing.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -45,6 +44,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.audit.streams import StreamKey
+from repro.obs.tracing import get_tracer
 
 __all__ = [
     "GENESIS",
@@ -54,6 +54,7 @@ __all__ = [
     "ChainVerification",
     "DecisionLedger",
     "LedgerEntry",
+    "SealedRows",
     "StreamingLedgerWriter",
     "context_digest",
     "entry_hash",
@@ -73,6 +74,7 @@ GENESIS = "0" * 64
 LEDGER = "ledger"
 
 _PACK_DOUBLE = struct.Struct("<d").pack
+_sha256 = hashlib.sha256
 
 
 def context_digest(context: Mapping) -> str:
@@ -83,13 +85,11 @@ def context_digest(context: Mapping) -> str:
     under dict ordering and JSON serialization (which round-trips
     float64 exactly) but changes for any altered feature name or value.
     """
-    digest = hashlib.sha256()
+    parts = []
     for key in sorted(context):
         raw = str(key).encode("utf-8")
-        digest.update(len(raw).to_bytes(4, "big"))
-        digest.update(raw)
-        digest.update(_PACK_DOUBLE(float(context[key])))
-    return digest.hexdigest()[:32]
+        parts += (len(raw).to_bytes(4, "big"), raw, _PACK_DOUBLE(float(context[key])))
+    return _sha256(b"".join(parts)).hexdigest()[:32]
 
 
 def entry_hash(
@@ -144,6 +144,53 @@ class LedgerEntry:
         }
 
 
+@dataclass(frozen=True)
+class SealedRows:
+    """Sealed chain columns of consecutive ordinals, as the log stores them.
+
+    Row ``i`` is ordinal ``start + i``; its predecessor hash is ``prev``
+    for the first row and ``hashes[i - 1]`` after it.  This is how a
+    :class:`DecisionLedger` keeps its sealed chain (no per-row
+    :class:`LedgerEntry`), and what the log writers of
+    :mod:`repro.core.codec` stamp into ``metadata.ledger``.
+    """
+
+    stream: str
+    start: int
+    prev: str
+    context_shas: Sequence[str]
+    actions: Sequence[int]
+    propensities: Sequence[float]
+    hashes: Sequence[str]
+
+    def __len__(self) -> int:
+        return len(self.hashes)
+
+    def entry(self, row: int) -> LedgerEntry:
+        """Row ``row`` as a :class:`LedgerEntry`."""
+        return LedgerEntry(
+            stream=self.stream,
+            ordinal=self.start + row,
+            prev=self.hashes[row - 1] if row else self.prev,
+            context_sha=self.context_shas[row],
+            action=self.actions[row],
+            propensity=self.propensities[row],
+            hash=self.hashes[row],
+        )
+
+    def entries(self) -> list[LedgerEntry]:
+        """Every row as a :class:`LedgerEntry`, in ordinal order."""
+        return [self.entry(row) for row in range(len(self))]
+
+
+def _int_list(values) -> list:
+    return np.asarray(values).astype(np.int64, copy=False).tolist()
+
+
+def _float_list(values) -> list:
+    return np.asarray(values, dtype=np.float64).tolist()
+
+
 class DecisionLedger:
     """Build the hash chain over a stream of harvested decisions.
 
@@ -163,9 +210,14 @@ class DecisionLedger:
       online use);
     - :meth:`extend_batch` — O(1) per batch: stash references to the
       batch's contexts/actions/propensities and defer hashing until
-      the chain is observed (:attr:`head`, :meth:`entries`,
-      :meth:`annotate`).  This is what the batched harvest engine
-      calls, keeping ledger overhead off the sampling hot path.
+      the chain is observed (:attr:`head`, :meth:`sealed`,
+      :meth:`entries`, :meth:`annotate`).  This is what the batched
+      harvest engine calls, keeping ledger overhead off the sampling
+      hot path.
+
+    Sealing digests each distinct context once, through the ledger's
+    :class:`~repro.core.codec.ContextTable` (:attr:`contexts`), and
+    keeps the chain as columns (:class:`SealedRows`).
     """
 
     def __init__(
@@ -185,16 +237,35 @@ class DecisionLedger:
         self.shard_size = shard_size
         self.master_fingerprint = master_fingerprint
         self._head = self.genesis
-        self._entries: list[LedgerEntry] = []
+        self._shas: list[str] = []
+        self._actions: list[int] = []
+        self._propensities: list[float] = []
+        self._hashes: list[str] = []
         self._pending: list[tuple[Sequence[Mapping], np.ndarray, np.ndarray]] = []
         self._pending_rows = 0
+        self._contexts = None
+        # Memo entries of sealed rows a StreamingLedgerWriter has not
+        # written yet (None while no writer is attached).
+        self._unwritten: Optional[list] = None
+
+    @property
+    def contexts(self):
+        """The memo of distinct contexts sealing digests through."""
+        if self._contexts is None:
+            from repro.core.codec import ContextTable
+
+            self._contexts = ContextTable()
+        return self._contexts
 
     # -- appending -----------------------------------------------------------
 
     def append(self, context: Mapping, action: int, propensity: float) -> LedgerEntry:
         """Seal one decision onto the chain and return its entry."""
         self._drain()
-        return self._seal_one(context, int(action), float(propensity))
+        self._chain(
+            [self.contexts.digest(context)], [int(action)], [float(propensity)]
+        )
+        return self.sealed(len(self._hashes) - 1).entry(0)
 
     def extend_batch(
         self,
@@ -240,87 +311,103 @@ class DecisionLedger:
                 f"actions, {len(propensities)} propensities"
             )
         self._drain()
-        for row in range(n):
-            self._seal_digest(
-                str(context_shas[row]), int(actions[row]), float(propensities[row])
-            )
+        self._chain(
+            [str(sha) for sha in context_shas],
+            _int_list(actions),
+            _float_list(propensities),
+        )
 
-    def adopt_entries(self, entries: Sequence["LedgerEntry"]) -> None:
-        """Append entries already sealed against this ledger's head.
+    def adopt(self, rows: SealedRows) -> None:
+        """Append rows already sealed against this ledger's head.
 
         The trusted half of the sharded splice: an in-process shard
         harvested in ordinal order is anchored at the true predecessor
-        head, so its sealed entries are *exactly* the entries this
-        ledger would seal — adopting them skips the second chain-hash
-        pass that :meth:`extend_digests` pays for untrusted payloads.
-        The anchor, ordinal, and stream of the first entry are checked;
-        the interior linkage is the producing ledger's own invariant.
-        Never call this with entries that crossed a process boundary —
-        re-chain those from their digests instead.
+        head, so its sealed rows are *exactly* the rows this ledger
+        would seal — adopting them skips the second chain-hash pass
+        that :meth:`extend_digests` pays for untrusted payloads.  The
+        anchor, first ordinal, and stream are checked; the interior
+        linkage is the producing ledger's own invariant.  Never call
+        this with rows that crossed a process boundary — re-chain those
+        from their digests instead.
         """
-        entries = list(entries)
-        if not entries:
+        if not len(rows):
             return
         self._drain()
-        first = entries[0]
-        if first.prev != self._head:
+        if rows.prev != self._head:
             raise ValueError(
-                f"cannot adopt entries anchored at {first.prev[:12]}…: "
+                f"cannot adopt entries anchored at {rows.prev[:12]}…: "
                 f"the chain head is {self._head[:12]}…"
             )
-        if first.ordinal != self.start_ordinal + len(self._entries):
+        expected = self.start_ordinal + len(self._hashes)
+        if rows.start != expected:
             raise ValueError(
-                f"cannot adopt entries starting at ordinal {first.ordinal}: "
-                f"expected {self.start_ordinal + len(self._entries)}"
+                f"cannot adopt entries starting at ordinal {rows.start}: "
+                f"expected {expected}"
             )
-        if first.stream != self.stream:
+        if rows.stream != self.stream:
             raise ValueError(
-                f"cannot adopt entries of stream {first.stream!r} into "
+                f"cannot adopt entries of stream {rows.stream!r} into "
                 f"{self.stream!r}"
             )
-        self._entries.extend(entries)
-        self._head = entries[-1].hash
+        self._shas.extend(rows.context_shas)
+        self._actions.extend(rows.actions)
+        self._propensities.extend(rows.propensities)
+        self._hashes.extend(rows.hashes)
+        self._head = rows.hashes[-1]
 
-    def _seal_digest(
-        self, context_sha: str, action: int, propensity: float
-    ) -> LedgerEntry:
-        ordinal = self.start_ordinal + len(self._entries)
-        digest = entry_hash(
-            self._head, self.stream, ordinal, context_sha, action, propensity
-        )
-        entry = LedgerEntry(
-            stream=self.stream,
-            ordinal=ordinal,
-            prev=self._head,
-            context_sha=context_sha,
-            action=action,
-            propensity=propensity,
-            hash=digest,
-        )
-        self._entries.append(entry)
-        self._head = digest
-        return entry
+    def _chain(
+        self, shas: list, actions: list, propensities: list
+    ) -> None:
+        """Chain digested decisions (Python ints and floats) onto the head.
 
-    def _seal_one(
-        self, context: Mapping, action: int, propensity: float
-    ) -> LedgerEntry:
-        return self._seal_digest(context_digest(context), action, propensity)
+        Each hash is :func:`entry_hash` of the row, inlined.
+        """
+        stream = self.stream
+        ordinal = self.start_ordinal + len(self._hashes)
+        head = self._head
+        hashes = self._hashes
+        for sha, action, propensity in zip(shas, actions, propensities):
+            head = _sha256(
+                f"{head}|{stream}|{ordinal}|{sha}|{action}|"
+                f"{propensity.hex()}".encode("ascii")
+            ).hexdigest()
+            hashes.append(head)
+            ordinal += 1
+        self._shas.extend(shas)
+        self._actions.extend(actions)
+        self._propensities.extend(propensities)
+        self._head = head
 
     def _drain(self) -> None:
         if not self._pending:
             return
+        from repro.core.codec import entry_digests
+
         pending, self._pending = self._pending, []
         self._pending_rows = 0
-        for contexts, actions, propensities in pending:
-            for row in range(len(contexts)):
-                self._seal_one(
-                    contexts[row], int(actions[row]), float(propensities[row])
+        table = self.contexts
+        hits = table.hits
+        rows = 0
+        with get_tracer().span("ledger.seal") as span:
+            for contexts, actions, propensities in pending:
+                entries = table.row_entries(contexts)
+                self._chain(
+                    entry_digests(entries),
+                    _int_list(actions),
+                    _float_list(propensities),
                 )
+                if self._unwritten is not None:
+                    self._unwritten.extend(entries)
+                rows += len(contexts)
+            span.set(
+                rows=rows, distinct_contexts=len(table),
+                memo_hits=table.hits - hits,
+            )
 
     # -- observation ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._entries) + self._pending_rows
+        return len(self._hashes) + self._pending_rows
 
     @property
     def n(self) -> int:
@@ -333,10 +420,22 @@ class DecisionLedger:
         self._drain()
         return self._head
 
+    def sealed(self, start: int = 0) -> SealedRows:
+        """The sealed chain from row ``start`` on (seals pending batches)."""
+        self._drain()
+        return SealedRows(
+            stream=self.stream,
+            start=self.start_ordinal + start,
+            prev=self._hashes[start - 1] if start else self.genesis,
+            context_shas=self._shas[start:],
+            actions=self._actions[start:],
+            propensities=self._propensities[start:],
+            hashes=self._hashes[start:],
+        )
+
     def entries(self) -> list[LedgerEntry]:
         """All sealed entries, in ordinal order (seals pending batches)."""
-        self._drain()
-        return list(self._entries)
+        return self.sealed().entries()
 
     def annotate(self, interactions: Iterable) -> None:
         """Attach each entry to the matching interaction's metadata.
@@ -381,14 +480,16 @@ class StreamingLedgerWriter:
     time.  A *long-running* producer (the online decision service of
     :mod:`repro.serve`) instead flushes periodically: each
     :meth:`flush` seals exactly the decisions recorded since the last
-    flush, stamps each record's ``metadata["ledger"]`` from its sealed
-    entry, and appends the records to ``path`` in the exact byte
-    format of :meth:`repro.core.types.Dataset.save_jsonl` — so the
-    at-rest log is always a verifiable chain prefix, and
+    flush and appends them to ``path`` through the log codec
+    (:func:`repro.core.codec.write_columns`), in the exact byte format
+    of :meth:`repro.core.types.Dataset.save_jsonl` — so the at-rest log
+    is always a verifiable chain prefix, and
     ``Dataset.load_jsonl(path, verify_ledger="require")`` ingests it
-    unchanged at any point in the service's lifetime.
+    unchanged at any point in the service's lifetime.  Context JSON
+    text comes from the ledger's memo of distinct contexts, the one
+    sealing digests through.
 
-    The caller owns the pairing discipline: the records passed to
+    The caller owns the pairing discipline: the columns passed to
     :meth:`flush` must align one-to-one, in order, with the ledger
     decisions recorded since the previous flush (the service guarantees
     this by feeding both from the same decide loop).
@@ -399,41 +500,48 @@ class StreamingLedgerWriter:
         self.path = str(path)
         self._file = open(self.path, "a", encoding="utf-8")
         self._written = 0
+        # Sealing keeps each row's memo entry for the flush that writes
+        # it, so a served context is looked up once, not twice.
+        ledger._unwritten = []
 
     @property
     def written(self) -> int:
         """Records persisted to :attr:`path` so far."""
         return self._written
 
-    def flush(self, records: Sequence[Mapping]) -> list[LedgerEntry]:
-        """Seal, stamp, and append ``records``; return their entries.
+    def flush(
+        self,
+        contexts: Sequence[Mapping],
+        actions,
+        rewards,
+        propensities,
+        timestamps,
+    ) -> SealedRows:
+        """Seal and append one block of decision columns.
 
-        ``records`` are plain :meth:`Interaction.to_dict
-        <repro.core.types.Interaction.to_dict>` dicts (without ledger
-        metadata — it is stamped here).  Raises ``ValueError`` if the
-        count does not match the unsealed tail of the ledger, which
-        would mean the caller's record buffer and the ledger have
-        diverged — better to fail loudly than to persist a misaligned
-        chain.
+        Returns the block's :class:`SealedRows`.  Raises ``ValueError``
+        if the row count does not match the unsealed tail of the
+        ledger, which would mean the caller's buffer and the ledger
+        have diverged — better to fail loudly than to persist a
+        misaligned chain.
         """
-        entries = self.ledger.entries()
-        fresh = entries[self._written :]
-        if len(records) != len(fresh):
+        from repro.core.codec import write_columns
+
+        fresh = self.ledger.sealed(self._written)
+        if len(contexts) != len(fresh):
             raise ValueError(
-                f"flush got {len(records)} records for {len(fresh)} "
+                f"flush got {len(contexts)} records for {len(fresh)} "
                 "unwritten ledger entries"
             )
-        lines = []
-        for record, entry in zip(records, fresh):
-            record = dict(record)
-            metadata = dict(record.get("metadata", {}))
-            metadata["ledger"] = entry.to_metadata()
-            record["metadata"] = metadata
-            lines.append(json.dumps(record) + "\n")
-        self._file.writelines(lines)
+        entries, self.ledger._unwritten = self.ledger._unwritten, []
+        write_columns(
+            self._file, self.ledger.contexts, contexts, actions, rewards,
+            propensities, timestamps, fresh,
+            entries=entries if len(entries) == len(fresh) else None,
+        )
         self._file.flush()
         self._written += len(fresh)
-        return list(fresh)
+        return fresh
 
     def close(self) -> None:
         """Close the underlying file handle (flush first)."""
@@ -476,10 +584,11 @@ def rechain(
         else:
             raise ValueError("no ledger metadata to take the stream name from")
     ledger = DecisionLedger(stream, **ledger_kwargs)
-    for interaction in interactions:
-        ledger.append(
-            interaction.context, interaction.action, interaction.propensity
-        )
+    ledger.extend_batch(
+        [interaction.context for interaction in interactions],
+        [interaction.action for interaction in interactions],
+        [interaction.propensity for interaction in interactions],
+    )
     ledger.annotate(interactions)
     return ledger
 
@@ -852,23 +961,6 @@ def _verify_checked(
     return result
 
 
-def _jsonl_records(path: str) -> Iterator[Tuple[int, Mapping]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            raw = line.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError:
-                # Unparseable bytes cannot carry a verifiable chain link;
-                # surface them as a binding failure at this line.
-                yield line_number, {"metadata": {"ledger": {}}}
-                continue
-            if isinstance(record, Mapping):
-                yield line_number, record
-
-
 def verify_jsonl(
     path: str,
     expected_head: Optional[str] = None,
@@ -881,11 +973,17 @@ def verify_jsonl(
     from the harvest manifest's ``ledger.head``) additionally proves
     the log was not truncated or extended, and ``expected_n`` (the
     manifest's ``ledger.n``) pins the ledgered record count.
-    Unparseable lines count as binding failures at their line number.
+    Unparseable lines, and lines that are not JSON objects, count as
+    binding failures at their line number.  Lines are parsed and their
+    bindings checked by :func:`repro.core.codec.checked_lines`, which
+    digests each distinct context once.
     """
-    return verify_records(
-        _jsonl_records(path),
-        expected_head=expected_head,
-        genesis=genesis,
-        expected_n=expected_n,
-    )
+    from repro.core.codec import checked_read
+
+    with checked_read(path) as lines:
+        return _verify_checked(
+            lines,
+            expected_head=expected_head,
+            genesis=genesis,
+            expected_n=expected_n,
+        )

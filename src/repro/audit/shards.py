@@ -40,11 +40,7 @@ from repro.audit.ledger import (
     DecisionLedger,
     entry_hash,
 )
-from repro.audit.ledger import (
-    _checked_records,
-    _jsonl_records,
-    _verify_checked,
-)
+from repro.audit.ledger import _checked_records, _verify_checked
 from repro.audit.streams import StreamKey
 
 __all__ = [
@@ -187,9 +183,9 @@ def splice_payloads(
     (workers sealed against a provisional genesis anchor — only the
     ``prev`` linkage changes, the digests are reused), so the result
     is bit-identical to a serially-harvested ledger.  A payload that
-    still carries its sealed ``entries`` AND whose ``genesis`` already
+    still carries its ``sealed`` rows AND whose ``genesis`` already
     equals the true predecessor head — an in-process shard harvested
-    in ordinal order, never a shipped one (workers strip entries) — is
+    in ordinal order, never a shipped one (workers strip them) — is
     adopted outright: its chain is the final chain, nothing to redo.
     Returns the ledger plus the shard map: per shard ``{index, start,
     n, prev, head, retries}`` — the boundary hashes that let
@@ -212,9 +208,9 @@ def splice_payloads(
             )
         context_shas = payload["context_shas"]
         prev = ledger.head
-        entries = payload.get("entries")
-        if entries is not None and payload.get("genesis") == prev:
-            ledger.adopt_entries(entries)
+        sealed = payload.get("sealed")
+        if sealed is not None and payload.get("genesis") == prev:
+            ledger.adopt(sealed)
         else:
             ledger.extend_digests(
                 context_shas, payload["actions"], payload["propensities"]
@@ -360,7 +356,23 @@ def verify_sharded_records(
     sharded logs verified here are run artifacts, not out-of-core
     datasets.
     """
-    checked = list(_checked_records(records))
+    return _verify_sharded(
+        list(_checked_records(records)),
+        shards,
+        expected_head=expected_head,
+        expected_n=expected_n,
+        genesis=genesis,
+    )
+
+
+def _verify_sharded(
+    checked: list,
+    shards: Sequence[Mapping],
+    expected_head: Optional[str],
+    expected_n: Optional[int],
+    genesis: str,
+) -> ShardedVerification:
+    """:func:`verify_sharded_records` over already-checked records."""
     ordered = sorted(shards, key=lambda shard: int(shard["start"]))
     overall = _verify_checked(
         checked,
@@ -424,9 +436,19 @@ def verify_sharded_jsonl(
     expected_n: Optional[int] = None,
     genesis: str = GENESIS,
 ) -> ShardedVerification:
-    """:func:`verify_sharded_records` over a JSONL exploration log."""
-    return verify_sharded_records(
-        _jsonl_records(path),
+    """:func:`verify_sharded_records` over a JSONL exploration log.
+
+    Lines are parsed and their bindings checked by
+    :func:`repro.core.codec.checked_lines` (each distinct context
+    digested once); a line that is not a JSON object fails its binding
+    at its line number.
+    """
+    from repro.core.codec import checked_read
+
+    with checked_read(path) as lines:
+        checked = list(lines)
+    return _verify_sharded(
+        checked,
         shards,
         expected_head=expected_head,
         expected_n=expected_n,

@@ -1,0 +1,825 @@
+"""The v1 log codec: each distinct context sealed, encoded and parsed once.
+
+Every decision the system harvests or serves becomes one JSONL line::
+
+    {"context": {...}, "action": 4, "reward": 41.28, "propensity": 0.1,
+     "timestamp": 0.0, "metadata": {"ledger": {"v": 1, "stream": "...",
+     "ordinal": 0, "prev": "...", "context_sha": "...", "hash": "..."}}}
+
+byte for byte what ``json.dumps(interaction.to_dict()) + "\\n"`` writes
+(``metadata`` only on ledgered logs).  A log reuses a few thousand
+contexts across hundreds of thousands of rows, so this module does the
+per-context work — the ledger digest, the JSON text, the parsed dict —
+once per *distinct* context, and everything else in columns:
+
+- :class:`ContextTable` memoizes each distinct context under an exact
+  key (:func:`context_key`): equal keys guarantee identical
+  :func:`~repro.audit.ledger.context_digest` and ``json.dumps`` output.
+- :func:`write_columns` and :func:`write_interactions` fill a
+  fixed-schema line template and fall back to ``json.dumps`` for any
+  record outside it (extra fields, ``full_rewards``, non-float values,
+  non-finite numbers, unusual metadata).
+- :class:`LogReader` parses lines straight into columns.  Rows that
+  pass exact-type fast checks (and, on ledgered logs, their hash
+  binding through the memo) go straight in; every other row goes
+  through :func:`repro.core.validation.admit_record` in line order, so
+  strict errors and quarantine reports are those of the per-record
+  path.  :func:`checked_lines` is the parse and binding check behind
+  :func:`~repro.audit.ledger.verify_jsonl`.
+
+The ``ledger.seal``, ``jsonl.write`` and ``jsonl.read`` spans record
+``rows``, ``distinct_contexts`` and ``memo_hits`` per batch.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import struct
+from contextlib import contextmanager
+from itertools import repeat
+from typing import Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
+
+from repro.audit.ledger import (
+    ChainFollower,
+    SealedRows,
+    _binding_issues,
+    context_digest,
+)
+from repro.core.types import Interaction
+from repro.core.validation import (
+    UNPARSEABLE,
+    Quarantine,
+    RecordValidator,
+    admit_record,
+)
+from repro.obs.monitors import NULL_MONITORS, get_monitors
+from repro.obs.tracing import get_tracer
+
+__all__ = [
+    "TABLE_CAP",
+    "WRITE_BLOCK",
+    "ContextTable",
+    "LogReader",
+    "RowBlock",
+    "checked_lines",
+    "checked_read",
+    "context_key",
+    "entry_digests",
+    "entry_texts",
+    "write_columns",
+    "write_interactions",
+]
+
+#: Distinct contexts one table memoizes.  Past the cap, contexts already
+#: in the table still hit and new ones are computed directly, so every
+#: reader and writer holds O(cap) memo memory whatever the log's size.
+TABLE_CAP = 4096
+
+#: Lines encoded and written per ``writelines`` call.
+WRITE_BLOCK = 4096
+
+_sha256 = hashlib.sha256
+_PACKERS: dict = {}
+
+# The record's members in ``Interaction.to_dict`` order, with
+# ``json.dumps``'s default separators; numbers arrive pre-rendered.
+_HEAD = (
+    '{"context": %s, "action": %d, "reward": %s, "propensity": %s, '
+    '"timestamp": %s'
+)
+_LEDGER_BLOCK = (
+    ', "metadata": {"ledger": {"v": %d, "stream": %s, "ordinal": %d, '
+    '"prev": "%s", "context_sha": "%s", "hash": "%s"}}'
+)
+_LINE = _HEAD + "%s}\n"
+_LEDGERED_LINE = _HEAD + _LEDGER_BLOCK + "}\n"
+_LEDGER_KEYS = ("v", "stream", "ordinal", "prev", "context_sha", "hash")
+
+
+def context_key(context: dict) -> Optional[tuple]:
+    """The exact memo key of a context dict, or ``None`` if it has none.
+
+    ``(keys, values, value types, packed float64 bits)``.  Plain value
+    tuples are not enough: ``0.0 == -0.0`` and ``1 == 1.0 == True``
+    compare and hash equal, yet their digests (packed float bits) or
+    JSON text differ.  The types separate ints, floats and bools, the
+    packed bits separate signed zeros, and the values themselves keep
+    ints beyond 2**53 apart.  Contexts with a value that does not
+    convert to a float (strings, nesting) have no key.
+    """
+    values = tuple(context.values())
+    pack = _PACKERS.get(len(values))
+    if pack is None:
+        pack = _PACKERS.setdefault(
+            len(values), struct.Struct(f"<{len(values)}d").pack
+        )
+    try:
+        bits = pack(*values)
+    except (struct.error, TypeError, ValueError, OverflowError):
+        return None
+    return (tuple(context), values, tuple(map(type, values)), bits)
+
+
+class ContextTable:
+    """Memo of distinct contexts: digest, JSON text and first-seen dict.
+
+    Each entry is ``[digest, text, context]``; the digest and text are
+    filled on first request.  Only ``dict`` contexts with string keys
+    are memoized, at most ``cap`` of them; any other context is
+    computed directly.  ``hits`` counts lookups served by an entry.
+    """
+
+    def __init__(self, cap: int = TABLE_CAP) -> None:
+        self.cap = int(cap)
+        self.hits = 0
+        self._entries: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def entry(self, context) -> Optional[list]:
+        """The memo entry of ``context``; ``None`` if it has no key."""
+        if type(context) is not dict:
+            return None
+        key = context_key(context)
+        if key is None:
+            return None
+        entry = self._entries.get(key)
+        if entry is not None:
+            self.hits += 1
+            return entry
+        entry = [None, None, context]
+        if len(self._entries) < self.cap and all(
+            type(name) is str for name in key[0]
+        ):
+            self._entries[key] = entry
+        return entry
+
+    def row_entries(self, contexts: Sequence) -> list[list]:
+        """One entry per context, in order; a context without a key
+        gets a fresh entry of its own."""
+        entry_of = self.entry
+        out = []
+        for context in contexts:
+            entry = entry_of(context)
+            out.append(entry if entry is not None else [None, None, context])
+        return out
+
+    def digests(self, contexts: Sequence) -> list[str]:
+        """``context_digest`` of every context, once per distinct one."""
+        return entry_digests(self.row_entries(contexts))
+
+    def digest(self, context) -> str:
+        """:meth:`digests` of one context."""
+        return self.digests((context,))[0]
+
+    def texts(self, contexts: Sequence) -> list[str]:
+        """``json.dumps(dict(context))`` of every context, once per
+        distinct one."""
+        return entry_texts(self.row_entries(contexts))
+
+    def __repr__(self) -> str:
+        return f"ContextTable(distinct={len(self)}, hits={self.hits})"
+
+
+def entry_digests(entries: Sequence[list]) -> list[str]:
+    """The digest of each :meth:`ContextTable.row_entries` entry,
+    computing it on the entry's first request."""
+    out = []
+    for entry in entries:
+        if entry[0] is None:
+            entry[0] = context_digest(entry[2])
+        out.append(entry[0])
+    return out
+
+
+def entry_texts(entries: Sequence[list]) -> list[str]:
+    """The JSON text of each :meth:`ContextTable.row_entries` entry,
+    computing it on the entry's first request."""
+    out = []
+    for entry in entries:
+        if entry[1] is None:
+            context = entry[2]
+            entry[1] = json.dumps(
+                context if type(context) is dict else dict(context)
+            )
+        out.append(entry[1])
+    return out
+
+
+# -- encode ------------------------------------------------------------------
+
+
+def _finite(value: float) -> bool:
+    return value - value == 0.0
+
+
+def _plain(text: object) -> bool:
+    """Whether a string JSON-encodes as itself between quotes."""
+    return type(text) is str and text.isascii() and text.isalnum()
+
+
+def _ledger_tail(metadata: dict, streams: dict) -> Optional[str]:
+    """The template's metadata member for ``metadata``; ``None`` if
+    the block is not exactly the v1 ledger layout."""
+    if type(metadata) is not dict or len(metadata) != 1:
+        return None
+    block = metadata.get("ledger")
+    if type(block) is not dict or tuple(block) != _LEDGER_KEYS:
+        return None
+    version, stream, ordinal = block["v"], block["stream"], block["ordinal"]
+    prev, sha, digest = block["prev"], block["context_sha"], block["hash"]
+    if not (
+        type(version) is int and type(stream) is str
+        and type(ordinal) is int
+        and _plain(prev) and _plain(sha) and _plain(digest)
+    ):
+        return None
+    stream_text = streams.get(stream)
+    if stream_text is None:
+        stream_text = streams[stream] = json.dumps(stream)
+    return _LEDGER_BLOCK % (version, stream_text, ordinal, prev, sha, digest)
+
+
+def _encode_interaction(
+    interaction: Interaction, table: ContextTable, streams: dict
+) -> str:
+    action, reward = interaction.action, interaction.reward
+    propensity, timestamp = interaction.propensity, interaction.timestamp
+    if (
+        type(action) is int and type(reward) is float
+        and type(propensity) is float and type(timestamp) is float
+        and interaction.full_rewards is None
+        and _finite(reward) and _finite(propensity) and _finite(timestamp)
+    ):
+        metadata = interaction.metadata
+        tail = _ledger_tail(metadata, streams) if metadata else ""
+        if tail is not None:
+            return _LINE % (
+                table.texts((interaction.context,))[0], action,
+                repr(reward), repr(propensity), repr(timestamp), tail,
+            )
+    return json.dumps(interaction.to_dict()) + "\n"
+
+
+def _write_span(handle, table: ContextTable, encode_blocks) -> None:
+    """Write the blocks ``encode_blocks`` yields under a ``jsonl.write``
+    span recording rows, bytes, distinct contexts and memo hits."""
+    hits = table.hits
+    rows = size = 0
+    with get_tracer().span("jsonl.write") as span:
+        for lines in encode_blocks:
+            handle.writelines(lines)
+            rows += len(lines)
+            size += sum(map(len, lines))
+        span.set(
+            rows=rows, bytes=size, distinct_contexts=len(table),
+            memo_hits=table.hits - hits,
+        )
+
+
+def write_interactions(handle, interactions: Sequence[Interaction]) -> None:
+    """Append ``interactions`` to ``handle`` as v1 lines.
+
+    Byte-identical to writing ``json.dumps(i.to_dict()) + "\\n"`` for
+    each; records the template does not cover take exactly that path.
+    """
+    table = ContextTable()
+    streams: dict = {}
+
+    def blocks():
+        for start in range(0, len(interactions), WRITE_BLOCK):
+            yield [
+                _encode_interaction(interaction, table, streams)
+                for interaction in interactions[start : start + WRITE_BLOCK]
+            ]
+
+    _write_span(handle, table, blocks())
+
+
+def _float_texts(column: np.ndarray, memo: Optional[dict] = None) -> list:
+    """``repr`` of each float of ``column``, as ``json.dumps`` renders it.
+
+    Integral columns (no ``-0.0``, magnitudes below 1e16, where ``repr``
+    is the integer and ``.0``) format as integers; with ``memo``, each
+    distinct positive value is rendered once (positive floats that
+    compare equal have identical bits).
+    """
+    if (
+        (column == np.trunc(column)).all()
+        and (np.abs(column) < 1e16).all()
+        and not np.signbit(column[column == 0.0]).any()
+    ):
+        return [f"{value}.0" for value in column.astype(np.int64).tolist()]
+    values = column.tolist()
+    if memo is None:
+        return list(map(repr, values))
+    out = []
+    for value in values:
+        text = memo.get(value) if value > 0.0 else None
+        if text is None:
+            text = repr(value)
+            if value > 0.0 and len(memo) < TABLE_CAP:
+                memo[value] = text
+        out.append(text)
+    return out
+
+
+def _column_lines(
+    contexts: Sequence,
+    texts: list,
+    actions: np.ndarray,
+    rewards: np.ndarray,
+    propensities: np.ndarray,
+    timestamps: np.ndarray,
+    sealed: Optional[SealedRows],
+    offset: int,
+    memo: dict,
+) -> list[str]:
+    """Encode one block of rows; ``offset`` is the block's first row and
+    ``memo`` renders the propensities of every block of one write."""
+    n = len(texts)
+    finite = (
+        np.isfinite(rewards) & np.isfinite(propensities)
+        & np.isfinite(timestamps)
+    )
+    rows = [
+        texts,
+        actions.tolist(),
+        _float_texts(rewards),
+        _float_texts(propensities, memo),
+        _float_texts(timestamps),
+    ]
+    if sealed is None:
+        lines = [_LINE % (*row, "") for row in zip(*rows)]
+    else:
+        hashes = sealed.hashes[offset : offset + n]
+        prevs = [sealed.prev if offset == 0 else sealed.hashes[offset - 1]]
+        prevs.extend(hashes[:-1])
+        first = sealed.start + offset
+        rows += [
+            repeat(1, n),
+            repeat(json.dumps(sealed.stream), n),
+            range(first, first + n),
+            prevs,
+            sealed.context_shas[offset : offset + n],
+            hashes,
+        ]
+        lines = [_LEDGERED_LINE % row for row in zip(*rows)]
+    if not finite.all():
+        for row in np.flatnonzero(~finite).tolist():
+            record = {
+                "context": dict(contexts[row]),
+                "action": int(actions[row]),
+                "reward": float(rewards[row]),
+                "propensity": float(propensities[row]),
+                "timestamp": float(timestamps[row]),
+            }
+            if sealed is not None:
+                record["metadata"] = {
+                    "ledger": sealed.entry(offset + row).to_metadata()
+                }
+            lines[row] = json.dumps(record) + "\n"
+    return lines
+
+
+def write_columns(
+    handle,
+    table: ContextTable,
+    contexts: Sequence,
+    actions,
+    rewards,
+    propensities,
+    timestamps,
+    sealed: Optional[SealedRows] = None,
+    entries: Optional[Sequence[list]] = None,
+) -> None:
+    """Append columnar rows to ``handle`` as v1 lines, in blocks.
+
+    ``sealed`` (aligned with the rows) stamps each line's
+    ``metadata.ledger``; ``entries`` are the contexts' memo entries when
+    the caller already looked them up in ``table`` (the serving ledger
+    does, to seal).  The bytes equal ``json.dumps`` of the record
+    :meth:`~repro.core.columns.DatasetColumns.to_dataset` would build,
+    annotated from ``sealed``; rows with a non-finite number take
+    exactly that path.
+    """
+    actions = np.asarray(actions).astype(np.int64, copy=False)
+    rewards = np.asarray(rewards, dtype=np.float64)
+    propensities = np.asarray(propensities, dtype=np.float64)
+    timestamps = np.asarray(timestamps, dtype=np.float64)
+    n = len(contexts)
+    for name, column in (
+        ("actions", actions), ("rewards", rewards),
+        ("propensities", propensities), ("timestamps", timestamps),
+    ):
+        if len(column) != n:
+            raise ValueError(f"{n} contexts but {len(column)} {name}")
+    if sealed is not None and len(sealed) != n:
+        raise ValueError(f"{n} rows but {len(sealed)} sealed ledger rows")
+    memo: dict = {}
+
+    def blocks():
+        for start in range(0, n, WRITE_BLOCK):
+            stop = min(n, start + WRITE_BLOCK)
+            block = contexts[start:stop]
+            yield _column_lines(
+                block,
+                entry_texts(
+                    table.row_entries(block) if entries is None
+                    else entries[start:stop]
+                ),
+                actions[start:stop],
+                rewards[start:stop],
+                propensities[start:stop],
+                timestamps[start:stop],
+                sealed,
+                start,
+                memo,
+            )
+
+    _write_span(handle, table, blocks())
+
+
+# -- parse -------------------------------------------------------------------
+
+
+class RowBlock(NamedTuple):
+    """One block of admitted rows, in line order.
+
+    A reader that keeps rows (``keep_rows=True``) returns them as
+    ``interactions`` and leaves the columns empty; otherwise
+    ``interactions`` is ``None`` and the columns carry every row.
+    """
+
+    contexts: list
+    actions: np.ndarray
+    rewards: np.ndarray
+    propensities: np.ndarray
+    timestamps: np.ndarray
+    interactions: Optional[list]
+
+    @property
+    def n(self) -> int:
+        """Rows in the block."""
+        if self.interactions is not None:
+            return len(self.interactions)
+        return len(self.actions)
+
+
+def _fast_checks(validator: RecordValidator) -> Optional[tuple]:
+    """``(n_actions, reward_range)`` bounds of the fast path, or ``None``
+    when ``validator`` has rules only its own ``check`` can apply."""
+    if type(validator) is not RecordValidator or validator.extra_rules:
+        return None
+    if validator.monotone_timestamps:
+        return None
+    space = validator.action_space
+    if space is not None and space.restricted:
+        return None
+    return (space.n_actions if space is not None else None,
+            validator.reward_range)
+
+
+class LogReader:
+    """Parse and admit JSONL log lines into columns.
+
+    Takes the arguments of :func:`repro.core.validation.
+    validated_interactions` and accepts exactly the rows it accepts, in
+    the same order, with the same strict errors, quarantine entries,
+    repairs, chain state and monitor feed.  A row whose exact-type fast
+    checks pass — a ``dict`` record, a ``dict`` context of numeric
+    values, an ``int`` action, ``float`` reward, propensity and
+    timestamp inside the validator's bounds, no ``full_rewards``, and
+    (when ``chain`` is given) a v1 ledger block whose hash binding
+    verifies through the digest memo — goes straight into the columns;
+    any other row goes through ``admit_record``.
+
+    ``keep_rows=True`` also builds each row's :class:`Interaction`
+    (with its ``metadata``), which :meth:`repro.core.types.Dataset.
+    load_jsonl` returns; otherwise identical contexts share the first
+    one's dict and no per-row object is kept.  Readers of one log can
+    share a ``table``, so a second pass digests no context twice.
+    """
+
+    def __init__(
+        self,
+        path: str,
+        *,
+        mode: str = "strict",
+        validator: Optional[RecordValidator] = None,
+        quarantine: Optional[Quarantine] = None,
+        chain: Optional[ChainFollower] = None,
+        keep_rows: bool = False,
+        table: Optional[ContextTable] = None,
+    ) -> None:
+        self.path = path
+        self.mode = mode
+        self.validator = validator or RecordValidator()
+        self.quarantine = quarantine if quarantine is not None else Quarantine()
+        self.chain = chain
+        self.keep_rows = keep_rows
+        self.table = table if table is not None else ContextTable()
+        self._unreported = 0  # accepted rows not yet fed to the monitors
+
+    def read(self) -> RowBlock:
+        """Admit every line of the log into one block."""
+        (block,) = self.blocks(None)
+        return block
+
+    def blocks(self, block_rows: Optional[int]) -> Iterator[RowBlock]:
+        """Admit the log in blocks of ``block_rows`` rows (``None``: one).
+
+        Each block is read under its own ``jsonl.read`` span; nothing
+        is yielded while a span is open, so a consumer's spans never
+        nest inside the read.  The whole-file form always yields one
+        (possibly empty) block.
+        """
+        self.validator.reset()
+        monitors = (
+            get_monitors() if self.quarantine.record_metrics else NULL_MONITORS
+        )
+        tracer = get_tracer()
+        with open(self.path, "r", encoding="utf-8") as handle:
+            lines = enumerate(handle, start=1)
+            while True:
+                hits = self.table.hits
+                with tracer.span("jsonl.read") as span:
+                    block, size, done = self._read_block(
+                        lines, block_rows, monitors
+                    )
+                    span.set(
+                        rows=block.n, bytes=size,
+                        distinct_contexts=len(self.table),
+                        memo_hits=self.table.hits - hits,
+                    )
+                if done and self._unreported:
+                    monitors.observe_rows(self._unreported)
+                    self._unreported = 0
+                if block.n or block_rows is None:
+                    yield block
+                if done:
+                    return
+
+    def _read_block(self, lines, limit, monitors):
+        """Admit lines until ``limit`` rows are in; ``(block, bytes, eof)``."""
+        mode = self.mode
+        strict = mode == "strict"
+        source = self.path
+        validator = self.validator
+        quarantine = self.quarantine
+        chain = self.chain
+        keep_rows = self.keep_rows
+        fast = _fast_checks(validator)
+        n_actions, bounds = fast if fast is not None else (None, None)
+        entry_of = self.table.entry
+        loads = json.loads
+        contexts: list = []
+        actions: list = []
+        rewards: list = []
+        propensities: list = []
+        timestamps: list = []
+        interactions: Optional[list] = [] if keep_rows else None
+        size = 0
+        count_rows = monitors.enabled
+        done = True
+        for line_number, line in lines:
+            size += len(line)
+            raw = line.strip()
+            if not raw:
+                continue
+            try:
+                record = loads(raw)
+            except json.JSONDecodeError as error:
+                if strict:
+                    raise ValueError(
+                        f"{source}: invalid JSON at line {line_number}: "
+                        f"{error.msg}"
+                    ) from error
+                quarantine.add(line_number, UNPARSEABLE, error.msg, raw)
+                continue
+            admitted = False
+            if fast is not None and type(record) is dict:
+                context = record.get("context")
+                action = record.get("action")
+                reward = record.get("reward")
+                propensity = record.get("propensity")
+                timestamp = record.get("timestamp", 0.0)
+                metadata = record.get("metadata", _ABSENT)
+                if (
+                    type(context) is dict and type(action) is int
+                    and type(reward) is float and type(propensity) is float
+                    and type(timestamp) is float
+                    and (metadata is _ABSENT or type(metadata) is dict)
+                    and record.get("full_rewards") is None
+                    and action >= 0 and 0.0 < propensity <= 1.0
+                    and reward - reward == 0.0
+                    and (n_actions is None or action < n_actions)
+                    and (
+                        bounds is None
+                        or bounds.low <= reward <= bounds.high
+                    )
+                ):
+                    entry = entry_of(context)
+                    if entry is not None:
+                        admitted = chain is None or _bound(
+                            chain, entry, context, action, propensity,
+                            None if metadata is _ABSENT else metadata,
+                        )
+            if admitted:
+                if keep_rows:
+                    interactions.append(
+                        Interaction(
+                            context, action, reward, propensity, timestamp,
+                            None, {} if metadata is _ABSENT else metadata,
+                        )
+                    )
+                else:
+                    context = entry[2]
+            else:
+                interaction = admit_record(
+                    record, raw, line_number, mode, validator, quarantine,
+                    source, chain,
+                )
+                if interaction is None:
+                    continue
+                if keep_rows:
+                    interactions.append(interaction)
+                context = interaction.context
+                action = interaction.action
+                reward = interaction.reward
+                propensity = interaction.propensity
+                timestamp = interaction.timestamp
+            if not keep_rows:
+                contexts.append(context)
+                actions.append(action)
+                rewards.append(reward)
+                propensities.append(propensity)
+                timestamps.append(timestamp)
+            if count_rows:
+                # Batched so quarantine-rate denominators cost one fold
+                # per 1024 accepted rows, as validated_interactions does.
+                self._unreported += 1
+                if self._unreported >= 1024:
+                    monitors.observe_rows(self._unreported)
+                    self._unreported = 0
+            if limit is not None and (
+                len(interactions) if keep_rows else len(actions)
+            ) >= limit:
+                done = False
+                break
+        block = RowBlock(
+            contexts,
+            np.array(actions, dtype=np.int64),
+            np.array(rewards, dtype=np.float64),
+            np.array(propensities, dtype=np.float64),
+            np.array(timestamps, dtype=np.float64),
+            interactions,
+        )
+        return block, size, done
+
+
+_ABSENT = object()
+
+
+def _bound(
+    chain: ChainFollower,
+    entry: list,
+    context: dict,
+    action: int,
+    propensity: float,
+    metadata: Optional[dict],
+) -> bool:
+    """Check one fast-path row's ledger binding and advance the chain.
+
+    ``True`` when the row is authentic (or legitimately unledgered); the
+    chain has then moved past it exactly as ``ChainFollower.observe``
+    moves.  ``False`` leaves the chain untouched, for ``admit_record``
+    to report the defect.
+    """
+    block = metadata.get("ledger") if metadata is not None else None
+    if type(block) is not dict:
+        return not chain.engaged
+    if chain.strict_links and block.get("prev") != chain.head:
+        return False
+    if not _authentic(entry, context, action, propensity, block):
+        return False
+    chain._advance(block)
+    return True
+
+
+def _authentic(entry, context, action, propensity, block) -> bool:
+    """Whether a ledger block has the v1 fields with exact types and
+    binds its record: the memoized context digest and the recomputed
+    entry hash both match."""
+    if not (
+        type(block.get("stream")) is str
+        and type(block.get("ordinal")) is int
+        and type(block.get("prev")) is str
+        and type(block.get("context_sha")) is str
+        and type(block.get("hash")) is str
+    ):
+        return False
+    digest = entry[0]
+    if digest is None:
+        try:
+            digest = entry[0] = context_digest(context)
+        except (TypeError, ValueError):
+            return False
+    if digest != block["context_sha"]:
+        return False
+    try:
+        message = (
+            f"{block['prev']}|{block['stream']}|{block['ordinal']}|"
+            f"{digest}|{action}|{propensity.hex()}"
+        ).encode("ascii")
+    except UnicodeEncodeError:
+        return False
+    return _sha256(message).hexdigest() == block["hash"]
+
+
+# -- verify ------------------------------------------------------------------
+
+#: What an unparseable or non-object line verifies as: a ledger block
+#: with no fields, so it fails its binding at its own line number.
+_NO_BLOCK_ISSUES = tuple(_binding_issues({}, {}))
+
+
+class _LineStats:
+    """Counters :func:`checked_lines` fills for its caller's span."""
+
+    def __init__(self, table: ContextTable) -> None:
+        self.table = table
+        self.rows = 0
+        self.bytes = 0
+
+
+def checked_lines(path: str, stats: Optional[_LineStats] = None) -> Iterator:
+    """``(line number, ledger block or None, binding issues)`` per record.
+
+    The verify walk's reader: every non-blank line is a record.  An
+    unparseable line, or one that is not a JSON object, carries an
+    empty ledger block and so fails its binding at its line number.  A
+    v1 block with exact field types is checked through the digest
+    memo; anything else through the per-record ``_binding_issues``,
+    whose messages the fast check never has to reproduce.
+    """
+    stats = stats if stats is not None else _LineStats(ContextTable())
+    entry_of = stats.table.entry
+    loads = json.loads
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            stats.bytes += len(line)
+            raw = line.strip()
+            if not raw:
+                continue
+            stats.rows += 1
+            try:
+                record = loads(raw)
+            except json.JSONDecodeError:
+                yield line_number, {}, _NO_BLOCK_ISSUES
+                continue
+            if type(record) is not dict:
+                yield line_number, {}, _NO_BLOCK_ISSUES
+                continue
+            metadata = record.get("metadata")
+            block = metadata.get("ledger") if type(metadata) is dict else None
+            if type(block) is not dict:
+                yield line_number, None, []
+                continue
+            context = record.get("context")
+            action = record.get("action")
+            propensity = record.get("propensity")
+            if (
+                type(context) is dict and type(action) is int
+                and type(propensity) is float
+            ):
+                entry = entry_of(context)
+                if entry is not None and _authentic(
+                    entry, context, action, propensity, block
+                ):
+                    yield line_number, block, []
+                    continue
+            yield line_number, block, _binding_issues(record, block)
+
+
+@contextmanager
+def checked_read(path: str) -> Iterator[Iterator]:
+    """:func:`checked_lines` of ``path`` under one ``jsonl.read`` span.
+
+    The span covers whatever the ``with`` body does with the lines and
+    records the rows, bytes, distinct contexts and memo hits read.
+    """
+    stats = _LineStats(ContextTable())
+    with get_tracer().span("jsonl.read") as span:
+        try:
+            yield checked_lines(path, stats)
+        finally:
+            span.set(
+                rows=stats.rows, bytes=stats.bytes,
+                distinct_contexts=len(stats.table),
+                memo_hits=stats.table.hits,
+            )

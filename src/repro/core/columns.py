@@ -313,10 +313,47 @@ class DatasetColumns(ContextColumns):
             rewards[row] = interaction.reward
             propensities[row] = interaction.propensity
             timestamps[row] = interaction.timestamp
-        contexts: tuple[Context, ...] = tuple(context_list)
-        del context_list
+        self._assemble(
+            tuple(context_list), actions, rewards, propensities, timestamps,
+            dataset.action_space, dataset.reward_range,
+        )
 
-        space = dataset.action_space
+    @classmethod
+    def from_log(
+        cls,
+        contexts: Sequence[Context],
+        actions: np.ndarray,
+        rewards: np.ndarray,
+        propensities: np.ndarray,
+        timestamps: np.ndarray,
+        *,
+        action_space: Optional[ActionSpace] = None,
+        reward_range: Optional[RewardRange] = None,
+    ) -> "DatasetColumns":
+        """The view a :class:`Dataset` of these rows would build.
+
+        The log reader's path (:mod:`repro.core.codec`): parsed columns
+        become exactly the columns ``Dataset(rows, action_space,
+        reward_range).columns()`` holds — same eligibility
+        reconstruction, same arrays — without the per-row objects.
+        """
+        columns = cls.__new__(cls)
+        columns._assemble(
+            tuple(contexts),
+            np.asarray(actions, dtype=np.int64),
+            np.asarray(rewards, dtype=np.float64),
+            np.asarray(propensities, dtype=np.float64),
+            np.asarray(timestamps, dtype=np.float64),
+            action_space,
+            reward_range,
+        )
+        return columns
+
+    def _assemble(
+        self, contexts, actions, rewards, propensities, timestamps, space,
+        reward_range,
+    ) -> None:
+        n = len(contexts)
         if space is not None:
             n_actions = space.n_actions
         elif n > 0:
@@ -348,7 +385,7 @@ class DatasetColumns(ContextColumns):
         self.propensities = propensities
         self.timestamps = timestamps
         self.action_space = space
-        self.reward_range = dataset.reward_range
+        self.reward_range = reward_range
         self._observed_actions: Optional[np.ndarray] = None
         self._identity_error: Optional[float] = None
 

@@ -325,12 +325,12 @@ def _harvest_shard_impl(
         "seconds": 0.0,
     }
     if ledger is not None:
-        entries = ledger.entries()
+        sealed = ledger.sealed()
         payload.update(
-            context_shas=[entry.context_sha for entry in entries],
+            context_shas=sealed.context_shas,
             genesis=genesis,
             head=ledger.head,
-            entries=entries,
+            sealed=sealed,
         )
     return payload
 
@@ -388,11 +388,11 @@ def _shard_worker(payload: tuple) -> dict:
     if profiler is not None:
         result["profile"] = profiler.to_dict()
     result["seconds"] = time.perf_counter() - clock
-    # Sealed entries never leave the worker: the coordinator must
-    # re-chain remote payloads from the shipped digests anyway (the
-    # head doubles as the transport checksum), so shipping them would
-    # be pickle weight that could only tempt an unverified adoption.
-    result.pop("entries", None)
+    # Sealed rows never leave the worker: the coordinator must re-chain
+    # remote payloads from the shipped digests anyway (the head doubles
+    # as the transport checksum), so shipping them would be pickle
+    # weight that could only tempt an unverified adoption.
+    result.pop("sealed", None)
     return result
 
 

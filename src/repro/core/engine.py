@@ -293,16 +293,38 @@ def _fold_slice_worker(payload):
 # out-of-core evaluation: stream a JSONL log through the reduction kernel
 
 
-def _iter_interaction_chunks(stream, chunk_size: int):
-    """Group an interaction iterator into lists of ``chunk_size``."""
-    chunk: list = []
-    for interaction in stream:
-        chunk.append(interaction)
-        if len(chunk) >= chunk_size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+def _read_blocks(path, mode, validator, quarantine, chunk_size, table):
+    """Admit ``path`` in ``chunk_size``-row column blocks.
+
+    Both streamed passes read through the log codec exactly as
+    ``Dataset.load_jsonl(verify_ledger="auto")`` does: ledger bindings
+    are checked (linkage too in strict mode), and broken ones raise or
+    are set aside under ``ledger``.
+    """
+    from repro.audit.ledger import ChainFollower
+    from repro.core.codec import LogReader
+
+    reader = LogReader(
+        path,
+        mode=mode,
+        validator=validator,
+        quarantine=quarantine,
+        chain=ChainFollower(strict_links=(mode == "strict")),
+        table=table,
+    )
+    return reader.blocks(chunk_size)
+
+
+def _chunk_columns(block, space, reward_range):
+    """The columns ``Dataset(rows, space, reward_range)`` would build."""
+    from repro.core.columns import DatasetColumns
+    from repro.core.types import RewardRange
+
+    return DatasetColumns.from_log(
+        block.contexts, block.actions, block.rewards, block.propensities,
+        block.timestamps, action_space=space,
+        reward_range=reward_range or RewardRange(),
+    )
 
 
 def _fold_chunk_worker(payload):
@@ -320,9 +342,7 @@ def _fold_chunk_worker(payload):
     it home serialized so the merged span tree covers every chunk no
     matter which process folded it.
     """
-    interactions, space, reward_range, reductions, index, traced = payload
-    from repro.core.types import Dataset
-
+    block, space, reward_range, reductions, index, traced = payload
     span_dict = None
     start = time.perf_counter()
     if traced:
@@ -330,21 +350,16 @@ def _fold_chunk_worker(payload):
 
         tracer = Tracer()
         with tracer.span(
-            "evaluate.chunk", index=index, rows=len(interactions),
-            worker=True,
+            "evaluate.chunk", index=index, rows=block.n, worker=True,
         ):
-            columns = Dataset(
-                interactions, action_space=space, reward_range=reward_range
-            ).columns()
+            columns = _chunk_columns(block, space, reward_range)
             states = [
                 reduction.fold(reduction.init_state(), columns)
                 for reduction in reductions
             ]
         span_dict = tracer.span_tree()[0]
     else:
-        columns = Dataset(
-            interactions, action_space=space, reward_range=reward_range
-        ).columns()
+        columns = _chunk_columns(block, space, reward_range)
         states = [
             reduction.fold(reduction.init_state(), columns)
             for reduction in reductions
@@ -352,15 +367,17 @@ def _fold_chunk_worker(payload):
     return states, time.perf_counter() - start, span_dict
 
 
-def _scan_context_keys(chunk, keys: set) -> bool:
+def _scan_context_keys(contexts, keys: set) -> bool:
     """Collect context keys from a chunk; ``False`` if any value won't pack.
 
     Feeds the discovery pass's shared-memory vocabulary: only exactly
     numeric values (bools excluded — they'd lose their type through a
-    float64 cell) can live in the packed context matrix.
+    float64 cell) can live in the packed context matrix.  Each distinct
+    context object is scanned once (the reader shares one dict between
+    identical contexts).
     """
-    for interaction in chunk:
-        for key, value in interaction.context.items():
+    for context in {id(context): context for context in contexts}.values():
+        for key, value in context.items():
             if isinstance(value, bool) or not isinstance(
                 value, (int, float, np.integer, np.floating)
             ):
@@ -512,9 +529,14 @@ def evaluate_jsonl_chunked(
        serially or across ``workers`` processes.  Chunk states merge in
        chunk order, so parallel and serial runs agree bit-for-bit.
 
-    Validation (:mod:`repro.core.validation`) is deterministic, so both
-    passes accept the same rows; the fold pass's quarantine is the one
-    reported.  ``mode="strict"`` raises on the first defect,
+    Both passes read through the log codec's
+    :class:`~repro.core.codec.LogReader`, which parses lines straight
+    into columns and checks ledger bindings exactly as
+    ``Dataset.load_jsonl(verify_ledger="auto")`` does: a tampered
+    record raises in strict mode and is set aside under ``ledger``
+    otherwise.  Validation is deterministic, so both passes accept the
+    same rows; the fold pass's quarantine is the one reported.
+    ``mode="strict"`` raises on the first defect,
     ``"quarantine"``/``"repair"`` set defects aside and keep going —
     the chaos suite proves quarantine counts and UNRELIABLE verdicts
     survive chunk-boundary folding.
@@ -570,6 +592,7 @@ def _evaluate_jsonl_chunked(
     collect_terms: bool,
 ) -> ChunkedEvaluation:
     from repro.core import shm
+    from repro.core.codec import ContextTable
     from repro.core.columns import pinned_action_space
     from repro.core.estimators.direct import RewardModelFolder
     from repro.core.estimators.reductions import (
@@ -577,8 +600,6 @@ def _evaluate_jsonl_chunked(
         LogStats,
         ReductionContext,
     )
-    from repro.core.streaming import ValidatedInteractionStream
-    from repro.core.types import Dataset
     from repro.core.validation import Quarantine, RecordValidator, check_mode
 
     check_mode(mode)
@@ -605,6 +626,9 @@ def _evaluate_jsonl_chunked(
     )
 
     # -- pass 1: discovery -------------------------------------------------
+    # Both passes share one memo, so the fold pass digests no context
+    # the discovery pass already did.
+    memo = ContextTable()
     tracer = get_tracer()
     metrics = get_metrics()
     stats = LogStats()
@@ -621,37 +645,18 @@ def _evaluate_jsonl_chunked(
     with tracer.span(
         "evaluate.validation", path=path, mode=mode
     ) as validation_span:
-        with open(path, "r", encoding="utf-8") as handle:
-            stream = ValidatedInteractionStream(
-                handle,
-                mode=mode,
-                validator=validator,
-                source_name=path,
-                quarantine=Quarantine(record_metrics=False),
-            )
-            for chunk in _iter_interaction_chunks(stream, chunk_size):
-                count = len(chunk)
-                actions = np.fromiter(
-                    (i.action for i in chunk), dtype=np.int64, count=count
-                )
-                propensities = np.fromiter(
-                    (i.propensity for i in chunk), dtype=np.float64, count=count
-                )
-                stats.fold(actions, propensities)
-                observed.update(int(a) for a in np.unique(actions))
-                total_rows += count
-                if shm_ok:
-                    shm_ok = _scan_context_keys(chunk, ctx_keys)
-                if folder is not None:
-                    rewards = np.fromiter(
-                        (i.reward for i in chunk), dtype=np.float64, count=count
-                    )
-                    folder.fold_rows(
-                        [i.context for i in chunk], actions, rewards
-                    )
-            validation_span.set(
-                rows=total_rows, rejected=stream.quarantine.n_rejected
-            )
+        discovery = Quarantine(record_metrics=False)
+        for block in _read_blocks(
+            path, mode, validator, discovery, chunk_size, memo
+        ):
+            stats.fold(block.actions, block.propensities)
+            observed.update(int(a) for a in np.unique(block.actions))
+            total_rows += block.n
+            if shm_ok:
+                shm_ok = _scan_context_keys(block.contexts, ctx_keys)
+            if folder is not None:
+                folder.fold_rows(block.contexts, block.actions, block.rewards)
+        validation_span.set(rows=total_rows, rejected=discovery.n_rejected)
     if total_rows == 0:
         raise ValueError(f"{path}: no valid interactions to evaluate")
 
@@ -724,113 +729,98 @@ def _evaluate_jsonl_chunked(
 
     monitors = get_monitors()
 
-    def _observe_chunk(chunk) -> None:
-        # One monitor feed per *chunk*, not per reduction — the fold
-        # below runs every (policy x estimator) reduction over the same
-        # rows, and double-feeding would inflate the ESS windows.
-        if monitors.enabled and chunk:
-            monitors.observe_propensities(
-                np.fromiter(
-                    (interaction.propensity for interaction in chunk),
-                    dtype=np.float64,
-                    count=len(chunk),
-                )
-            )
-
     def _fold_pass(parallel: bool):
         states = [reduction.init_state() for reduction in reductions]
         n_chunks = 0
-        with open(path, "r", encoding="utf-8") as handle:
-            stream = ValidatedInteractionStream(
-                handle, mode=mode, validator=validator, source_name=path
-            )
-            chunks = _iter_interaction_chunks(stream, chunk_size)
-            if not parallel:
-                for chunk in chunks:
-                    start = time.perf_counter()
-                    with tracer.span(
-                        "evaluate.chunk", index=n_chunks, rows=len(chunk)
-                    ):
-                        columns = Dataset(
-                            chunk, action_space=space,
-                            reward_range=reward_range,
-                        ).columns()
-                        if monitors.enabled:
-                            monitors.observe_propensities(
-                                columns.propensities
-                            )
-                        for index, reduction in enumerate(reductions):
-                            states[index] = reduction.fold(
-                                states[index], columns
-                            )
-                    fold_seconds.observe(time.perf_counter() - start)
-                    fold_count.inc()
-                    n_chunks += 1
-                return states, n_chunks, stream.quarantine
+        quarantine = Quarantine()
+        chunks = _read_blocks(
+            path, mode, validator, quarantine, chunk_size, memo
+        )
+        if not parallel:
+            for chunk in chunks:
+                start = time.perf_counter()
+                with tracer.span(
+                    "evaluate.chunk", index=n_chunks, rows=chunk.n
+                ):
+                    columns = _chunk_columns(chunk, space, reward_range)
+                    if monitors.enabled:
+                        monitors.observe_propensities(columns.propensities)
+                    for index, reduction in enumerate(reductions):
+                        states[index] = reduction.fold(
+                            states[index], columns
+                        )
+                fold_seconds.observe(time.perf_counter() - start)
+                fold_count.inc()
+                n_chunks += 1
+            return states, n_chunks, quarantine
 
-            # Parallel: ship each chunk as a one-shot shared segment
-            # (a few-hundred-byte payload) when the data packs, or as
-            # pickled rows otherwise.  Bound in-flight chunks so peak
-            # memory — including live segments — stays O(workers ×
-            # chunk) even when folding lags the file read; segments
-            # are unlinked as soon as their chunk merges, and in
-            # ``finally`` on any failure.
-            traced = tracer.enabled
-            executor = worker_pool.get_pool(workers)
-            in_flight: deque = deque()
+        # Parallel: ship each chunk as a one-shot shared segment (a
+        # few-hundred-byte payload) when the data packs, or as pickled
+        # columns otherwise.  Bound in-flight chunks so peak memory —
+        # including live segments — stays O(workers × chunk) even when
+        # folding lags the file read; segments are unlinked as soon as
+        # their chunk merges, and in ``finally`` on any failure.
+        traced = tracer.enabled
+        executor = worker_pool.get_pool(workers)
+        in_flight: deque = deque()
 
-            def _drain_one() -> None:
-                future, block = in_flight.popleft()
-                try:
-                    outcome = future.result()
-                finally:
-                    if block is not None:
-                        block.release()
-                _merge(outcome, states)
-
+        def _drain_one() -> None:
+            future, block = in_flight.popleft()
             try:
-                for chunk in chunks:
-                    _observe_chunk(chunk)
-                    block = None
-                    if use_shm:
-                        try:
-                            block = shm.pack_interactions(
-                                chunk, key_to_col, eligible_shared,
-                                space.n_actions,
-                            )
-                        except shm.SharedMemoryUnsupported:
-                            block = None
-                    try:
-                        if block is not None:
-                            future = executor.submit(
-                                _fold_shm_chunk_worker,
-                                (job_key, job_blob, block.descriptor,
-                                 n_chunks, traced),
-                            )
-                        else:
-                            future = executor.submit(
-                                _fold_chunk_worker,
-                                (chunk, space, reward_range, reductions,
-                                 n_chunks, traced),
-                            )
-                    except BaseException:
-                        # submit itself fails on an already-broken pool;
-                        # the block is not in ``in_flight`` yet, so the
-                        # outer finally would miss it.
-                        if block is not None:
-                            block.release()
-                        raise
-                    in_flight.append((future, block))
-                    n_chunks += 1
-                    if len(in_flight) >= 2 * workers:
-                        _drain_one()
-                while in_flight:
-                    _drain_one()
+                outcome = future.result()
             finally:
-                for _future, block in in_flight:
+                if block is not None:
+                    block.release()
+            _merge(outcome, states)
+
+        try:
+            for chunk in chunks:
+                # One monitor feed per *chunk*, not per reduction — the
+                # workers run every (policy x estimator) reduction over
+                # the same rows, and double-feeding would inflate the
+                # ESS windows.
+                if monitors.enabled:
+                    monitors.observe_propensities(chunk.propensities)
+                block = None
+                if use_shm:
+                    try:
+                        block = shm.pack_chunk(
+                            chunk, key_to_col, eligible_shared,
+                            space.n_actions,
+                        )
+                    except shm.SharedMemoryUnsupported:
+                        block = None
+                try:
+                    if block is not None:
+                        future = executor.submit(
+                            _fold_shm_chunk_worker,
+                            (job_key, job_blob, block.descriptor,
+                             n_chunks, traced),
+                        )
+                    else:
+                        future = executor.submit(
+                            _fold_chunk_worker,
+                            (chunk, space, reward_range, reductions,
+                             n_chunks, traced),
+                        )
+                except BaseException:
+                    # submit itself fails on an already-broken pool; the
+                    # block is not in ``in_flight`` yet, so the outer
+                    # finally would miss it.
                     if block is not None:
                         block.release()
-            return states, n_chunks, stream.quarantine
+                    raise
+                in_flight.append((future, block))
+                n_chunks += 1
+                if len(in_flight) >= 2 * workers:
+                    _drain_one()
+            while in_flight:
+                _drain_one()
+        finally:
+            for _future, block in in_flight:
+                if block is not None:
+                    block.release()
+        return states, n_chunks, quarantine
 
     with tracer.span(
         "evaluate.fold", chunk_size=chunk_size, workers=workers

@@ -19,7 +19,7 @@ plane:
   features (packed as a dense ``(N, C)`` float matrix over the sorted
   key vocabulary plus an insertion-order map so worker-side dicts
   rebuild *exactly*, preserving hashed-feature summation order).
-  :func:`pack_interactions` is the streaming variant used by the JSONL
+  :func:`pack_chunk` is the streaming variant used by the JSONL
   driver, which packs each chunk straight from interaction rows.
 - Lifecycle: the creating process owns every segment.  Owners are
   tracked in a registry; :meth:`SharedArrayBlock.release` is
@@ -531,32 +531,25 @@ def pack_columns(columns: DatasetColumns) -> SharedArrayBlock:
     return SharedArrayBlock.create(arrays, meta)
 
 
-def pack_interactions(
-    rows,
+def pack_chunk(
+    chunk,
     key_to_col: dict,
     eligible_shared: tuple,
     n_actions: int,
 ) -> SharedArrayBlock:
-    """Pack one chunk of interaction rows straight into a segment.
+    """Pack one chunk of parsed log rows straight into a segment.
 
-    The JSONL driver's path: no intermediate ``Dataset`` or
-    ``DatasetColumns`` is built parent-side.  ``key_to_col`` comes from
+    The JSONL driver's path: ``chunk`` is a
+    :class:`~repro.core.codec.RowBlock` of the log reader's columns,
+    and no ``Dataset`` or ``DatasetColumns`` is built parent-side.  ``key_to_col`` comes from
     the discovery pass's global vocabulary and ``eligible_shared`` from
     the pinned action space, so worker-side views agree with the
     whole-log reconstruction exactly.  The context vocabulary itself
     rides in the once-pickled job blob, not in each descriptor.
     """
-    n = len(rows)
-    actions = np.fromiter((r.action for r in rows), dtype=np.int64, count=n)
-    rewards = np.fromiter((r.reward for r in rows), dtype=np.float64, count=n)
-    propensities = np.fromiter(
-        (r.propensity for r in rows), dtype=np.float64, count=n
-    )
-    timestamps = np.fromiter(
-        (r.timestamp for r in rows), dtype=np.float64, count=n
-    )
+    n = chunk.n
     values, order = _pack_context_rows(
-        [r.context for r in rows], key_to_col, len(key_to_col)
+        chunk.contexts, key_to_col, len(key_to_col)
     )
     meta = {
         "n": n,
@@ -570,10 +563,10 @@ def pack_interactions(
     }
     return SharedArrayBlock.create(
         OrderedDict(
-            actions=actions,
-            rewards=rewards,
-            propensities=propensities,
-            timestamps=timestamps,
+            actions=chunk.actions,
+            rewards=chunk.rewards,
+            propensities=chunk.propensities,
+            timestamps=chunk.timestamps,
             ctx_values=values,
             ctx_order=order,
         ),

@@ -10,7 +10,6 @@ with the bookkeeping needed by the estimators and learners.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -195,7 +194,7 @@ class Dataset:
         action_space: Optional[ActionSpace] = None,
         reward_range: Optional[RewardRange] = None,
     ) -> None:
-        self._interactions: list[Interaction] = list(interactions or [])
+        self._rows: Optional[list[Interaction]] = list(interactions or [])
         self.action_space = action_space
         self.reward_range = reward_range or RewardRange()
         #: Populated by validated loaders (see :mod:`repro.core.validation`):
@@ -206,11 +205,47 @@ class Dataset:
         self._version = 0
         self._columns_cache = None
         self._columns_version = -1
+        # Sealed ledger rows a columns-backed view stamps into each
+        # row's metadata (see :meth:`from_columns`).
+        self._sealed = None
+
+    @classmethod
+    def from_columns(cls, columns, sealed=None) -> "Dataset":
+        """A dataset backed by a columnar view, holding no per-row objects.
+
+        ``columns`` (a :class:`~repro.core.columns.DatasetColumns`) is
+        the dataset's :meth:`columns`; ``sealed`` (a
+        :class:`~repro.audit.ledger.SealedRows` aligned with the rows)
+        is the chain each row's ``metadata["ledger"]`` carries.
+        :meth:`save_jsonl` writes straight from both, and the first
+        per-row access (iteration, indexing, mutation) materializes
+        :class:`Interaction` objects — with ledger metadata when
+        ``sealed`` is given, and no ``full_rewards``.
+        """
+        dataset = cls(None, columns.action_space, columns.reward_range)
+        dataset._rows = None
+        dataset._columns_cache = columns
+        dataset._columns_version = dataset._version
+        dataset._sealed = sealed
+        return dataset
+
+    @property
+    def _interactions(self) -> list[Interaction]:
+        """The per-row list, materialized from the columns on first use."""
+        if self._rows is None:
+            rows = self._columns_cache.to_dataset()._interactions
+            if self._sealed is not None:
+                for interaction, entry in zip(rows, self._sealed.entries()):
+                    interaction.metadata["ledger"] = entry.to_metadata()
+            self._rows = rows
+        return self._rows
 
     # -- container protocol ------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._interactions)
+        if self._rows is None:
+            return self._columns_cache.n
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Interaction]:
         return iter(self._interactions)
@@ -340,10 +375,26 @@ class Dataset:
     # -- persistence ----------------------------------------------------------
 
     def save_jsonl(self, path: str) -> None:
-        """Write one JSON object per line (the scavengeable log format)."""
+        """Write one JSON object per line (the scavengeable log format).
+
+        Each line is ``json.dumps(interaction.to_dict())``, byte for
+        byte, written through the log codec (:mod:`repro.core.codec`),
+        which encodes each distinct context once.  A columns-backed
+        dataset (:meth:`from_columns`) writes straight from its columns
+        and sealed ledger rows, building no per-row object.
+        """
+        from repro.core import codec
+
         with open(path, "w", encoding="utf-8") as f:
-            for interaction in self._interactions:
-                f.write(json.dumps(interaction.to_dict()) + "\n")
+            if self._rows is None:
+                columns = self._columns_cache
+                codec.write_columns(
+                    f, codec.ContextTable(), columns.contexts,
+                    columns.actions, columns.rewards, columns.propensities,
+                    columns.timestamps, self._sealed,
+                )
+            else:
+                codec.write_interactions(f, self._rows)
 
     @classmethod
     def load_jsonl(
@@ -354,6 +405,7 @@ class Dataset:
         mode: str = "strict",
         validator=None,
         verify_ledger: str = "auto",
+        columnar: bool = False,
     ) -> "Dataset":
         """Inverse of :meth:`save_jsonl`, with a validated data boundary.
 
@@ -383,12 +435,24 @@ class Dataset:
         quarantined record necessarily leaves a gap — run
         :func:`repro.audit.ledger.rechain` over the survivors to
         restore a clean chain.
+
+        Lines are read by the log codec's
+        :class:`~repro.core.codec.LogReader`, which accepts exactly the
+        records — with the same errors and quarantine reports — that
+        :func:`repro.core.validation.validated_interactions` does, but
+        digests each distinct context once and checks clean rows with
+        exact-type tests.  The interactions keep their ``metadata`` and
+        ``full_rewards``.  ``columnar=True`` instead returns a
+        columns-backed view (:meth:`from_columns`) for pure folding: no
+        per-row ``Interaction``, record dict or metadata dict is kept,
+        identical contexts share one dict, and rows materialized from
+        it carry no metadata or ``full_rewards``.
         """
+        from repro.core.codec import LogReader
         from repro.core.validation import (
             Quarantine,
             RecordValidator,
             check_mode,
-            validated_interactions,
         )
 
         check_mode(mode)
@@ -411,23 +475,32 @@ class Dataset:
                 )
             )
         quarantine = Quarantine()
-        with open(path, "r", encoding="utf-8") as f:
-            interactions = list(
-                validated_interactions(
-                    f,
-                    mode=mode,
-                    validator=validator,
-                    quarantine=quarantine,
-                    source_name=path,
-                    chain=chain,
-                )
-            )
+        block = LogReader(
+            path,
+            mode=mode,
+            validator=validator,
+            quarantine=quarantine,
+            chain=chain,
+            keep_rows=not columnar,
+        ).read()
         if verify_ledger == "require" and (chain is None or not chain.engaged):
             raise ValueError(
                 f"{path}: verify_ledger='require' but the log carries no "
                 "ledger metadata"
             )
-        dataset = cls(interactions, action_space, reward_range)
+        if columnar:
+            from repro.core.columns import DatasetColumns
+
+            dataset = cls.from_columns(
+                DatasetColumns.from_log(
+                    block.contexts, block.actions, block.rewards,
+                    block.propensities, block.timestamps,
+                    action_space=action_space,
+                    reward_range=reward_range or RewardRange(),
+                )
+            )
+        else:
+            dataset = cls(block.interactions, action_space, reward_range)
         dataset.quarantine = quarantine
         from repro.obs.metrics import get_metrics
 

@@ -430,6 +430,75 @@ class RecordValidator:
         return repaired, remaining, applied
 
 
+def admit_record(
+    record: object,
+    raw: str,
+    line_number: int,
+    mode: str,
+    validator: RecordValidator,
+    quarantine: Quarantine,
+    source_name: str,
+    chain=None,
+) -> Optional[Interaction]:
+    """Admit one parsed record: the per-record path of every validated read.
+
+    Checks the ledger binding (when ``chain`` is given), the value rules,
+    and repair, then builds the :class:`Interaction`.  Returns it, or
+    ``None`` once the record is quarantined; in strict mode the first
+    defect raises a :class:`ValueError` naming ``source_name`` and the
+    1-based ``line_number`` instead.  :func:`validated_interactions`
+    runs every record through here, and the columnar reader of
+    :mod:`repro.core.codec` every record its exact-type fast checks do
+    not clear, so both report identical reasons, details and examples.
+    """
+    chain_issues: list[tuple[str, str]] = []
+    if chain is not None and isinstance(record, Mapping):
+        # Check the binding on the ORIGINAL record (repair must not
+        # resurrect a tampered one), then advance the head over the
+        # log as written, accepted or not.
+        chain_issues = list(chain.check(record))
+        chain.observe(record)
+    if chain_issues:
+        reason, detail = chain_issues[0]
+        if mode == "strict":
+            raise ValueError(
+                f"{source_name}: line {line_number}: {reason}: {detail}"
+            )
+        quarantine.add(
+            line_number, reason,
+            "; ".join(d for _, d in chain_issues), raw,
+        )
+        return None
+    issues = validator.check(record)
+    if issues and mode == "repair" and isinstance(record, Mapping):
+        record, issues, applied = validator.repair(record, issues)
+        for reason in applied:
+            quarantine.note_repair(reason)
+    if issues:
+        reason, detail = issues[0]
+        if mode == "strict":
+            raise ValueError(
+                f"{source_name}: line {line_number}: {reason}: {detail}"
+            )
+        quarantine.add(
+            line_number, reason, "; ".join(d for _, d in issues), raw
+        )
+        return None
+    try:
+        interaction = Interaction.from_dict(record)  # type: ignore[arg-type]
+    except (KeyError, TypeError, ValueError) as error:
+        # Belt and braces: whatever the rules missed, the Interaction
+        # constructor's own invariants still hold the line.
+        if mode == "strict":
+            raise ValueError(
+                f"{source_name}: line {line_number}: {error}"
+            ) from error
+        quarantine.add(line_number, SCHEMA, str(error), raw)
+        return None
+    validator.observe(record)  # type: ignore[arg-type]
+    return interaction
+
+
 def validated_interactions(
     source: Iterable[Union[str, Mapping]],
     mode: str = "strict",
@@ -440,7 +509,9 @@ def validated_interactions(
 ) -> Iterator[Interaction]:
     """Validate a stream of JSONL lines (or parsed dicts) into Interactions.
 
-    The shared driver behind every validated entry point.  ``source``
+    The per-record driver behind :class:`~repro.core.streaming.
+    ValidatedInteractionStream` and the reference the columnar reader
+    (:mod:`repro.core.codec`) is held to.  ``source``
     may mix raw JSONL strings and already-parsed mappings.  In strict
     mode the first defect raises a :class:`ValueError` naming
     ``source_name`` and the 1-based line number; otherwise defects land
@@ -480,51 +551,12 @@ def validated_interactions(
                 continue
         else:
             record = item
-        chain_issues: list[tuple[str, str]] = []
-        if chain is not None and isinstance(record, Mapping):
-            # Check the binding on the ORIGINAL record (repair must not
-            # resurrect a tampered one), then advance the head over the
-            # log as written, accepted or not.
-            chain_issues = list(chain.check(record))
-            chain.observe(record)
-        if chain_issues:
-            reason, detail = chain_issues[0]
-            if mode == "strict":
-                raise ValueError(
-                    f"{source_name}: line {line_number}: {reason}: {detail}"
-                )
-            quarantine.add(
-                line_number, reason,
-                "; ".join(d for _, d in chain_issues), raw,
-            )
+        interaction = admit_record(
+            record, raw, line_number, mode, validator, quarantine,
+            source_name, chain,
+        )
+        if interaction is None:
             continue
-        issues = validator.check(record)
-        if issues and mode == "repair" and isinstance(record, Mapping):
-            record, issues, applied = validator.repair(record, issues)
-            for reason in applied:
-                quarantine.note_repair(reason)
-        if issues:
-            reason, detail = issues[0]
-            if mode == "strict":
-                raise ValueError(
-                    f"{source_name}: line {line_number}: {reason}: {detail}"
-                )
-            quarantine.add(
-                line_number, reason, "; ".join(d for _, d in issues), raw
-            )
-            continue
-        try:
-            interaction = Interaction.from_dict(record)  # type: ignore[arg-type]
-        except (KeyError, TypeError, ValueError) as error:
-            # Belt and braces: whatever the rules missed, the Interaction
-            # constructor's own invariants still hold the line.
-            if mode == "strict":
-                raise ValueError(
-                    f"{source_name}: line {line_number}: {error}"
-                ) from error
-            quarantine.add(line_number, SCHEMA, str(error), raw)
-            continue
-        validator.observe(record)  # type: ignore[arg-type]
         if monitors.enabled:
             # Batched so quarantine-rate denominators cost one fold per
             # 1024 accepted rows, not one per row.

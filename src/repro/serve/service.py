@@ -43,7 +43,6 @@ from repro.core.columns import DecisionBatch
 from repro.core.coordinator import HarvestJob, build_inputs
 from repro.core.harvest import DEFAULT_BATCH_SIZE, _resolve_eligibility
 from repro.core.policies import MixturePolicy, Policy
-from repro.core.types import Interaction
 from repro.obs.metrics import get_metrics
 from repro.obs.monitors import get_monitors
 from repro.serve.gate import GateConfig, GateDecision, GateRunner
@@ -210,8 +209,9 @@ class DecisionService:
         self._writer = (
             StreamingLedgerWriter(self.ledger, log_path) if log_path else None
         )
-        #: ``to_dict`` records decided but not yet flushed to the log.
-        self._pending: list[dict] = []
+        #: Decided but unflushed slices, as ``(contexts, actions,
+        #: rewards, propensities, ordinals)`` columns.
+        self._pending: list[tuple] = []
         self._shadows: dict[str, ShadowReport] = {}
         self._canary: Optional[dict] = None
         self._gate: Optional[GateRunner] = None
@@ -312,7 +312,7 @@ class DecisionService:
             policy_name=incumbent.name,
         )
         if self._writer is not None:
-            self._buffer_records(slice_, contexts)
+            self._pending.append((contexts, actions, rewards, props, ordinals))
         elapsed = time.perf_counter() - began
         self._latency.observe(elapsed)
         monitors = get_monitors()
@@ -323,20 +323,6 @@ class DecisionService:
                 latency_sum=elapsed, latency_max=elapsed,
             )
         return slice_
-
-    def _buffer_records(self, slice_: DecisionSlice, contexts) -> None:
-        """Queue ``to_dict`` records for the next :meth:`flush`."""
-        append = self._pending.append
-        for i in range(slice_.n):
-            append(
-                Interaction(
-                    context=contexts[i],
-                    action=int(slice_.actions[i]),
-                    reward=float(slice_.rewards[i]),
-                    propensity=float(slice_.propensities[i]),
-                    timestamp=float(slice_.ordinals[i]),
-                ).to_dict()
-            )
 
     # -- persistence ----------------------------------------------------------
 
@@ -357,9 +343,18 @@ class DecisionService:
         if self._writer is None:
             raise RuntimeError("service has no log_path; nothing to flush")
         pending, self._pending = self._pending, []
-        self._writer.flush(pending)
+        contexts: list = []
+        for slice_contexts, *_ in pending:
+            contexts.extend(slice_contexts)
+        columns = [
+            np.concatenate([entry[index] for entry in pending])
+            if pending else np.empty(0)
+            for index in range(1, 5)
+        ]
+        actions, rewards, props, ordinals = columns
+        self._writer.flush(contexts, actions, rewards, props, ordinals)
         return {
-            "written": len(pending),
+            "written": len(contexts),
             "total": self._writer.written,
             "head": self.ledger.head,
         }

@@ -290,7 +290,6 @@ class TestShardedVerifyReport:
         ids=lambda t: "clean" if t is None else t.__name__.strip("_"),
     )
     def test_json_report_matches_reference(self, tmp_path, capsys, tamper):
-        from repro.audit.ledger import _jsonl_records
         from tests import oracles
 
         log = tmp_path / "mh.jsonl"
@@ -311,7 +310,7 @@ class TestShardedVerifyReport:
             ["verify-ledger", str(log), "--manifest", str(manifest), "--json"]
         )
         reference = oracles.verify_sharded_records(
-            _jsonl_records(str(log)),
+            oracles.jsonl_records(str(log)),
             ledger["shards"],
             expected_head=ledger["head"],
             expected_n=ledger["n"],
@@ -347,3 +346,114 @@ class TestLedgeredLogDownstream:
         head_a = RunManifest.load(str(manifest_a)).to_dict()["ledger"]["head"]
         head_b = RunManifest.load(str(manifest_b)).to_dict()["ledger"]["head"]
         assert head_a == head_b
+
+
+@pytest.fixture(scope="module")
+def lb_log(tmp_path_factory):
+    """A 2,000-row ledgered loadbalance log and its manifest."""
+    root = tmp_path_factory.mktemp("lb2000")
+    log, manifest = root / "lb.jsonl", root / "lb_manifest.json"
+    assert main(
+        ["harvest", "loadbalance", str(log), "--rows", "2000", "--seed", "3",
+         "--ledger", "--shard-size", "512", "--manifest", str(manifest)]
+    ) == 0
+    return log, manifest
+
+
+def _tampered(lb_log, tmp_path, edit):
+    log, _ = lb_log
+    lines = log.read_text().splitlines()
+    edit(lines)
+    path = tmp_path / "tampered.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _insert_list(lines):
+    lines.insert(1000, "[1, 2, 3]")  # becomes line 1001
+
+
+def _flip_line_500(lines):
+    record = json.loads(lines[499])
+    record["action"] = 1 - record["action"]
+    lines[499] = json.dumps(record)
+
+
+class TestVerifyNonObjectLine:
+    """A JSON line that is not an object is a record that fails its
+    binding, exactly like an unparseable line."""
+
+    @pytest.mark.parametrize("with_manifest", [False, True])
+    def test_json_report_names_the_line(
+        self, lb_log, tmp_path, capsys, with_manifest
+    ):
+        path = _tampered(lb_log, tmp_path, _insert_list)
+        argv = ["verify-ledger", str(path), "--json"]
+        if with_manifest:
+            argv += ["--manifest", str(lb_log[1])]
+        capsys.readouterr()
+        assert main(argv) == 1
+        report = json.loads(capsys.readouterr().out)
+        overall = report["overall"] if with_manifest else report
+        assert overall["ok"] is False
+        assert overall["n"] == 2001
+        assert overall["n_ledgered"] == 2000
+        assert overall["first_bad"] == 1001
+        assert overall["issues"] == [
+            "line 1001: ledger: ledger metadata missing field(s) "
+            "['stream', 'ordinal', 'prev', 'context_sha', 'hash']"
+        ]
+        if with_manifest:
+            assert report["ok"] is False
+            assert all(shard["ok"] for shard in report["shards"])
+
+
+class TestStreamedEvaluateChecksTheChain:
+    MESSAGE = "line 500: ledger: record hash mismatch at ordinal 499"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--chunk-size", "512"],
+         ["--chunk-size", "512", "--workers", "2"]],
+        ids=["in-memory", "streamed-w1", "streamed-w2"],
+    )
+    def test_strict_refuses_a_tampered_log(
+        self, lb_log, tmp_path, capsys, extra
+    ):
+        path = _tampered(lb_log, tmp_path, _flip_line_500)
+        capsys.readouterr()
+        assert main(["evaluate", str(path), *extra]) == 1
+        assert self.MESSAGE in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["quarantine", "repair"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lenient_modes_set_the_record_aside(
+        self, lb_log, tmp_path, mode, workers
+    ):
+        from repro.core.engine import evaluate_jsonl_chunked
+        from repro.core.estimators import IPSEstimator
+        from repro.core.policies import UniformRandomPolicy
+        from repro.core.types import Dataset
+
+        path = str(_tampered(lb_log, tmp_path, _flip_line_500))
+        loaded = Dataset.load_jsonl(path, mode=mode)
+        evaluation = evaluate_jsonl_chunked(
+            path, [UniformRandomPolicy()], [IPSEstimator()],
+            chunk_size=512, workers=workers, mode=mode,
+        )
+        assert evaluation.n == len(loaded) == 1999
+        report = evaluation.quarantine.report()
+        assert report == loaded.quarantine.report()
+        assert report["by_reason"] == {"ledger": 1}
+        assert report["examples"][0]["line"] == 500
+
+    def test_gate_refuses_a_tampered_log(self, lb_log, tmp_path):
+        from repro.core.policies import ConstantPolicy, UniformRandomPolicy
+        from repro.serve import evaluate_candidate
+
+        path = _tampered(lb_log, tmp_path, _flip_line_500)
+        decision = evaluate_candidate(
+            str(path), "cand", ConstantPolicy(1), UniformRandomPolicy()
+        )
+        assert decision.promote is False
+        assert any(self.MESSAGE in reason for reason in decision.reasons)

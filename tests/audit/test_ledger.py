@@ -115,10 +115,10 @@ class TestDecisionLedger:
         ledger.extend_batch(
             [{"x": 1.0}], np.array([0]), np.array([0.5])
         )
-        assert len(ledger._entries) == 0  # not sealed yet
+        assert len(ledger._hashes) == 0  # not sealed yet
         assert len(ledger) == 1  # but counted
         assert ledger.head != GENESIS  # sealing on demand
-        assert len(ledger._entries) == 1
+        assert len(ledger._hashes) == 1
 
     def test_extend_batch_length_mismatch(self):
         ledger = DecisionLedger("s/c/st")

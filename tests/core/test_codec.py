@@ -1,0 +1,237 @@
+"""The log codec's reader and writers against the per-record paths.
+
+The columnar reader (:class:`repro.core.codec.LogReader`) must accept
+exactly the rows ``validated_interactions`` accepts, with the same
+strict errors and the same ``Quarantine.report()``, whether it feeds
+``Dataset.load_jsonl`` (rows or columns) or the streamed evaluation.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from repro.__main__ import main
+from repro.audit.ledger import ChainFollower
+from repro.chaos.corruption import KINDS, LogCorruptor
+from repro.core.codec import LogReader
+from repro.core.engine import evaluate_jsonl_chunked
+from repro.core.estimators import IPSEstimator
+from repro.core.policies import UniformRandomPolicy
+from repro.core.types import Dataset
+from repro.core.validation import (
+    MODES,
+    Quarantine,
+    RecordValidator,
+    validated_interactions,
+)
+from repro.obs.manifest import RunManifest
+
+
+@pytest.fixture(scope="module")
+def clean_logs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("codec")
+    logs = {}
+    for scenario, ledger in (("machinehealth", True), ("loadbalance", False)):
+        path = root / f"{scenario}.jsonl"
+        argv = ["harvest", scenario, str(path), "--rows", "400",
+                "--seed", "5", "--shard-size", "128"]
+        assert main(argv + (["--ledger"] if ledger else [])) == 0
+        logs[scenario] = path
+    return logs
+
+
+def corrupt(clean, tmp_path, kind):
+    path = tmp_path / f"{clean.stem}-{kind}.jsonl"
+    LogCorruptor(rate=0.15, kinds=(kind,), seed=3).corrupt_file(
+        str(clean), str(path)
+    )
+    return str(path)
+
+
+def reference(path, mode):
+    """``(interactions, report)`` of the per-record driver, or the
+    strict error message."""
+    quarantine = Quarantine()
+    with open(path, encoding="utf-8") as handle:
+        try:
+            rows = list(validated_interactions(
+                handle, mode=mode, validator=RecordValidator(),
+                quarantine=quarantine, source_name=path,
+                chain=ChainFollower(strict_links=(mode == "strict")),
+            ))
+        except ValueError as error:
+            return None, str(error)
+    return rows, quarantine.report()
+
+
+def columns_of(rows):
+    return (
+        [dict(row.context) for row in rows],
+        [row.action for row in rows],
+        [row.reward for row in rows],
+        [row.propensity for row in rows],
+        [row.timestamp for row in rows],
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("scenario", ["machinehealth", "loadbalance"])
+class TestQuarantineIdentity:
+    def test_in_memory_load(self, clean_logs, tmp_path, scenario, kind, mode):
+        path = corrupt(clean_logs[scenario], tmp_path, kind)
+        rows, report = reference(path, mode)
+        for columnar in (False, True):
+            if rows is None:
+                with pytest.raises(ValueError) as error:
+                    Dataset.load_jsonl(path, mode=mode, columnar=columnar)
+                assert str(error.value) == report
+                continue
+            dataset = Dataset.load_jsonl(path, mode=mode, columnar=columnar)
+            assert dataset.quarantine.report() == report
+            assert len(dataset) == len(rows)
+            if columnar:
+                columns = dataset.columns()
+                assert [dict(c) for c in columns.contexts] == columns_of(rows)[0]
+                assert columns.actions.tolist() == columns_of(rows)[1]
+                assert columns.rewards.tolist() == columns_of(rows)[2]
+            else:
+                assert [i.to_dict() for i in dataset] == [
+                    i.to_dict() for i in rows
+                ]
+
+    def test_streamed_read(self, clean_logs, tmp_path, scenario, kind, mode):
+        path = corrupt(clean_logs[scenario], tmp_path, kind)
+        rows, report = reference(path, mode)
+        quarantine = Quarantine()
+        reader = LogReader(
+            path, mode=mode, quarantine=quarantine,
+            chain=ChainFollower(strict_links=(mode == "strict")),
+        )
+        if rows is None:
+            with pytest.raises(ValueError) as error:
+                list(reader.blocks(64))
+            assert str(error.value) == report
+            with pytest.raises(ValueError) as error:
+                evaluate_jsonl_chunked(
+                    path, [UniformRandomPolicy()], [IPSEstimator()],
+                    chunk_size=64, mode=mode,
+                )
+            assert str(error.value) == report
+            return
+        blocks = list(reader.blocks(64))
+        assert quarantine.report() == report
+        got = (
+            [dict(c) for b in blocks for c in b.contexts],
+            [a for b in blocks for a in b.actions.tolist()],
+            [r for b in blocks for r in b.rewards.tolist()],
+            [p for b in blocks for p in b.propensities.tolist()],
+            [t for b in blocks for t in b.timestamps.tolist()],
+        )
+        assert got == columns_of(rows)
+        evaluation = evaluate_jsonl_chunked(
+            path, [UniformRandomPolicy()], [IPSEstimator()],
+            chunk_size=64, mode=mode,
+        )
+        assert evaluation.n == len(rows)
+        assert evaluation.quarantine.report() == report
+
+
+class TestReader:
+    def test_identical_contexts_share_one_dict(self, clean_logs):
+        block = LogReader(str(clean_logs["machinehealth"])).read()
+        distinct = {id(context) for context in block.contexts}
+        assert len(distinct) < block.n
+        texts = {json.dumps(context) for context in block.contexts}
+        assert len(texts) == len(distinct)
+
+    def test_round_trip_is_byte_identical(self, clean_logs, tmp_path):
+        for clean in clean_logs.values():
+            out = tmp_path / "copy.jsonl"
+            Dataset.load_jsonl(str(clean)).save_jsonl(str(out))
+            assert out.read_bytes() == clean.read_bytes()
+
+    def test_columnar_view_materializes_plain_rows(self, clean_logs):
+        path = str(clean_logs["loadbalance"])
+        view = Dataset.load_jsonl(path, columnar=True)
+        rows = Dataset.load_jsonl(path)
+        assert len(view) == len(rows)
+        assert np.array_equal(view.columns().rewards, rows.columns().rewards)
+        assert [i.to_dict() for i in view] == [i.to_dict() for i in rows]
+
+    def test_cli_estimators_fold_the_view_without_rows(self, clean_logs):
+        from repro.__main__ import make_estimator, parse_policy
+
+        view = Dataset.load_jsonl(
+            str(clean_logs["machinehealth"]), columnar=True
+        )
+        rows = Dataset.load_jsonl(str(clean_logs["machinehealth"]))
+        for name in ("ips", "snips", "clipped-ips", "dm", "dr", "switch",
+                     "auto"):
+            for spec in ("uniform", "constant:1", "eps:2:0.1"):
+                policy = parse_policy(spec)
+                got = make_estimator(name).estimate(policy, view)
+                want = make_estimator(name).estimate(policy, rows)
+                assert (got.value, got.std_error) == (
+                    want.value, want.std_error
+                )
+        IPSEstimator().weighted_rewards(parse_policy("uniform"), view)
+        assert view._rows is None  # nothing materialized per row
+
+    def test_extra_fields_and_full_rewards_take_the_reference_path(
+        self, tmp_path
+    ):
+        path = tmp_path / "mixed.jsonl"
+        records = [
+            {"context": {"a": 1.0}, "action": 0, "reward": 0.5,
+             "propensity": 0.5, "timestamp": 0.0, "extra": [1, 2]},
+            {"context": {"a": 1}, "action": 1, "reward": 1,
+             "propensity": 0.5, "full_rewards": [0.1, 0.2]},
+            {"context": {"a": "2.5"}, "action": 1, "reward": 0.25,
+             "propensity": 1.0, "metadata": {"note": "x"}},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rows, _ = reference(str(path), "strict")
+        loaded = Dataset.load_jsonl(str(path))
+        assert [i.to_dict() for i in loaded] == [i.to_dict() for i in rows]
+
+
+class TestCodecSpans:
+    @staticmethod
+    def spans(manifest, name):
+        def walk(nodes):
+            for node in nodes:
+                if node["name"] == name:
+                    yield node
+                yield from walk(node.get("children", ()))
+
+        return list(walk(RunManifest.load(str(manifest)).to_dict()["spans"]))
+
+    def test_harvest_writes_under_one_span(self, tmp_path):
+        log, manifest = tmp_path / "mh.jsonl", tmp_path / "m.json"
+        assert main(
+            ["harvest", "machinehealth", str(log), "--rows", "5000",
+             "--seed", "2", "--ledger", "--manifest", str(manifest)]
+        ) == 0
+        writes = self.spans(manifest, "jsonl.write")
+        assert len(writes) == 1
+        attributes = writes[0]["attributes"]
+        assert attributes["rows"] == 5000
+        assert attributes["bytes"] == log.stat().st_size
+        assert 0 < attributes["distinct_contexts"] < 5000
+        seals = self.spans(manifest, "ledger.seal")
+        assert sum(s["attributes"]["rows"] for s in seals) == 5000
+
+    def test_evaluate_reads_under_spans(self, clean_logs, tmp_path):
+        manifest = tmp_path / "e.json"
+        for extra in ([], ["--chunk-size", "128"]):
+            assert main(
+                ["evaluate", str(clean_logs["machinehealth"]),
+                 "--manifest", str(manifest), *extra]
+            ) == 0
+            reads = self.spans(manifest, "jsonl.read")
+            assert reads
+            # The streamed run reads the log twice (discovery, fold).
+            passes = 2 if extra else 1
+            assert sum(r["attributes"]["rows"] for r in reads) == 400 * passes

@@ -319,7 +319,7 @@ class TestUnsealed:
         inputs = build_inputs(job, registry)
         spec = ShardPlan(inputs.n, job.shard_size)[0]
         payload = _harvest_shard_impl(job, inputs, registry, spec)
-        assert not {"context_shas", "genesis", "head", "entries"} & set(payload)
+        assert not {"context_shas", "genesis", "head", "sealed"} & set(payload)
         HarvestCoordinator(job)._validate_payload(spec, payload)
 
     @pytest.mark.parametrize("column", ["actions", "rewards", "propensities"])

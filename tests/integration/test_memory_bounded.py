@@ -8,10 +8,11 @@ same policy/estimator run MemoryErrors there — and check the streamed
 run completes and prints the same estimates as an uncapped whole-log
 run.
 
-Sizing (measured on CPython 3.11 / NumPy baseline ≈150 MB of VA):
-loading 500k interactions as Python objects needs >450 MB of address
-space, while the streamed path folds 8192-row chunks and stays under
-180 MB.  The 384 MB cap splits those with margin on both sides.
+Sizing (measured on CPython 3.11 / NumPy baseline ≈150 MB of VA): the
+whole-log path loads 500k rows as columns and needs between 288 and
+320 MB of address space, while the streamed path folds 8192-row chunks
+and fits in 192 MB, serially and with two workers.  The 240 MB cap
+splits those with margin on both sides.
 
 ``REPRO_MEMORY_ROWS`` scales the log down for quick local iterations;
 CI runs the full default (see ``.github/workflows/ci.yml``,
@@ -32,7 +33,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 N_ROWS = int(os.environ.get("REPRO_MEMORY_ROWS", "500000"))
-CAP_BYTES = 384 * 2**20
+CAP_BYTES = 240 * 2**20
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 EVALUATE_ARGS = [
@@ -118,7 +119,7 @@ class TestAddressSpaceCap:
     def test_parallel_chunked_stays_o_chunk_under_the_cap(self, big_log):
         # With workers the parent additionally packs in-flight chunks
         # into shared segments; residency must stay O(workers × chunk),
-        # not O(log) — the same 384 MB cap that kills the whole-log
+        # not O(log) — the same 240 MB cap that kills the whole-log
         # path must accommodate parallel folding with segments mapped.
         result = run_evaluate(
             big_log, cap_bytes=CAP_BYTES,

@@ -26,6 +26,7 @@ shard's walk, each record routed by a scan over the shards) that
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -373,6 +374,25 @@ def machinehealth_shard_inputs(job, registry) -> HarvestInputs:
 
 
 # -- sharded ledger verification ----------------------------------------------
+
+
+def jsonl_records(path: str):
+    """``(line number, record)`` per non-blank line: the per-line
+    reference parse of a log for ``verify_records``.  A line that does
+    not parse, or is not a JSON object, stands in as an empty ledger
+    block, so it fails its binding at its line number."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            raw = line.strip()
+            if not raw:
+                continue
+            try:
+                record = json.loads(raw)
+            except json.JSONDecodeError:
+                record = None
+            if not isinstance(record, dict):
+                record = {"metadata": {"ledger": {}}}
+            yield line_number, record
 
 
 def verify_sharded_records(
