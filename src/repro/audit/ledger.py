@@ -37,6 +37,7 @@ loop pays nothing.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -509,6 +510,11 @@ class StreamingLedgerWriter:
         """Records persisted to :attr:`path` so far."""
         return self._written
 
+    @property
+    def size(self) -> int:
+        """Bytes of :attr:`path` on disk after the last :meth:`flush`."""
+        return os.fstat(self._file.fileno()).st_size
+
     def flush(
         self,
         contexts: Sequence[Mapping],
@@ -773,12 +779,17 @@ class ChainFollower:
         """:meth:`observe` for a record whose ledger block is ``meta``."""
         if meta is None or "hash" not in meta:
             return False
+        return self._link(meta.get("prev"), str(meta["hash"]))
+
+    def _link(self, prev, digest: str) -> bool:
+        """:meth:`_advance` for a block whose ``prev`` and ``hash`` are
+        already read."""
         self.engaged = True
         self.n_ledgered += 1
-        gap = meta.get("prev") != self.head
+        gap = prev != self.head
         if gap:
             self.n_gaps += 1
-        self.head = str(meta["hash"])
+        self.head = digest
         return gap
 
 
@@ -973,10 +984,11 @@ def verify_jsonl(
     from the harvest manifest's ``ledger.head``) additionally proves
     the log was not truncated or extended, and ``expected_n`` (the
     manifest's ``ledger.n``) pins the ledgered record count.
-    Unparseable lines, and lines that are not JSON objects, count as
-    binding failures at their line number.  Lines are parsed and their
-    bindings checked by :func:`repro.core.codec.checked_lines`, which
-    digests each distinct context once.
+    Lines that are not UTF-8, unparseable lines, and lines that are not
+    JSON objects count as binding failures at their line number.  Lines
+    are parsed and their bindings checked by
+    :func:`repro.core.codec.checked_lines`, which splits each line the
+    codec wrote by its template and digests each distinct context once.
     """
     from repro.core.codec import checked_read
 

@@ -440,8 +440,8 @@ def verify_sharded_jsonl(
 
     Lines are parsed and their bindings checked by
     :func:`repro.core.codec.checked_lines` (each distinct context
-    digested once); a line that is not a JSON object fails its binding
-    at its line number.
+    digested once); a line that is not UTF-8 or not a JSON object fails
+    its binding at its line number.
     """
     from repro.core.codec import checked_read
 

@@ -19,22 +19,32 @@ once per *distinct* context, and everything else in columns:
   fixed-schema line template and fall back to ``json.dumps`` for any
   record outside it (extra fields, ``full_rewards``, non-float values,
   non-finite numbers, unusual metadata).
-- :class:`LogReader` parses lines straight into columns.  Rows that
-  pass exact-type fast checks (and, on ledgered logs, their hash
-  binding through the memo) go straight in; every other row goes
-  through :func:`repro.core.validation.admit_record` in line order, so
-  strict errors and quarantine reports are those of the per-record
-  path.  :func:`checked_lines` is the parse and binding check behind
-  :func:`~repro.audit.ledger.verify_jsonl`.
+- The readers invert that template: one compiled pattern splits every
+  line it wrote into its fields, and the context is parsed once per
+  distinct text (:meth:`ContextTable.text_entry`).
+  :class:`LogReader` admits such a row straight into columns when its
+  values pass the validator's bounds and, on ledgered logs, its hash
+  binding verifies through the memo.  Every other line — one the
+  pattern does not match, or whose row fails a check — goes through
+  ``json.loads`` and :func:`repro.core.validation.admit_record` in
+  line order, so strict errors and quarantine reports are those of the
+  per-record path.  :func:`checked_lines` is the parse and binding
+  check behind :func:`~repro.audit.ledger.verify_jsonl`, on the same
+  two paths.
 
-The ``ledger.seal``, ``jsonl.write`` and ``jsonl.read`` spans record
-``rows``, ``distinct_contexts`` and ``memo_hits`` per batch.
+Logs are read line by line; a line that is not UTF-8 is an unparseable
+line at its own number.  The ``ledger.seal``, ``jsonl.write`` and
+``jsonl.read`` spans record ``rows``, ``distinct_contexts`` and
+``memo_hits`` per batch; ``jsonl.read`` also records
+``template_rows``, the rows read through the template.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import re
 import struct
 from contextlib import contextmanager
 from itertools import repeat
@@ -99,6 +109,41 @@ _LEDGERED_LINE = _HEAD + _LEDGER_BLOCK + "}\n"
 _LEDGER_KEYS = ("v", "stream", "ordinal", "prev", "context_sha", "hash")
 
 
+def _holes(template: str) -> str:
+    """``template`` as a regular expression whose ``%`` holes take groups."""
+    return re.escape(template).replace("%d", "%s")
+
+
+# Groups that hold exactly what ``json.loads`` returns for their text:
+# an int; a number with a fraction or an exponent, which ``repr``
+# writes for every float and ``json.loads`` reads as one (it reads any
+# other number as an int); a string body with no escape and no control
+# character, whose text is its value.
+_INT = r"(0|-?[1-9][0-9]*)"
+_FLOAT = (
+    r"(-?(?:0|[1-9][0-9]*)"
+    r"(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+)
+_STRING = r'([^"\\\x00-\x1f]*)'
+
+#: The inverse of ``_LINE`` and ``_LEDGERED_LINE``: the fields of a
+#: stripped line the template wrote, as ``(context text, action,
+#: reward, propensity, timestamp, v, stream, ordinal, prev,
+#: context_sha, hash)``, the ledger fields ``None`` on a plain line.
+#: A line matches only when it is exactly the JSON object the groups
+#: spell.  The context group ends at its first ``}``: when that text
+#: parses as a JSON object, the object ends there in the line too, so
+#: a nested context or a ``}`` inside a key fails to parse or to match.
+_TEMPLATE = re.compile(
+    _holes(_HEAD)
+    % (r"(\{[^}]*\})", "(0|[1-9][0-9]*)", _FLOAT, _FLOAT, _FLOAT)
+    + "(?:"
+    + _holes(_LEDGER_BLOCK)
+    % (_INT, f'"{_STRING}"', _INT, _STRING, _STRING, _STRING)
+    + r")?\}"
+).fullmatch
+
+
 def context_key(context: dict) -> Optional[tuple]:
     """The exact memo key of a context dict, or ``None`` if it has none.
 
@@ -111,34 +156,46 @@ def context_key(context: dict) -> Optional[tuple]:
     convert to a float (strings, nesting) have no key.
     """
     values = tuple(context.values())
+    bits = _float_bits(values)
+    if bits is None:
+        return None
+    return (tuple(context), values, tuple(map(type, values)), bits)
+
+
+def _float_bits(values: tuple) -> Optional[bytes]:
+    """The packed float64 bits of ``values``; ``None`` if one does not
+    convert to a float."""
     pack = _PACKERS.get(len(values))
     if pack is None:
         pack = _PACKERS.setdefault(
             len(values), struct.Struct(f"<{len(values)}d").pack
         )
     try:
-        bits = pack(*values)
+        return pack(*values)
     except (struct.error, TypeError, ValueError, OverflowError):
         return None
-    return (tuple(context), values, tuple(map(type, values)), bits)
 
 
 class ContextTable:
     """Memo of distinct contexts: digest, JSON text and first-seen dict.
 
     Each entry is ``[digest, text, context]``; the digest and text are
-    filled on first request.  Only ``dict`` contexts with string keys
-    are memoized, at most ``cap`` of them; any other context is
-    computed directly.  ``hits`` counts lookups served by an entry.
+    filled on first request.  Writers look contexts up by value
+    (:meth:`entry`): only ``dict`` contexts with string keys are
+    memoized, at most ``cap`` of them; any other context is computed
+    directly.  Readers look them up by their JSON text
+    (:meth:`text_entry`), at most ``cap`` texts.  ``len`` counts both
+    kinds of entry, and ``hits`` the lookups an entry served.
     """
 
     def __init__(self, cap: int = TABLE_CAP) -> None:
         self.cap = int(cap)
         self.hits = 0
         self._entries: dict = {}
+        self._texts: dict = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) + len(self._texts)
 
     def entry(self, context) -> Optional[list]:
         """The memo entry of ``context``; ``None`` if it has no key."""
@@ -156,6 +213,33 @@ class ContextTable:
             type(name) is str for name in key[0]
         ):
             self._entries[key] = entry
+        return entry
+
+    def text_entry(self, text: str) -> Optional[list]:
+        """The memo entry of the context whose JSON text is ``text``.
+
+        Equal texts parse to equal dicts, so the text itself is the key,
+        with no type tags or float bits: ``json.loads`` runs once per
+        distinct text, on a miss, and past the cap on every lookup of a
+        text not yet kept.  ``None`` when the text is not a JSON object
+        or its context has no :func:`context_key` (string, null or
+        nested values).
+        """
+        entry = self._texts.get(text)
+        if entry is not None:
+            self.hits += 1
+            return entry
+        try:
+            context = json.loads(text)
+        except ValueError:
+            return None
+        if type(context) is not dict or (
+            _float_bits(tuple(context.values())) is None
+        ):
+            return None
+        entry = [None, None, context]
+        if len(self._texts) < self.cap:
+            self._texts[text] = entry
         return entry
 
     def row_entries(self, contexts: Sequence) -> list[list]:
@@ -447,6 +531,57 @@ def write_columns(
 # -- parse -------------------------------------------------------------------
 
 
+class _Prefix(io.RawIOBase):
+    """The first ``size`` bytes of a binary file, as a raw stream."""
+
+    def __init__(self, handle, size: int) -> None:
+        self._handle = handle
+        self._left = size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._handle.readinto(memoryview(buffer)[: self._left])
+        self._left -= count
+        return count
+
+    def close(self) -> None:
+        self._handle.close()
+        super().close()
+
+
+def _open_lines(path: str, prefix_bytes: Optional[int] = None):
+    """``path`` as UTF-8 text, read line by line.
+
+    Each byte that does not decode becomes a lone surrogate, so one bad
+    byte spoils only its own line (:func:`_undecodable` names it) and
+    every line keeps the number text mode gives it.  With
+    ``prefix_bytes`` only the file's first ``prefix_bytes`` bytes are
+    read.
+    """
+    if prefix_bytes is None:
+        return open(path, "r", encoding="utf-8", errors="surrogateescape")
+    prefix = _Prefix(open(path, "rb", buffering=0), prefix_bytes)
+    return io.TextIOWrapper(
+        io.BufferedReader(prefix), encoding="utf-8", errors="surrogateescape"
+    )
+
+
+def _undecodable(line: str) -> Optional[str]:
+    """Why a line from :func:`_open_lines` is not UTF-8; ``None`` if it is."""
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as error:
+        return str(error)
+    return None
+
+
+def _readable(raw: str) -> str:
+    """``raw`` with each undecodable byte shown as U+FFFD."""
+    return raw.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+
+
 class RowBlock(NamedTuple):
     """One block of admitted rows, in line order.
 
@@ -471,8 +606,9 @@ class RowBlock(NamedTuple):
 
 
 def _fast_checks(validator: RecordValidator) -> Optional[tuple]:
-    """``(n_actions, reward_range)`` bounds of the fast path, or ``None``
-    when ``validator`` has rules only its own ``check`` can apply."""
+    """``(n_actions, reward_range)`` bounds of the template path, or
+    ``None`` when ``validator`` has rules only its own ``check`` can
+    apply."""
     if type(validator) is not RecordValidator or validator.extra_rules:
         return None
     if validator.monotone_timestamps:
@@ -490,19 +626,21 @@ class LogReader:
     Takes the arguments of :func:`repro.core.validation.
     validated_interactions` and accepts exactly the rows it accepts, in
     the same order, with the same strict errors, quarantine entries,
-    repairs, chain state and monitor feed.  A row whose exact-type fast
-    checks pass — a ``dict`` record, a ``dict`` context of numeric
-    values, an ``int`` action, ``float`` reward, propensity and
-    timestamp inside the validator's bounds, no ``full_rewards``, and
-    (when ``chain`` is given) a v1 ledger block whose hash binding
-    verifies through the digest memo — goes straight into the columns;
-    any other row goes through ``admit_record``.
+    repairs, chain state and monitor feed.  A line the codec's template
+    wrote goes straight into the columns when its context has a memo
+    entry, its values lie inside the validator's bounds, and (when
+    ``chain`` is given) its hash binding verifies through the digest
+    memo; any other line goes through ``json.loads`` and
+    ``admit_record``.  A line that is not UTF-8 is unparseable.
 
     ``keep_rows=True`` also builds each row's :class:`Interaction`
-    (with its ``metadata``), which :meth:`repro.core.types.Dataset.
-    load_jsonl` returns; otherwise identical contexts share the first
-    one's dict and no per-row object is kept.  Readers of one log can
-    share a ``table``, so a second pass digests no context twice.
+    (with its own context dict and its ``metadata``), which
+    :meth:`repro.core.types.Dataset.load_jsonl` returns; otherwise
+    identical contexts share the first one's dict and no per-row object
+    is kept.  Readers of one log can share a ``table``, so a second
+    pass parses and digests no context twice.  ``prefix_bytes`` reads
+    only the file's first ``prefix_bytes`` bytes (the gate reads the
+    prefix its flush made durable).
     """
 
     def __init__(
@@ -515,6 +653,7 @@ class LogReader:
         chain: Optional[ChainFollower] = None,
         keep_rows: bool = False,
         table: Optional[ContextTable] = None,
+        prefix_bytes: Optional[int] = None,
     ) -> None:
         self.path = path
         self.mode = mode
@@ -523,6 +662,7 @@ class LogReader:
         self.chain = chain
         self.keep_rows = keep_rows
         self.table = table if table is not None else ContextTable()
+        self.prefix_bytes = prefix_bytes
         self._unreported = 0  # accepted rows not yet fed to the monitors
 
     def read(self) -> RowBlock:
@@ -543,18 +683,19 @@ class LogReader:
             get_monitors() if self.quarantine.record_metrics else NULL_MONITORS
         )
         tracer = get_tracer()
-        with open(self.path, "r", encoding="utf-8") as handle:
+        with _open_lines(self.path, self.prefix_bytes) as handle:
             lines = enumerate(handle, start=1)
             while True:
                 hits = self.table.hits
                 with tracer.span("jsonl.read") as span:
-                    block, size, done = self._read_block(
+                    block, size, template_rows, done = self._read_block(
                         lines, block_rows, monitors
                     )
                     span.set(
                         rows=block.n, bytes=size,
                         distinct_contexts=len(self.table),
                         memo_hits=self.table.hits - hits,
+                        template_rows=template_rows,
                     )
                 if done and self._unreported:
                     monitors.observe_rows(self._unreported)
@@ -565,7 +706,8 @@ class LogReader:
                     return
 
     def _read_block(self, lines, limit, monitors):
-        """Admit lines until ``limit`` rows are in; ``(block, bytes, eof)``."""
+        """Admit lines until ``limit`` rows are in;
+        ``(block, bytes, template rows, eof)``."""
         mode = self.mode
         strict = mode == "strict"
         source = self.path
@@ -575,7 +717,8 @@ class LogReader:
         keep_rows = self.keep_rows
         fast = _fast_checks(validator)
         n_actions, bounds = fast if fast is not None else (None, None)
-        entry_of = self.table.entry
+        text_entry = self.table.text_entry
+        template = _TEMPLATE
         loads = json.loads
         contexts: list = []
         actions: list = []
@@ -583,7 +726,7 @@ class LogReader:
         propensities: list = []
         timestamps: list = []
         interactions: Optional[list] = [] if keep_rows else None
-        size = 0
+        size = template_rows = 0
         count_rows = monitors.enabled
         done = True
         for line_number, line in lines:
@@ -591,55 +734,64 @@ class LogReader:
             raw = line.strip()
             if not raw:
                 continue
-            try:
-                record = loads(raw)
-            except json.JSONDecodeError as error:
-                if strict:
-                    raise ValueError(
-                        f"{source}: invalid JSON at line {line_number}: "
-                        f"{error.msg}"
-                    ) from error
-                quarantine.add(line_number, UNPARSEABLE, error.msg, raw)
-                continue
+            if not line.isascii():
+                detail = _undecodable(line)
+                if detail is not None:
+                    if strict:
+                        raise ValueError(
+                            f"{source}: invalid UTF-8 at line {line_number}: "
+                            f"{detail}"
+                        )
+                    quarantine.add(
+                        line_number, UNPARSEABLE, detail, _readable(raw)
+                    )
+                    continue
+            found = template(raw) if fast is not None else None
+            entry = None
+            if found is not None:
+                fields = found.groups()
+                entry = text_entry(fields[0])
             admitted = False
-            if fast is not None and type(record) is dict:
-                context = record.get("context")
-                action = record.get("action")
-                reward = record.get("reward")
-                propensity = record.get("propensity")
-                timestamp = record.get("timestamp", 0.0)
-                metadata = record.get("metadata", _ABSENT)
-                if (
-                    type(context) is dict and type(action) is int
-                    and type(reward) is float and type(propensity) is float
-                    and type(timestamp) is float
-                    and (metadata is _ABSENT or type(metadata) is dict)
-                    and record.get("full_rewards") is None
-                    and action >= 0 and 0.0 < propensity <= 1.0
+            if entry is not None:
+                action = int(fields[1])
+                reward = float(fields[2])
+                propensity = float(fields[3])
+                timestamp = float(fields[4])
+                ledger = fields[5:]
+                admitted = (
+                    0.0 < propensity <= 1.0
                     and reward - reward == 0.0
                     and (n_actions is None or action < n_actions)
+                    and (bounds is None or bounds.low <= reward <= bounds.high)
                     and (
-                        bounds is None
-                        or bounds.low <= reward <= bounds.high
+                        chain is None
+                        or _bound(chain, entry, ledger, action, propensity)
                     )
-                ):
-                    entry = entry_of(context)
-                    if entry is not None:
-                        admitted = chain is None or _bound(
-                            chain, entry, context, action, propensity,
-                            None if metadata is _ABSENT else metadata,
-                        )
+                )
             if admitted:
+                template_rows += 1
                 if keep_rows:
+                    stamped = _ledger_block(ledger)
                     interactions.append(
                         Interaction(
-                            context, action, reward, propensity, timestamp,
-                            None, {} if metadata is _ABSENT else metadata,
+                            dict(entry[2]), action, reward, propensity,
+                            timestamp, None,
+                            {} if stamped is None else {"ledger": stamped},
                         )
                     )
                 else:
                     context = entry[2]
             else:
+                try:
+                    record = loads(raw)
+                except json.JSONDecodeError as error:
+                    if strict:
+                        raise ValueError(
+                            f"{source}: invalid JSON at line {line_number}: "
+                            f"{error.msg}"
+                        ) from error
+                    quarantine.add(line_number, UNPARSEABLE, error.msg, raw)
+                    continue
                 interaction = admit_record(
                     record, raw, line_number, mode, validator, quarantine,
                     source, chain,
@@ -679,66 +831,71 @@ class LogReader:
             np.array(timestamps, dtype=np.float64),
             interactions,
         )
-        return block, size, done
+        return block, size, template_rows, done
 
 
-_ABSENT = object()
+def _ledger_block(ledger: tuple) -> Optional[dict]:
+    """The ``metadata.ledger`` dict of a template line's ledger fields
+    (``v`` to ``hash``), in v1 key order; ``None`` on a plain line."""
+    version, stream, ordinal, prev, sha, digest = ledger
+    if version is None:
+        return None
+    return {
+        "v": int(version), "stream": stream, "ordinal": int(ordinal),
+        "prev": prev, "context_sha": sha, "hash": digest,
+    }
 
 
 def _bound(
     chain: ChainFollower,
     entry: list,
-    context: dict,
+    ledger: tuple,
     action: int,
     propensity: float,
-    metadata: Optional[dict],
 ) -> bool:
-    """Check one fast-path row's ledger binding and advance the chain.
+    """Check one template row's ledger binding and advance the chain.
 
     ``True`` when the row is authentic (or legitimately unledgered); the
     chain has then moved past it exactly as ``ChainFollower.observe``
     moves.  ``False`` leaves the chain untouched, for ``admit_record``
     to report the defect.
     """
-    block = metadata.get("ledger") if metadata is not None else None
-    if type(block) is not dict:
+    version, _stream, _ordinal, prev, _sha, digest = ledger
+    if version is None:
         return not chain.engaged
-    if chain.strict_links and block.get("prev") != chain.head:
+    if chain.strict_links and prev != chain.head:
         return False
-    if not _authentic(entry, context, action, propensity, block):
+    if not _authentic(entry, ledger, action, propensity):
         return False
-    chain._advance(block)
+    chain._link(prev, digest)
     return True
 
 
-def _authentic(entry, context, action, propensity, block) -> bool:
-    """Whether a ledger block has the v1 fields with exact types and
-    binds its record: the memoized context digest and the recomputed
-    entry hash both match."""
-    if not (
-        type(block.get("stream")) is str
-        and type(block.get("ordinal")) is int
-        and type(block.get("prev")) is str
-        and type(block.get("context_sha")) is str
-        and type(block.get("hash")) is str
-    ):
-        return False
-    digest = entry[0]
-    if digest is None:
+def _authentic(
+    entry: list, ledger: tuple, action: int, propensity: float
+) -> bool:
+    """Whether a template line's ledger fields bind its record: the
+    memoized context digest and the recomputed entry hash both match.
+
+    The ordinal is the text the template wrote, which is the decimal
+    form ``entry_hash`` hashes.
+    """
+    _version, stream, ordinal, prev, sha, digest = ledger
+    context_sha = entry[0]
+    if context_sha is None:
         try:
-            digest = entry[0] = context_digest(context)
+            context_sha = entry[0] = context_digest(entry[2])
         except (TypeError, ValueError):
             return False
-    if digest != block["context_sha"]:
+    if context_sha != sha:
         return False
     try:
         message = (
-            f"{block['prev']}|{block['stream']}|{block['ordinal']}|"
-            f"{digest}|{action}|{propensity.hex()}"
+            f"{prev}|{stream}|{ordinal}|{sha}|{action}|{propensity.hex()}"
         ).encode("ascii")
     except UnicodeEncodeError:
         return False
-    return _sha256(message).hexdigest() == block["hash"]
+    return _sha256(message).hexdigest() == digest
 
 
 # -- verify ------------------------------------------------------------------
@@ -755,55 +912,62 @@ class _LineStats:
         self.table = table
         self.rows = 0
         self.bytes = 0
+        self.template_rows = 0
 
 
 def checked_lines(path: str, stats: Optional[_LineStats] = None) -> Iterator:
     """``(line number, ledger block or None, binding issues)`` per record.
 
-    The verify walk's reader: every non-blank line is a record.  An
-    unparseable line, or one that is not a JSON object, carries an
-    empty ledger block and so fails its binding at its line number.  A
-    v1 block with exact field types is checked through the digest
-    memo; anything else through the per-record ``_binding_issues``,
-    whose messages the fast check never has to reproduce.
+    The verify walk's reader: every non-blank line is a record.  A line
+    that is not UTF-8, is unparseable, or is not a JSON object carries
+    an empty ledger block and so fails its binding at its line number.
+    A line the codec's template wrote, whose context has a memo entry,
+    is unledgered as it stands when plain and checked through the digest
+    memo when ledgered.  Every other line, and every ledgered template
+    line whose check fails, is parsed by ``json.loads`` and checked by
+    the per-record ``_binding_issues``, whose messages the template path
+    never has to reproduce.
     """
     stats = stats if stats is not None else _LineStats(ContextTable())
-    entry_of = stats.table.entry
+    text_entry = stats.table.text_entry
+    template = _TEMPLATE
     loads = json.loads
-    with open(path, "r", encoding="utf-8") as handle:
+    with _open_lines(path) as handle:
         for line_number, line in enumerate(handle, start=1):
             stats.bytes += len(line)
             raw = line.strip()
             if not raw:
                 continue
             stats.rows += 1
+            if not line.isascii() and _undecodable(line) is not None:
+                yield line_number, {}, _NO_BLOCK_ISSUES
+                continue
+            found = template(raw)
+            entry = None
+            if found is not None:
+                fields = found.groups()
+                entry = text_entry(fields[0])
+            if entry is not None:
+                ledger = fields[5:]
+                block = _ledger_block(ledger)
+                if block is None or _authentic(
+                    entry, ledger, int(fields[1]), float(fields[3])
+                ):
+                    stats.template_rows += 1
+                    yield line_number, block, []
+                    continue
             try:
                 record = loads(raw)
             except json.JSONDecodeError:
                 yield line_number, {}, _NO_BLOCK_ISSUES
                 continue
-            if type(record) is not dict:
+            if not isinstance(record, dict):
                 yield line_number, {}, _NO_BLOCK_ISSUES
                 continue
-            metadata = record.get("metadata")
-            block = metadata.get("ledger") if type(metadata) is dict else None
-            if type(block) is not dict:
-                yield line_number, None, []
-                continue
-            context = record.get("context")
-            action = record.get("action")
-            propensity = record.get("propensity")
-            if (
-                type(context) is dict and type(action) is int
-                and type(propensity) is float
-            ):
-                entry = entry_of(context)
-                if entry is not None and _authentic(
-                    entry, context, action, propensity, block
-                ):
-                    yield line_number, block, []
-                    continue
-            yield line_number, block, _binding_issues(record, block)
+            block = ChainFollower.metadata_of(record)
+            yield line_number, block, (
+                [] if block is None else _binding_issues(record, block)
+            )
 
 
 @contextmanager
@@ -811,7 +975,8 @@ def checked_read(path: str) -> Iterator[Iterator]:
     """:func:`checked_lines` of ``path`` under one ``jsonl.read`` span.
 
     The span covers whatever the ``with`` body does with the lines and
-    records the rows, bytes, distinct contexts and memo hits read.
+    records the rows, bytes, distinct contexts, memo hits and template
+    rows read.
     """
     stats = _LineStats(ContextTable())
     with get_tracer().span("jsonl.read") as span:
@@ -822,4 +987,5 @@ def checked_read(path: str) -> Iterator[Iterator]:
                 rows=stats.rows, bytes=stats.bytes,
                 distinct_contexts=len(stats.table),
                 memo_hits=stats.table.hits,
+                template_rows=stats.template_rows,
             )

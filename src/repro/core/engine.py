@@ -293,13 +293,16 @@ def _fold_slice_worker(payload):
 # out-of-core evaluation: stream a JSONL log through the reduction kernel
 
 
-def _read_blocks(path, mode, validator, quarantine, chunk_size, table):
+def _read_blocks(
+    path, mode, validator, quarantine, chunk_size, table, prefix_bytes
+):
     """Admit ``path`` in ``chunk_size``-row column blocks.
 
     Both streamed passes read through the log codec exactly as
     ``Dataset.load_jsonl(verify_ledger="auto")`` does: ledger bindings
     are checked (linkage too in strict mode), and broken ones raise or
-    are set aside under ``ledger``.
+    are set aside under ``ledger``.  ``prefix_bytes`` bounds both
+    passes to the same prefix of the file.
     """
     from repro.audit.ledger import ChainFollower
     from repro.core.codec import LogReader
@@ -311,6 +314,7 @@ def _read_blocks(path, mode, validator, quarantine, chunk_size, table):
         quarantine=quarantine,
         chain=ChainFollower(strict_links=(mode == "strict")),
         table=table,
+        prefix_bytes=prefix_bytes,
     )
     return reader.blocks(chunk_size)
 
@@ -508,6 +512,7 @@ def evaluate_jsonl_chunked(
     action_space=None,
     reward_range=None,
     collect_terms: bool = False,
+    prefix_bytes: Optional[int] = None,
 ) -> ChunkedEvaluation:
     """Evaluate policies against a JSONL log without loading it.
 
@@ -541,6 +546,11 @@ def evaluate_jsonl_chunked(
     the chaos suite proves quarantine counts and UNRELIABLE verdicts
     survive chunk-boundary folding.
 
+    ``prefix_bytes`` reads only the file's first ``prefix_bytes``
+    bytes in both passes, so rows appended while the run reads (a
+    server flushing under a gate) are never folded; by default the
+    whole file is read.
+
     Instrumented end to end (see :mod:`repro.obs`): under an active
     tracer the run produces an ``evaluate.jsonl`` span tree covering
     the validation/discovery pass, every chunk fold (including folds
@@ -573,6 +583,7 @@ def evaluate_jsonl_chunked(
             action_space=action_space,
             reward_range=reward_range,
             collect_terms=collect_terms,
+            prefix_bytes=prefix_bytes,
         )
         root.set(rows=evaluation.n, chunks=evaluation.n_chunks)
         return evaluation
@@ -590,6 +601,7 @@ def _evaluate_jsonl_chunked(
     action_space,
     reward_range,
     collect_terms: bool,
+    prefix_bytes: Optional[int],
 ) -> ChunkedEvaluation:
     from repro.core import shm
     from repro.core.codec import ContextTable
@@ -647,7 +659,7 @@ def _evaluate_jsonl_chunked(
     ) as validation_span:
         discovery = Quarantine(record_metrics=False)
         for block in _read_blocks(
-            path, mode, validator, discovery, chunk_size, memo
+            path, mode, validator, discovery, chunk_size, memo, prefix_bytes
         ):
             stats.fold(block.actions, block.propensities)
             observed.update(int(a) for a in np.unique(block.actions))
@@ -734,7 +746,8 @@ def _evaluate_jsonl_chunked(
         n_chunks = 0
         quarantine = Quarantine()
         chunks = _read_blocks(
-            path, mode, validator, quarantine, chunk_size, memo
+            path, mode, validator, quarantine, chunk_size, memo,
+            prefix_bytes,
         )
         if not parallel:
             for chunk in chunks:

@@ -440,8 +440,9 @@ class Dataset:
         :class:`~repro.core.codec.LogReader`, which accepts exactly the
         records — with the same errors and quarantine reports — that
         :func:`repro.core.validation.validated_interactions` does, but
-        digests each distinct context once and checks clean rows with
-        exact-type tests.  The interactions keep their ``metadata`` and
+        splits each line the codec wrote by its template and parses and
+        digests each distinct context once.  A line that is not UTF-8
+        is unparseable.  The interactions keep their ``metadata`` and
         ``full_rewards``.  ``columnar=True`` instead returns a
         columns-backed view (:meth:`from_columns`) for pure folding: no
         per-row ``Interaction``, record dict or metadata dict is kept,

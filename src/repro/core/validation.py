@@ -448,8 +448,8 @@ def admit_record(
     defect raises a :class:`ValueError` naming ``source_name`` and the
     1-based ``line_number`` instead.  :func:`validated_interactions`
     runs every record through here, and the columnar reader of
-    :mod:`repro.core.codec` every record its exact-type fast checks do
-    not clear, so both report identical reasons, details and examples.
+    :mod:`repro.core.codec` every line its template path does not
+    admit, so both report identical reasons, details and examples.
     """
     chain_issues: list[tuple[str, str]] = []
     if chain is not None and isinstance(record, Mapping):

@@ -106,6 +106,7 @@ def evaluate_candidate(
     candidate: Policy,
     incumbent: Policy,
     config: GateConfig = GateConfig(),
+    prefix_bytes: Optional[int] = None,
 ) -> GateDecision:
     """Run the offline OPE gate over a flushed decision log.
 
@@ -113,7 +114,10 @@ def evaluate_candidate(
     the :class:`GateRunner` subprocess (the server).  Estimation errors
     (empty log, unreadable file, degenerate weights) become a
     ``promote=False`` decision rather than an exception: the serving
-    loop must never die because an evaluation did.
+    loop must never die because an evaluation did.  ``prefix_bytes``
+    bounds both evaluation passes to the log's first ``prefix_bytes``
+    bytes (the prefix the gate's flush made durable); by default the
+    whole file is read.
     """
     try:
         evaluation = evaluate_jsonl_chunked(
@@ -121,6 +125,7 @@ def evaluate_candidate(
             [candidate, incumbent],
             [DoublyRobustEstimator()],
             mode="strict",
+            prefix_bytes=prefix_bytes,
         )
     except (OSError, ValueError) as error:
         return GateDecision(
@@ -169,11 +174,12 @@ def evaluate_candidate(
 
 
 def _gate_worker(conn, log_path, candidate_name, candidate, incumbent,
-                 config) -> None:
+                 config, prefix_bytes) -> None:
     """Subprocess entry: evaluate, ship the decision dict, exit."""
     try:
         decision = evaluate_candidate(
-            log_path, candidate_name, candidate, incumbent, config
+            log_path, candidate_name, candidate, incumbent, config,
+            prefix_bytes,
         )
         conn.send(decision.to_dict())
     except BaseException as error:  # noqa: BLE001 - report, never hang
@@ -193,9 +199,11 @@ class GateRunner:
 
     The serving loop calls :meth:`poll` between request batches (or an
     asyncio task awaits :meth:`wait`); the child evaluates the flushed
-    log independently.  If the child is SIGKILLed, OOM-killed, or
-    crashes before reporting, :meth:`poll` returns a ``promote=False``
-    decision naming the exit code — serving itself never notices.
+    log independently, up to ``prefix_bytes`` when given (see
+    :func:`evaluate_candidate`).  If the child is SIGKILLed,
+    OOM-killed, or crashes before reporting, :meth:`poll` returns a
+    ``promote=False`` decision naming the exit code — serving itself
+    never notices.
     """
 
     def __init__(
@@ -205,6 +213,7 @@ class GateRunner:
         candidate: Policy,
         incumbent: Policy,
         config: GateConfig = GateConfig(),
+        prefix_bytes: Optional[int] = None,
     ) -> None:
         ctx = multiprocessing.get_context()
         self._recv, child_conn = ctx.Pipe(duplex=False)
@@ -213,7 +222,7 @@ class GateRunner:
             target=_gate_worker,
             args=(
                 child_conn, log_path, candidate_name, candidate,
-                incumbent, config,
+                incumbent, config, prefix_bytes,
             ),
             daemon=True,
         )

@@ -467,8 +467,9 @@ class DecisionService:
 
         The evaluation runs in a subprocess (see
         :class:`repro.serve.gate.GateRunner`); serving continues at
-        full speed while it reads the flushed log.  Poll with
-        :meth:`poll_gate`.
+        full speed while it reads the flushed log.  It reads exactly
+        the bytes this flush made durable, so rows flushed while it
+        runs are not folded.  Poll with :meth:`poll_gate`.
         """
         if self._gate is not None:
             raise RuntimeError(
@@ -484,6 +485,7 @@ class DecisionService:
             candidate.policy,
             self.policies.incumbent.policy,
             config,
+            prefix_bytes=self._writer.size,
         )
         return self._gate
 

@@ -408,6 +408,121 @@ class TestVerifyNonObjectLine:
             assert all(shard["ok"] for shard in report["shards"])
 
 
+def _undecodable_log(lb_log, tmp_path, newline=b"\n"):
+    """The log with the high bit of line 1001's first ``conns_0`` byte
+    set, so that line is not UTF-8; ``newline`` ends every line."""
+    log, _ = lb_log
+    lines = log.read_bytes().splitlines()
+    at = lines[1000].index(b'"conns_0"') + 1
+    lines[1000] = (
+        lines[1000][:at] + bytes([lines[1000][at] | 0x80])
+        + lines[1000][at + 1:]
+    )
+    path = tmp_path / "undecodable.jsonl"
+    path.write_bytes(b"".join(line + newline for line in lines))
+    return path
+
+
+class TestUndecodableLine:
+    """A line that is not UTF-8 is an unparseable line at its own
+    number, for every reader, whatever the line endings."""
+
+    NOTE = "'utf-8' codec can't decode byte 0xe3 in position 14"
+
+    @pytest.mark.parametrize("with_manifest", [False, True])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_verify_report_names_the_line(
+        self, lb_log, tmp_path, capsys, with_manifest, newline
+    ):
+        path = _undecodable_log(lb_log, tmp_path, newline)
+        argv = ["verify-ledger", str(path), "--json"]
+        if with_manifest:
+            argv += ["--manifest", str(lb_log[1])]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        report = json.loads(captured.out)
+        overall = report["overall"] if with_manifest else report
+        assert (overall["n"], overall["n_ledgered"]) == (2000, 1999)
+        assert overall["first_bad"] == 1001
+        assert overall["issues"] == [
+            "line 1001: ledger: ledger metadata missing field(s) "
+            "['stream', 'ordinal', 'prev', 'context_sha', 'hash']"
+        ]
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize(
+        "read", ["rows", "columns", "streamed-w1", "streamed-w2"]
+    )
+    @pytest.mark.parametrize("mode", ["strict", "quarantine", "repair"])
+    def test_every_reader_sets_the_line_aside(
+        self, lb_log, tmp_path, mode, read, newline
+    ):
+        from repro.core.engine import evaluate_jsonl_chunked
+        from repro.core.estimators import IPSEstimator
+        from repro.core.policies import UniformRandomPolicy
+        from repro.core.types import Dataset
+
+        path = str(_undecodable_log(lb_log, tmp_path, newline))
+
+        def run():
+            if read.startswith("streamed"):
+                evaluation = evaluate_jsonl_chunked(
+                    path, [UniformRandomPolicy()], [IPSEstimator()],
+                    chunk_size=512, workers=int(read[-1]), mode=mode,
+                )
+                return evaluation.n, evaluation.quarantine
+            loaded = Dataset.load_jsonl(
+                path, mode=mode, columnar=(read == "columns")
+            )
+            return len(loaded), loaded.quarantine
+
+        if mode == "strict":
+            with pytest.raises(ValueError) as error:
+                run()
+            assert str(error.value) == (
+                f"{path}: invalid UTF-8 at line 1001: {self.NOTE}: "
+                "invalid continuation byte"
+            )
+            return
+        n, quarantine = run()
+        assert n == 1999
+        report = quarantine.report()
+        assert report["by_reason"] == {"unparseable": 1}
+        (example,) = report["examples"]
+        assert example["line"] == 1001
+        assert example["detail"].startswith(self.NOTE)
+        assert example["raw"].startswith('{"context": {"\ufffdonns_0"')
+
+    def test_cli_evaluate(self, lb_log, tmp_path, capsys):
+        path = str(_undecodable_log(lb_log, tmp_path))
+        capsys.readouterr()
+        for extra in ([], ["--chunk-size", "512"]):
+            assert main(["evaluate", path, *extra]) == 1
+            assert "invalid UTF-8 at line 1001" in capsys.readouterr().err
+            assert main(
+                ["evaluate", path, "--mode", "quarantine", *extra]
+            ) == 0
+            captured = capsys.readouterr()
+            assert "unparseable  1" in captured.err
+            assert "(1999 interactions" in captured.out
+
+    def test_crlf_log_reads_like_lf(self, lb_log, tmp_path):
+        from repro.audit.ledger import verify_jsonl
+        from repro.core.types import Dataset
+
+        log, _ = lb_log
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes(log.read_bytes().replace(b"\n", b"\r\n"))
+        assert [i.to_dict() for i in Dataset.load_jsonl(str(crlf))] == [
+            i.to_dict() for i in Dataset.load_jsonl(str(log))
+        ]
+        assert verify_jsonl(str(crlf)).report() == (
+            verify_jsonl(str(log)).report()
+        )
+
+
 class TestStreamedEvaluateChecksTheChain:
     MESSAGE = "line 500: ledger: record hash mismatch at ordinal 499"
 

@@ -6,13 +6,14 @@ strict errors and the same ``Quarantine.report()``, whether it feeds
 ``Dataset.load_jsonl`` (rows or columns) or the streamed evaluation.
 """
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
 from repro.__main__ import main
-from repro.audit.ledger import ChainFollower
+from repro.audit.ledger import ChainFollower, verify_jsonl
 from repro.chaos.corruption import KINDS, LogCorruptor
 from repro.core.codec import LogReader
 from repro.core.engine import evaluate_jsonl_chunked
@@ -26,6 +27,7 @@ from repro.core.validation import (
     validated_interactions,
 )
 from repro.obs.manifest import RunManifest
+from repro.obs.tracing import Tracer, use_tracer
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +199,49 @@ class TestReader:
         assert [i.to_dict() for i in loaded] == [i.to_dict() for i in rows]
 
 
+class TestPrefixBound:
+    """``prefix_bytes`` reads a prefix of the file and nothing past it."""
+
+    @pytest.fixture
+    def grown(self, clean_logs, tmp_path):
+        """``(prefix log, grown log, prefix length)``: the grown log is
+        the prefix plus more rows and a torn last line."""
+        lines = clean_logs["machinehealth"].read_bytes().splitlines(True)
+        prefix, grown = tmp_path / "prefix.jsonl", tmp_path / "grown.jsonl"
+        prefix.write_bytes(b"".join(lines[:250]))
+        grown.write_bytes(b"".join(lines) + lines[-1][:40])
+        return str(prefix), str(grown), prefix.stat().st_size
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bounded_evaluation_equals_the_prefix(self, grown, workers):
+        from repro.core.estimators import DoublyRobustEstimator
+        from repro.core.policies import ConstantPolicy
+
+        prefix, path, size = grown
+        run = functools.partial(
+            evaluate_jsonl_chunked,
+            policies=[UniformRandomPolicy(), ConstantPolicy(1)],
+            estimators=[IPSEstimator(), DoublyRobustEstimator()],
+            chunk_size=64, workers=workers,
+        )
+        bounded = run(path, prefix_bytes=size)
+        alone = run(prefix)
+        assert bounded.n == alone.n == 250
+        assert [
+            [(r.value, r.std_error) for r in row] for row in bounded.results
+        ] == [[(r.value, r.std_error) for r in row] for row in alone.results]
+        with pytest.raises(ValueError, match="invalid JSON at line 401"):
+            run(path)
+
+    def test_bounded_reader_equals_the_prefix(self, grown):
+        prefix, path, size = grown
+        bounded = LogReader(path, prefix_bytes=size, keep_rows=True).read()
+        alone = LogReader(prefix, keep_rows=True).read()
+        assert [i.to_dict() for i in bounded.interactions] == [
+            i.to_dict() for i in alone.interactions
+        ]
+
+
 class TestCodecSpans:
     @staticmethod
     def spans(manifest, name):
@@ -235,3 +280,28 @@ class TestCodecSpans:
             # The streamed run reads the log twice (discovery, fold).
             passes = 2 if extra else 1
             assert sum(r["attributes"]["rows"] for r in reads) == 400 * passes
+
+    def test_template_rows_count_the_template_path(self, tmp_path):
+        log, manifest = tmp_path / "mh.jsonl", tmp_path / "r.json"
+        assert main(
+            ["harvest", "machinehealth", str(log), "--rows", "5000",
+             "--seed", "2", "--ledger"]
+        ) == 0
+        compact = tmp_path / "compact.jsonl"
+        with open(log, encoding="utf-8") as handle:
+            compact.write_text("".join(
+                json.dumps(json.loads(line), separators=(",", ":")) + "\n"
+                for line in handle
+            ))
+        for path, template_rows in ((log, 5000), (compact, 0)):
+            assert main(
+                ["evaluate", str(path), "--manifest", str(manifest)]
+            ) == 0
+            (read,) = self.spans(manifest, "jsonl.read")
+            tracer = Tracer()
+            with use_tracer(tracer):
+                assert verify_jsonl(str(path)).ok
+            (verify,) = tracer.span_tree()
+            for attributes in (read["attributes"], verify["attributes"]):
+                assert attributes["rows"] == 5000
+                assert attributes["template_rows"] == template_rows

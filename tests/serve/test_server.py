@@ -207,6 +207,50 @@ class TestCandidateOps:
         assert stopped["canary"]["name"] == "greedy"
         assert stopped["canary"]["ordinals"] == [0, 12]
 
+    def test_gate_reads_the_rows_flushed_at_its_start(self, tmp_path):
+        # A second connection keeps acting and flushing while the gate
+        # runs; the gate folds exactly the rows its own flush made
+        # durable, never the ones appended after it started.
+        async def scenario(server, client):
+            service = server.service
+            service.register_candidate("greedy", ConstantPolicy(GOOD_ACTION))
+            for _ in range(16):
+                await client.call(op="act", n=256)
+            at_start = []
+            start_gate = service.start_gate
+
+            def recording_start(name, config):
+                runner = start_gate(name, config)
+                at_start.append(service.served)
+                return runner
+
+            service.start_gate = recording_start
+            other = await Client.connect(server)
+            gating = asyncio.Event()
+
+            async def traffic():
+                gating.set()
+                for _ in range(200):
+                    await other.call(op="act", n=256)
+                    await other.call(op="flush")
+                    if at_start and service.gate is None:
+                        break
+
+            task = asyncio.create_task(traffic())
+            await gating.wait()
+            promote = await client.call(op="promote", name="greedy")
+            await task
+            await other.close()
+            return promote, at_start[0], service.served
+
+        promote, at_start, served = run_with_server(
+            scenario, tmp_path, gate_config=GateConfig(min_rows=256)
+        )
+        assert promote["decision"]["n"] == at_start
+        assert served > at_start
+        with open(tmp_path / "serve.jsonl", "rb") as handle:
+            assert sum(1 for _ in handle) == served
+
     def test_promote_runs_the_gate_and_swaps(self, tmp_path):
         async def scenario(server, client):
             server.service.register_candidate(

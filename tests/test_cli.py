@@ -229,6 +229,29 @@ class TestBootstrapFlag:
             == self._bootstrap_lines(chunked)
         )
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "estimators",
+        [["dr"], ["snips", "dm"], ["dr", "ips"]],
+        ids=["dr", "snips-dm", "dr-ips"],
+    )
+    def test_streamed_bootstrap_whatever_the_estimators(
+        self, log_path, capsys, estimators, workers
+    ):
+        # The streamed path folds the IPS terms the bootstrap needs even
+        # when ips is not a listed estimator, and prints no ips column.
+        args = [log_path, "--policy", "constant:1", "--policy", "uniform",
+                "--bootstrap", "50", "--seed", "1", "--workers", workers]
+        for name in estimators:
+            args += ["--estimator", name]
+        _, in_memory = self._run(list(args), capsys)
+        _, streamed = self._run(args + ["--chunk-size", "64"], capsys)
+        lines = self._bootstrap_lines(in_memory)
+        assert len(lines) == 2
+        assert self._bootstrap_lines(streamed) == lines
+        # The tables agree too, column for column.
+        assert streamed.splitlines()[1:5] == in_memory.splitlines()[1:5]
+
 
 class TestObservabilityFlags:
     def _run(self, extra, capsys):
