@@ -25,6 +25,7 @@ Run with::
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 
@@ -64,8 +65,12 @@ ROUNDS = 1 if SMOKE else 3
 CHUNK_SIZE = 512 if SMOKE else 8_192
 N_BOOT = 400 if SMOKE else 4_000
 BOOT_WORKERS = 4
-#: Workers for the shared-memory parallel fold benchmark.
-SHARED_WORKERS = 4
+#: Shortest wall time one timed sample of a paired comparison may last:
+#: one sub-millisecond call times scheduler noise, not the kernel, so
+#: cheap calls repeat within a sample until it lasts this long.
+MIN_SAMPLE_SECONDS = 0.05
+#: Interleaved samples per arm of a paired comparison (best one wins).
+PAIRED_ROUNDS = 5
 #: Acceptance gate (full mode only): vectorized class search must beat
 #: the scalar path by at least this factor in throughput.
 MIN_SPEEDUP = 10.0
@@ -156,6 +161,32 @@ def _timed(benchmark, fn) -> float:
     return min(durations)
 
 
+def _paired_seconds(first, second) -> tuple[float, float]:
+    """Best per-call seconds of two callables, warm and interleaved.
+
+    Both arms run once untimed (memo warm-up), then each sample calls
+    its arm enough times to last :data:`MIN_SAMPLE_SECONDS`, and the
+    arms alternate for :data:`PAIRED_ROUNDS` rounds so drift hits both
+    equally.  Returns the min-of-rounds per-call time of each arm.
+    """
+    arms = (first, second)
+    calls = []
+    for fn in arms:
+        fn()
+        start = time.perf_counter()
+        fn()
+        once = max(time.perf_counter() - start, 1e-9)
+        calls.append(max(1, math.ceil(MIN_SAMPLE_SECONDS / once)))
+    best = [math.inf, math.inf]
+    for _ in range(PAIRED_ROUNDS):
+        for arm, (fn, n) in enumerate(zip(arms, calls)):
+            start = time.perf_counter()
+            for _ in range(n):
+                fn()
+            best[arm] = min(best[arm], (time.perf_counter() - start) / n)
+    return best[0], best[1]
+
+
 class TestSinglePolicyOPE:
     """IPS over the whole log for one candidate policy."""
 
@@ -224,68 +255,33 @@ class TestChunkedBackend:
     """The out-of-core fold, timed on the same single-policy workload.
 
     The chunked fold pays for per-chunk slicing and fold state merging;
-    the tracked ratio against the whole-log fold bounds that overhead
-    so a kernel regression (e.g. accidental per-row work inside
-    ``fold``) shows up as a throughput drop.
+    the tracked ratio against a warm whole-log fold, timed interleaved
+    in the same test, bounds that overhead so a kernel regression (e.g.
+    accidental per-row work inside ``fold``) shows up as a throughput
+    drop.  At smoke sizes one estimate takes well under a millisecond,
+    so both arms repeat within each sample (:func:`_paired_seconds`).
     """
 
-    def test_bench_ips_chunked(self, workload, benchmark):
+    def test_bench_ips_chunked(self, workload):
         from repro.core.engine import use_engine
 
         log, _, _, _, policy = workload
         estimator = IPSEstimator()
-        with use_engine(chunk_size=CHUNK_SIZE):
-            seconds = _timed(
-                benchmark, lambda: estimator.estimate(policy, log)
-            )
+
+        def chunked():
+            with use_engine(chunk_size=CHUNK_SIZE):
+                estimator.estimate(policy, log)
+
+        whole_seconds, seconds = _paired_seconds(
+            lambda: estimator.estimate(policy, log), chunked
+        )
         RESULTS["single_chunked"] = {
             "n": len(log),
             "chunk_size": CHUNK_SIZE,
+            "whole_seconds": whole_seconds,
             "seconds": seconds,
             "interactions_per_sec": len(log) / seconds,
-        }
-
-
-class TestSharedBackend:
-    """Shared-memory parallel fold vs the serial chunked plan.
-
-    Workers attach the packed columns zero-copy, so the per-task
-    payload is a descriptor instead of pickled rows.  Wall-clock gains
-    require real cores: the artifact records ``cpu_count`` next to the
-    ratio so single-core runner numbers (where process scheduling
-    overhead dominates and the ratio sits below 1) aren't mistaken for
-    an engine regression.  Results are asserted bit-identical to the
-    serial chunked plan in the same breath.
-    """
-
-    def test_bench_ips_shared(self, workload, benchmark):
-        from repro.core import pool as worker_pool
-        from repro.core.engine import use_engine
-
-        log, _, _, _, policy = workload
-        estimator = IPSEstimator()
-        log.columns().shared_block()  # pack + pool spin-up out of band
-        worker_pool.get_pool(SHARED_WORKERS)
-        try:
-            with use_engine(chunk_size=CHUNK_SIZE, workers=SHARED_WORKERS):
-                seconds = _timed(
-                    benchmark, lambda: estimator.estimate(policy, log)
-                )
-                shared_result = estimator.estimate(policy, log)
-            with use_engine(chunk_size=CHUNK_SIZE):
-                chunked_result = estimator.estimate(policy, log)
-            assert shared_result.value == chunked_result.value, (
-                "the parallel fold must be bit-identical to the serial one"
-            )
-        finally:
-            log.columns().release_shared_block()
-        RESULTS["single_shared"] = {
-            "n": len(log),
-            "chunk_size": CHUNK_SIZE,
-            "workers": SHARED_WORKERS,
-            "cpu_count": os.cpu_count(),
-            "seconds": seconds,
-            "interactions_per_sec": len(log) / seconds,
+            "relative_throughput": whole_seconds / seconds,
         }
 
 
@@ -296,16 +292,13 @@ class TestShardedBootstrap:
     bit-identical intervals; the artifact records the wall-clock ratio
     plus ``cpu_count`` (on single-core runners the "speedup" is ≤1 —
     process overhead with no parallelism to buy).  The artifact also
-    records the per-shard pickle payload before and after the
-    shared-memory transport: the legacy path shipped the full term
-    vector to every shard, the shared path ships a descriptor-sized
-    tuple.
+    records the per-shard pickle payload: every shard task ships its
+    own copy of the term vector.
     """
 
     def test_bench_bootstrap_serial_vs_parallel(self, workload, benchmark):
         import pickle
 
-        from repro.core import shm
         from repro.core import pool as worker_pool
 
         log, _, _, _, policy = workload
@@ -317,11 +310,15 @@ class TestShardedBootstrap:
                 terms, n_boot=N_BOOT, seed=13, workers=1
             ),
         )
-        # Spin-up and first-attach out of the timed region, then take
-        # the best of ROUNDS — symmetric with the serial measurement.
+        # Worker spin-up out of the timed region (one shard per worker:
+        # a single shard never reaches the pool), then take the best
+        # of ROUNDS — symmetric with the serial measurement.
         worker_pool.get_pool(BOOT_WORKERS)
         bootstrap_interval_from_terms(
-            terms, n_boot=BOOTSTRAP_SHARD, seed=13, workers=BOOT_WORKERS
+            terms,
+            n_boot=BOOT_WORKERS * BOOTSTRAP_SHARD,
+            seed=13,
+            workers=BOOT_WORKERS,
         )
         parallel_durations: list[float] = []
         for _ in range(ROUNDS):
@@ -339,18 +336,8 @@ class TestShardedBootstrap:
         )
 
         # Per-shard payload: what one shard task pickles through the
-        # pool, before (full term vector per shard) vs after (job key +
-        # once-pickled descriptor blob + counters).
-        legacy_bytes = len(pickle.dumps((terms, 256, 13, 0)))
-        shared_bytes = None
-        if shm.available():
-            with shm.SharedArrayBlock.create({"terms": terms}) as block:
-                job_key, blob = worker_pool.new_job(
-                    (("terms",), block.descriptor)
-                )
-                shared_bytes = len(
-                    pickle.dumps((job_key, blob, 256, 13, 0, False))
-                )
+        # pool (the full term vector plus its counters).
+        shard_bytes = len(pickle.dumps((terms, BOOTSTRAP_SHARD, 13, 0)))
         RESULTS["bootstrap"] = {
             "n": len(terms),
             "n_boot": N_BOOT,
@@ -359,10 +346,7 @@ class TestShardedBootstrap:
             "serial_seconds": serial_seconds,
             "parallel_seconds": parallel_seconds,
             "parallel_speedup": serial_seconds / parallel_seconds,
-            "per_shard_pickle_bytes": {
-                "before": legacy_bytes,
-                "after": shared_bytes,
-            },
+            "per_shard_pickle_bytes": shard_bytes,
         }
 
 
@@ -375,23 +359,27 @@ class TestInstrumentationOverhead:
     a few counter bumps.  The tracked ratio (instrumented / plain
     throughput) gates that promise: full mode asserts < 5% overhead,
     and the smoke artifact feeds ``gate.py`` so a hook that starts
-    allocating per row shows up as a regression.
+    allocating per row shows up as a regression.  One tracer and one
+    registry, built outside the timed region, serve every instrumented
+    call; the arms are timed warm and interleaved, repeating
+    sub-millisecond calls within each sample (:func:`_paired_seconds`).
     """
 
-    def test_bench_instrumentation_overhead(self, workload, benchmark):
+    def test_bench_instrumentation_overhead(self, workload):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.tracing import Tracer
+
         log, _, _, _, policy = workload
-        log.columns()
         estimator = IPSEstimator()
-        plain_seconds = _timed(
-            benchmark, lambda: estimator.estimate(policy, log)
-        )
-        durations: list[float] = []
-        for _ in range(ROUNDS):
-            with use_tracer(), use_metrics():
-                start = time.perf_counter()
+        tracer, registry = Tracer(), MetricsRegistry()
+
+        def instrumented():
+            with use_tracer(tracer), use_metrics(registry):
                 estimator.estimate(policy, log)
-                durations.append(time.perf_counter() - start)
-        instrumented_seconds = min(durations)
+
+        plain_seconds, instrumented_seconds = _paired_seconds(
+            lambda: estimator.estimate(policy, log), instrumented
+        )
         relative = plain_seconds / instrumented_seconds
         RESULTS["instrumentation"] = {
             "n": len(log),
@@ -951,7 +939,6 @@ class TestThroughputArtifact:
             "class_vectorized",
             "class_scalar",
             "single_chunked",
-            "single_shared",
             "bootstrap",
             "instrumentation",
             "obs_monitor",
@@ -970,14 +957,7 @@ class TestThroughputArtifact:
             RESULTS["class_vectorized"]["policy_interactions_per_sec"]
             / RESULTS["class_scalar"]["policy_interactions_per_sec"]
         )
-        chunked_relative = (
-            RESULTS["single_chunked"]["interactions_per_sec"]
-            / RESULTS["single_vectorized"]["interactions_per_sec"]
-        )
-        shared_relative = (
-            RESULTS["single_shared"]["interactions_per_sec"]
-            / RESULTS["single_vectorized"]["interactions_per_sec"]
-        )
+        chunked_relative = RESULTS["single_chunked"]["relative_throughput"]
         artifact = {
             "workload": {
                 "smoke": SMOKE,
@@ -1001,10 +981,6 @@ class TestThroughputArtifact:
             "chunked": {
                 "single": RESULTS["single_chunked"],
                 "relative_throughput": chunked_relative,
-            },
-            "shared": {
-                "single": RESULTS["single_shared"],
-                "relative_throughput": shared_relative,
             },
             "bootstrap": RESULTS["bootstrap"],
             "instrumentation": RESULTS["instrumentation"],
@@ -1039,20 +1015,10 @@ class TestThroughputArtifact:
                     f"{class_speedup:.1f}x",
                 ],
                 [
-                    "chunked fold (vs vectorized)",
-                    "-",
-                    f"{RESULTS['single_chunked']['interactions_per_sec']:.0f}",
+                    "chunked fold (vs whole-log fold)",
+                    f"{RESULTS['single_chunked']['whole_seconds']:.4f}s",
+                    f"{RESULTS['single_chunked']['seconds']:.4f}s",
                     f"{chunked_relative:.2f}x",
-                ],
-                [
-                    (
-                        f"shared fold x{RESULTS['single_shared']['workers']}"
-                        f" workers ({RESULTS['single_shared']['cpu_count']}"
-                        " cpu)"
-                    ),
-                    "-",
-                    f"{RESULTS['single_shared']['interactions_per_sec']:.0f}",
-                    f"{shared_relative:.2f}x",
                 ],
                 [
                     (
@@ -1065,14 +1031,14 @@ class TestThroughputArtifact:
                 ],
                 [
                     "bootstrap per-shard pickle bytes",
-                    str(RESULTS["bootstrap"]["per_shard_pickle_bytes"]["before"]),
-                    str(RESULTS["bootstrap"]["per_shard_pickle_bytes"]["after"]),
+                    "-",
+                    str(RESULTS["bootstrap"]["per_shard_pickle_bytes"]),
                     "-",
                 ],
                 [
                     "instrumented IPS (vs plain)",
-                    f"{RESULTS['instrumentation']['plain_seconds']:.3f}s",
-                    f"{RESULTS['instrumentation']['instrumented_seconds']:.3f}s",
+                    f"{RESULTS['instrumentation']['plain_seconds']:.4f}s",
+                    f"{RESULTS['instrumentation']['instrumented_seconds']:.4f}s",
                     f"{RESULTS['instrumentation']['relative_throughput']:.2f}x",
                 ],
                 [

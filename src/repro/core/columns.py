@@ -149,10 +149,9 @@ class ContextColumns:
         self._row_index = np.arange(n)
         self._feature_matrices: dict[tuple[str, ...], np.ndarray] = {}
         self._hashed_matrices: dict[tuple, np.ndarray] = {}
-        # Dataset-level memos (see shared_block / ips_weights and
-        # repro.core.estimators.direct.fit_default_model); kept at this
-        # level so every construction path initializes them.
-        self._shared_block = None
+        # Dataset-level memos (see ips_weights and
+        # repro.core.estimators.direct.fit_default_model); kept at
+        # this level so every construction path initializes them.
         self._ips_weight_cache: dict[int, tuple[object, np.ndarray]] = {}
         self._default_model = None
 
@@ -565,38 +564,12 @@ class DatasetColumns(ContextColumns):
             return weights
         return entry[1]
 
-    # -- shared-memory bridge ------------------------------------------------
-
-    def shared_block(self):
-        """This view packed into a shared segment, built once and reused.
-
-        Returns a :class:`repro.core.shm.SharedArrayBlock` whose
-        descriptor workers attach zero-copy; raises
-        :class:`repro.core.shm.SharedMemoryUnsupported` when the view
-        cannot be packed (callers fall back to pickled payloads).  The
-        block is owned by this process and lives until
-        :meth:`release_shared_block` (or process exit) — the point is
-        that every parallel fold and bootstrap against this log reuses
-        one segment.
-        """
-        if self._shared_block is None or self._shared_block.released:
-            from repro.core import shm
-
-            self._shared_block = shm.pack_columns(self)
-        return self._shared_block
-
-    def release_shared_block(self) -> None:
-        """Unlink this view's shared segment, if one was created."""
-        block, self._shared_block = self._shared_block, None
-        if block is not None:
-            block.release()
-
 
 class FixedEligibility:
     """Picklable eligibility callback returning one fixed action tuple.
 
     Used to pin a spaceless log's globally observed actions onto chunk
-    datasets (a lambda would not survive the trip to worker processes).
+    datasets (a lambda would make the action space unpicklable).
     """
 
     def __init__(self, actions: Sequence[int]) -> None:
@@ -669,7 +642,6 @@ class ColumnsSlice(DatasetColumns):
         self._row_index = np.arange(n)
         self._feature_matrices = {}
         self._hashed_matrices = {}
-        self._shared_block = None
         self._ips_weight_cache = {}
         self._default_model = None
         self.actions = parent.actions[start:stop]
@@ -696,9 +668,8 @@ class ColumnsSlice(DatasetColumns):
     def feature_matrix(self, feature_names) -> np.ndarray:
         """Named-feature matrix for this slice, reusing parent memos.
 
-        A parent-cached (or cheaply gatherable, for shared-memory
-        parents) whole-log matrix is sliced as a view; otherwise the
-        matrix is computed over just this slice's rows — identical
+        A parent-cached whole-log matrix is sliced as a view; otherwise
+        the matrix is computed over just this slice's rows — identical
         values either way, since both paths read the same contexts.
         """
         key = tuple(feature_names)
@@ -706,10 +677,6 @@ class ColumnsSlice(DatasetColumns):
         if cached is not None:
             return cached
         parent_matrix = self._parent._feature_matrices.get(key)
-        if parent_matrix is None and hasattr(self._parent, "_ctx_key_index"):
-            # Shared-memory parents gather the whole matrix vectorized;
-            # memoizing it there lets every later slice reuse it.
-            parent_matrix = self._parent.feature_matrix(key)
         if parent_matrix is not None:
             cached = parent_matrix[self._start:self._stop]
         else:

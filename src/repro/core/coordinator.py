@@ -633,10 +633,11 @@ class HarvestCoordinator:
         pending = list(plan)
         while pending:
             executor = worker_pool.get_pool(self.workers)
-            futures = [
-                (
-                    spec,
-                    executor.submit(
+            futures = []
+            unsubmitted: list[ShardSpec] = []
+            for position, spec in enumerate(pending):
+                try:
+                    future = executor.submit(
                         _shard_worker,
                         (
                             job_key,
@@ -648,11 +649,14 @@ class HarvestCoordinator:
                             get_monitors().enabled,
                             get_profiler().enabled,
                         ),
-                    ),
-                )
-                for spec in pending
-            ]
-            crashed = False
+                    )
+                except BrokenProcessPool:
+                    # A worker died while shards were still being
+                    # submitted: the rest never reached the pool.
+                    unsubmitted = pending[position:]
+                    break
+                futures.append((spec, future))
+            crashed = bool(unsubmitted)
             failed: list[ShardSpec] = []
             for spec, future in futures:
                 try:
@@ -683,6 +687,7 @@ class HarvestCoordinator:
                 payloads[spec.index] = self._accept(
                     spec, payload, tracer, metrics, remote=True
                 )
+            failed += unsubmitted
             if crashed:
                 worker_pool.reset_pool()
                 warnings.warn(

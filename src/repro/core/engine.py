@@ -1,45 +1,35 @@
-"""The evaluation engine: one fold driver over two process-wide knobs.
+"""The evaluation engine: one fold driver over one process-wide knob.
 
 Every estimator is a reduction (:mod:`repro.core.estimators.reductions`)
 and every in-memory estimate folds the log's cached columnar view
 (:class:`~repro.core.columns.DatasetColumns`) through it with
-:func:`fold_dataset_chunked`.  Two knobs shape that fold:
+:func:`fold_dataset_chunked`.  One knob shapes that fold:
+``chunk_size``, the rows per fold.  ``None`` (the default) folds the
+whole log at once: one
+:meth:`~repro.core.policies.Policy.probabilities_batch` call per
+policy, the array-speed path §4's "one log scores a whole policy
+class" promise needs.  A positive size folds zero-copy
+:class:`~repro.core.columns.ColumnsSlice` views of that many rows,
+bounding the working set (no whole-log ``(N, K)`` matrix is built).
 
-- ``chunk_size`` — rows per fold.  ``None`` (the default) folds the
-  whole log at once: one
-  :meth:`~repro.core.policies.Policy.probabilities_batch` call per
-  policy, the array-speed path §4's "one log scores a whole policy
-  class" promise needs.  A positive size folds zero-copy
-  :class:`~repro.core.columns.ColumnsSlice` views of that many rows,
-  bounding the working set (no whole-log ``(N, K)`` matrix is built).
-- ``workers`` — worker processes.  Above 1, the chunk slices fold
-  across the persistent pool (:mod:`repro.core.pool`) against one
-  shared-memory copy of the columns (:mod:`repro.core.shm`); task
-  payloads are a descriptor plus slice bounds, never row data.  Any
-  failure to share falls back to the serial fold, bit-identically.
-
-:func:`use_engine` scopes both knobs to a ``with`` block.  Chunk
-states merge in chunk order, so ``workers`` never changes a result;
-different chunk sizes agree up to float reassociation (asserted by
-``tests/core/test_reduction_equivalence.py`` against the per-row
-reference in ``tests/oracles.py``).  :func:`evaluate_jsonl_chunked`
-extends the same kernel to logs that never fit in memory, streaming
-JSONL through the validation layer chunk by chunk.
+Every fold runs in this process.  :func:`use_engine` scopes the knob
+to a ``with`` block.  Different chunk sizes agree up to float
+reassociation (asserted by ``tests/core/test_reduction_equivalence.py``
+against the per-row reference in ``tests/oracles.py``).
+:func:`evaluate_jsonl_chunked` extends the same kernel to logs that
+never fit in memory, streaming JSONL through the validation layer
+chunk by chunk.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 import warnings
-from collections import deque
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.core import pool as worker_pool
-from repro.core.pool import BrokenProcessPool
 from repro.obs.metrics import get_metrics
 from repro.obs.monitors import get_monitors
 from repro.obs.tracing import get_tracer
@@ -54,9 +44,6 @@ STREAM_CHUNK_SIZE = 8192
 #: Rows per in-memory fold; ``None`` folds the whole log at once.
 _chunk_size: Optional[int] = None
 
-#: Worker processes folding chunk slices; 1 = in-process.
-_workers = 1
-
 #: Policy types already warned about missing a batch implementation.
 _warned_fallback_types: set = set()
 
@@ -68,44 +55,30 @@ def _check_chunk_size(chunk_size: Optional[int]) -> Optional[int]:
     return None if chunk_size is None else int(chunk_size)
 
 
-def _check_workers(workers: int) -> int:
-    """Validate a worker count (at least 1)."""
-    if int(workers) < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return int(workers)
-
-
 def get_chunk_size() -> Optional[int]:
     """Rows per in-memory fold; ``None`` means one whole-log fold."""
     return _chunk_size
 
 
-def get_workers() -> int:
-    """Worker processes folding chunk slices (1 = in-process)."""
-    return _workers
-
-
 @contextmanager
-def use_engine(
-    *, chunk_size: Optional[int] = None, workers: int = 1
-) -> Iterator[None]:
-    """Fold with ``chunk_size`` rows across ``workers`` within a block.
+def use_engine(*, chunk_size: Optional[int] = None) -> Iterator[None]:
+    """Fold with ``chunk_size`` rows within a block.
 
-    Both knobs take the given values for the duration of the ``with``
-    block (the defaults are the process defaults: whole-log folds,
-    in-process) and are restored on exit.  The exit also clears the
-    per-policy-type fallback-warning memory, so a scoped switch cannot
-    leak warning-suppression state into later code (or, in test
-    suites, into later tests).
+    The knob takes the given value for the duration of the ``with``
+    block (the default is the process default: whole-log folds) and is
+    restored on exit.  The exit also clears the per-policy-type
+    fallback-warning memory, so a scoped switch cannot leak
+    warning-suppression state into later code (or, in test suites,
+    into later tests).
     """
-    global _chunk_size, _workers
-    scoped = (_check_chunk_size(chunk_size), _check_workers(workers))
-    previous = (_chunk_size, _workers)
-    _chunk_size, _workers = scoped
+    global _chunk_size
+    scoped = _check_chunk_size(chunk_size)
+    previous = _chunk_size
+    _chunk_size = scoped
     try:
         yield
     finally:
-        _chunk_size, _workers = previous
+        _chunk_size = previous
         _warned_fallback_types.clear()
 
 
@@ -147,7 +120,7 @@ def reset_backend_warnings() -> None:
 
 
 # ---------------------------------------------------------------------------
-# in-memory folding: slice views, optionally across the pool
+# in-memory folding: zero-copy slice views
 
 
 def fold_dataset_chunked(
@@ -156,7 +129,6 @@ def fold_dataset_chunked(
     dataset,
     *,
     chunk_size: Optional[int] = None,
-    workers: int = 1,
 ):
     """Fold a dataset through ``reduction`` in ``chunk_size`` slices.
 
@@ -165,128 +137,13 @@ def fold_dataset_chunked(
     call — exactly ``reduction.fold(state, dataset.columns())``.
     Otherwise chunks are zero-copy
     :class:`~repro.core.columns.ColumnsSlice` views over those columns,
-    so no per-chunk reconstruction happens.  With ``workers > 1`` the
-    slices fold across the persistent worker pool against a
-    shared-memory copy of the columns; any failure to share
-    (unpackable data, unpicklable reduction, a broken pool) falls back
-    to the serial plan, which is bit-identical because ``merge`` is
-    exactly how ``fold`` accumulates.
+    so no per-chunk reconstruction happens.
     """
     from repro.core.columns import iter_column_slices
 
-    columns = dataset.columns()
-    if workers > 1 and chunk_size is not None and columns.n > chunk_size:
-        chunk_states = _fold_columns_parallel(
-            reduction, columns, chunk_size, workers
-        )
-        if chunk_states is not None:
-            for chunk_state in chunk_states:
-                state = reduction.merge(state, chunk_state)
-            return state
-    for chunk in iter_column_slices(columns, chunk_size):
+    for chunk in iter_column_slices(dataset.columns(), chunk_size):
         state = reduction.fold(state, chunk)
     return state
-
-
-def _fold_columns_parallel(reduction, columns, chunk_size, workers):
-    """Fold slices of a shared-memory block across the worker pool.
-
-    Returns the chunk states in chunk order, or ``None`` when the data
-    cannot be shared, the reduction is unpicklable, or the pool broke
-    mid-run — the caller then recomputes serially (bit-identical).
-    The columns' shared block is memoized on the columns object, so a
-    class search fanning many reductions over one log packs the
-    segment exactly once.
-    """
-    from repro.core import shm
-
-    if not shm.available():
-        return None
-    try:
-        block = columns.shared_block()
-    except shm.SharedMemoryUnsupported:
-        return None
-    try:
-        job_key, blob = worker_pool.new_job((block.descriptor, reduction))
-    except Exception as error:
-        warnings.warn(
-            "parallel fold falling back to serial folding: work items "
-            f"are not picklable ({error})",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        return None
-    tracer = get_tracer()
-    metrics = get_metrics()
-    bounds = [
-        (start, min(start + chunk_size, columns.n))
-        for start in range(0, columns.n, chunk_size)
-    ]
-    try:
-        executor = worker_pool.get_pool(workers)
-        futures = [
-            executor.submit(
-                _fold_slice_worker,
-                (job_key, blob, start, stop, index, tracer.enabled),
-            )
-            for index, (start, stop) in enumerate(bounds)
-        ]
-        outcomes = [future.result() for future in futures]
-    except BrokenProcessPool:
-        worker_pool.reset_pool()
-        warnings.warn(
-            "worker pool died mid-fold; recomputing serially "
-            "(results are unaffected)",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        return None
-    fold_seconds = metrics.histogram("engine.chunk_fold_seconds")
-    fold_count = metrics.counter("engine.chunk_folds")
-    chunk_states = []
-    for chunk_state, seconds, span_dict in outcomes:
-        fold_seconds.observe(seconds)
-        fold_count.inc()
-        if span_dict is not None:
-            tracer.attach(span_dict)
-        chunk_states.append(chunk_state)
-    return chunk_states
-
-
-def _fold_slice_worker(payload):
-    """Fold one slice of a shared columnar block (worker process).
-
-    The job blob (descriptor + reduction) is unpickled once per worker
-    and the segment attached once per worker — every subsequent slice
-    of the same job reuses both, which is what makes pool reuse cheap.
-    Traced tasks open a fresh per-task
-    :class:`~repro.obs.tracing.Tracer` and ship the span home, so
-    spans survive pool reuse without leaking state between tasks.
-    """
-    job_key, blob, start, stop, index, traced = payload
-    from repro.core import shm
-    from repro.core.columns import ColumnsSlice
-
-    descriptor, reduction = worker_pool.job_payload(job_key, blob)
-    columns = shm.attach_columns(descriptor)
-    if start == 0 and stop == columns.n:
-        chunk = columns
-    else:
-        chunk = ColumnsSlice(columns, start, stop)
-    span_dict = None
-    clock = time.perf_counter()
-    if traced:
-        from repro.obs.tracing import Tracer
-
-        tracer = Tracer()
-        with tracer.span(
-            "evaluate.chunk", index=index, rows=stop - start, worker=True
-        ):
-            state = reduction.fold(reduction.init_state(), chunk)
-        span_dict = tracer.span_tree()[0]
-    else:
-        state = reduction.fold(reduction.init_state(), chunk)
-    return state, time.perf_counter() - clock, span_dict
 
 
 # ---------------------------------------------------------------------------
@@ -329,136 +186,6 @@ def _chunk_columns(block, space, reward_range):
         block.timestamps, action_space=space,
         reward_range=reward_range or RewardRange(),
     )
-
-
-def _fold_chunk_worker(payload):
-    """Fold one chunk into fresh states (runs in a worker process).
-
-    Folding a chunk into a *fresh* state and merging it later is
-    bit-identical to folding it into the accumulated state directly —
-    ``fold`` is implemented as merge-of-a-chunk-local-state — which is
-    what makes parallel and serial chunked runs agree exactly.
-
-    Returns ``(states, seconds, span_dict)``: the fold wall time is
-    always measured (two clock reads — the parent feeds it to the
-    ``engine.chunk_fold_seconds`` histogram), and when the parent runs
-    traced the worker opens its own ``evaluate.chunk`` span and ships
-    it home serialized so the merged span tree covers every chunk no
-    matter which process folded it.
-    """
-    block, space, reward_range, reductions, index, traced = payload
-    span_dict = None
-    start = time.perf_counter()
-    if traced:
-        from repro.obs.tracing import Tracer
-
-        tracer = Tracer()
-        with tracer.span(
-            "evaluate.chunk", index=index, rows=block.n, worker=True,
-        ):
-            columns = _chunk_columns(block, space, reward_range)
-            states = [
-                reduction.fold(reduction.init_state(), columns)
-                for reduction in reductions
-            ]
-        span_dict = tracer.span_tree()[0]
-    else:
-        columns = _chunk_columns(block, space, reward_range)
-        states = [
-            reduction.fold(reduction.init_state(), columns)
-            for reduction in reductions
-        ]
-    return states, time.perf_counter() - start, span_dict
-
-
-def _scan_context_keys(contexts, keys: set) -> bool:
-    """Collect context keys from a chunk; ``False`` if any value won't pack.
-
-    Feeds the discovery pass's shared-memory vocabulary: only exactly
-    numeric values (bools excluded — they'd lose their type through a
-    float64 cell) can live in the packed context matrix.  Each distinct
-    context object is scanned once (the reader shares one dict between
-    identical contexts).
-    """
-    for context in {id(context): context for context in contexts}.values():
-        for key, value in context.items():
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float, np.integer, np.floating)
-            ):
-                return False
-            keys.add(key)
-    return True
-
-
-def _shared_space_eligibility(space) -> Optional[tuple]:
-    """The one eligible-action tuple all rows share under ``space``.
-
-    ``None`` when eligibility genuinely varies per context (a custom
-    restricted space) — those chunks fall back to pickled rows.  The
-    pinned spaces the JSONL driver builds for spaceless logs use
-    :class:`~repro.core.columns.FixedEligibility`, which shares one
-    tuple by construction.
-    """
-    if space is None:
-        return None
-    if not space.restricted:
-        return tuple(range(space.n_actions))
-    from repro.core.columns import FixedEligibility
-
-    eligibility = getattr(space, "_eligibility", None)
-    if isinstance(eligibility, FixedEligibility):
-        return eligibility.actions
-    return None
-
-
-def _fold_shm_chunk_worker(payload):
-    """Fold one shared-memory chunk into fresh states (worker process).
-
-    The chunk's rows live in a one-shot segment; the payload is just
-    ``(job_key, blob, descriptor, index, traced)``.  The job blob
-    (action space, reward range, reductions, context vocabulary) is
-    unpickled once per worker and reused for every chunk of the job.
-    The result is pickled *before* the mapping is detached so no state
-    can carry views into a closed segment, and returned as bytes (the
-    parent unpickles).
-    """
-    job_key, blob, descriptor, index, traced = payload
-    from repro.core import shm
-
-    _space, reward_range, reductions, vocab = worker_pool.job_payload(
-        job_key, blob
-    )
-    columns = shm.attach_columns(
-        descriptor, vocab=vocab, reward_range=reward_range, cache=False
-    )
-    try:
-        span_dict = None
-        clock = time.perf_counter()
-        if traced:
-            from repro.obs.tracing import Tracer
-
-            tracer = Tracer()
-            with tracer.span(
-                "evaluate.chunk", index=index, rows=columns.n, worker=True
-            ):
-                states = [
-                    reduction.fold(reduction.init_state(), columns)
-                    for reduction in reductions
-                ]
-            span_dict = tracer.span_tree()[0]
-        else:
-            states = [
-                reduction.fold(reduction.init_state(), columns)
-                for reduction in reductions
-            ]
-        result = pickle.dumps(
-            (states, time.perf_counter() - clock, span_dict)
-        )
-        states = None
-        return result
-    finally:
-        del columns
-        shm.detach(descriptor)
 
 
 class ChunkedEvaluation:
@@ -506,7 +233,6 @@ def evaluate_jsonl_chunked(
     estimators,
     *,
     chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
     mode: str = "strict",
     validator=None,
     action_space=None,
@@ -518,9 +244,8 @@ def evaluate_jsonl_chunked(
 
     ``chunk_size`` rows are read per chunk (default
     :data:`STREAM_CHUNK_SIZE`, whatever the in-memory knob says — a
-    streamed log is never folded whole); ``workers`` defaults to the
-    process-wide knob.  Two streaming passes, each O(chunk) peak
-    memory:
+    streamed log is never folded whole).  Two streaming passes, each
+    O(chunk) peak memory:
 
     1. **Discovery** — count rows, collect the logged action support,
        fold the policy-independent :class:`LogStats` (propensity floor,
@@ -530,9 +255,8 @@ def evaluate_jsonl_chunked(
        This pins the reduction context (total N sizes the exact-q99
        tail buffers; the global support pins chunk eligibility).
     2. **Fold** — re-stream the file, build a pinned-space columnar
-       view per chunk, and fold every (policy × estimator) reduction,
-       serially or across ``workers`` processes.  Chunk states merge in
-       chunk order, so parallel and serial runs agree bit-for-bit.
+       view per chunk, and fold every (policy × estimator) reduction
+       into its running state.
 
     Both passes read through the log codec's
     :class:`~repro.core.codec.LogReader`, which parses lines straight
@@ -553,9 +277,8 @@ def evaluate_jsonl_chunked(
 
     Instrumented end to end (see :mod:`repro.obs`): under an active
     tracer the run produces an ``evaluate.jsonl`` span tree covering
-    the validation/discovery pass, every chunk fold (including folds
-    executed in worker processes, whose spans are merged home), and
-    the finalize step; under an active metrics registry it feeds the
+    the validation/discovery pass, every chunk fold, and the finalize
+    step; under an active metrics registry it feeds the
     ``engine.*`` counters/histograms and the ``validation.*``
     quarantine counters (fold pass only — discovery's duplicate sight
     of each defect is deliberately not mirrored).  With the default
@@ -577,7 +300,6 @@ def evaluate_jsonl_chunked(
             policies,
             estimators,
             chunk_size=chunk_size,
-            workers=workers,
             mode=mode,
             validator=validator,
             action_space=action_space,
@@ -595,7 +317,6 @@ def _evaluate_jsonl_chunked(
     estimators,
     *,
     chunk_size: Optional[int],
-    workers: Optional[int],
     mode: str,
     validator,
     action_space,
@@ -603,7 +324,6 @@ def _evaluate_jsonl_chunked(
     collect_terms: bool,
     prefix_bytes: Optional[int],
 ) -> ChunkedEvaluation:
-    from repro.core import shm
     from repro.core.codec import ContextTable
     from repro.core.columns import pinned_action_space
     from repro.core.estimators.direct import RewardModelFolder
@@ -622,7 +342,6 @@ def _evaluate_jsonl_chunked(
     if not estimators:
         raise ValueError("need at least one estimator")
     chunk_size = _check_chunk_size(chunk_size) or STREAM_CHUNK_SIZE
-    workers = _check_workers(workers if workers is not None else _workers)
     if validator is None:
         validator = (
             RecordValidator()
@@ -647,10 +366,6 @@ def _evaluate_jsonl_chunked(
     observed: set = set()
     total_rows = 0
     folder = RewardModelFolder() if needs_shared_model else None
-    # Shared-memory viability is decided during discovery: collect the
-    # global context-key vocabulary and verify every value packs.
-    ctx_keys: set = set()
-    shm_ok = workers > 1 and shm.available()
     # Validation is deterministic and the fold pass re-validates every
     # record; this pass's quarantine stays out of the metrics mirror so
     # each defect is counted once per run.
@@ -664,8 +379,6 @@ def _evaluate_jsonl_chunked(
             stats.fold(block.actions, block.propensities)
             observed.update(int(a) for a in np.unique(block.actions))
             total_rows += block.n
-            if shm_ok:
-                shm_ok = _scan_context_keys(block.contexts, ctx_keys)
             if folder is not None:
                 folder.fold_rows(block.contexts, block.actions, block.rewards)
         validation_span.set(rows=total_rows, rejected=discovery.n_rejected)
@@ -693,165 +406,27 @@ def _evaluate_jsonl_chunked(
             reduction.collect_terms = collect_terms
             reductions.append(reduction)
 
-    # The one-time job serialization doubles as the picklability probe:
-    # the blob (space, reward range, reductions, context vocabulary)
-    # crosses the pickle machinery exactly once per run, and per-chunk
-    # payloads carry only a compact segment descriptor — never the
-    # reductions list, never the rows.
-    job_key = job_blob = None
-    vocab = tuple(sorted(ctx_keys))
-    if workers > 1:
-        try:
-            job_key, job_blob = worker_pool.new_job(
-                (space, reward_range, reductions, vocab)
-            )
-        except Exception as error:  # pragma: no cover - env-specific
-            warnings.warn(
-                "chunked evaluation falling back to serial folding: "
-                f"work items are not picklable ({error})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            workers = 1
-    eligible_shared = _shared_space_eligibility(space)
-    use_shm = (
-        workers > 1
-        and shm_ok
-        and eligible_shared is not None
-        and len(vocab) <= shm.MAX_CONTEXT_KEYS
-    )
-    key_to_col = {key: col for col, key in enumerate(vocab)}
-
     # -- pass 2: fold ------------------------------------------------------
     fold_seconds = metrics.histogram("engine.chunk_fold_seconds")
     fold_count = metrics.counter("engine.chunk_folds")
-
-    def _merge(outcome, states) -> None:
-        if isinstance(outcome, bytes):
-            outcome = pickle.loads(outcome)
-        chunk_states, seconds, span_dict = outcome
-        fold_seconds.observe(seconds)
-        fold_count.inc()
-        if span_dict is not None:
-            tracer.attach(span_dict)
-        for index, reduction in enumerate(reductions):
-            states[index] = reduction.merge(
-                states[index], chunk_states[index]
-            )
-
     monitors = get_monitors()
-
-    def _fold_pass(parallel: bool):
-        states = [reduction.init_state() for reduction in reductions]
-        n_chunks = 0
-        quarantine = Quarantine()
-        chunks = _read_blocks(
-            path, mode, validator, quarantine, chunk_size, memo,
-            prefix_bytes,
-        )
-        if not parallel:
-            for chunk in chunks:
-                start = time.perf_counter()
-                with tracer.span(
-                    "evaluate.chunk", index=n_chunks, rows=chunk.n
-                ):
-                    columns = _chunk_columns(chunk, space, reward_range)
-                    if monitors.enabled:
-                        monitors.observe_propensities(columns.propensities)
-                    for index, reduction in enumerate(reductions):
-                        states[index] = reduction.fold(
-                            states[index], columns
-                        )
-                fold_seconds.observe(time.perf_counter() - start)
-                fold_count.inc()
-                n_chunks += 1
-            return states, n_chunks, quarantine
-
-        # Parallel: ship each chunk as a one-shot shared segment (a
-        # few-hundred-byte payload) when the data packs, or as pickled
-        # columns otherwise.  Bound in-flight chunks so peak memory —
-        # including live segments — stays O(workers × chunk) even when
-        # folding lags the file read; segments are unlinked as soon as
-        # their chunk merges, and in ``finally`` on any failure.
-        traced = tracer.enabled
-        executor = worker_pool.get_pool(workers)
-        in_flight: deque = deque()
-
-        def _drain_one() -> None:
-            future, block = in_flight.popleft()
-            try:
-                outcome = future.result()
-            finally:
-                if block is not None:
-                    block.release()
-            _merge(outcome, states)
-
-        try:
-            for chunk in chunks:
-                # One monitor feed per *chunk*, not per reduction — the
-                # workers run every (policy x estimator) reduction over
-                # the same rows, and double-feeding would inflate the
-                # ESS windows.
+    states = [reduction.init_state() for reduction in reductions]
+    n_chunks = 0
+    quarantine = Quarantine()
+    with tracer.span("evaluate.fold", chunk_size=chunk_size) as fold_span:
+        for chunk in _read_blocks(
+            path, mode, validator, quarantine, chunk_size, memo, prefix_bytes
+        ):
+            start = time.perf_counter()
+            with tracer.span("evaluate.chunk", index=n_chunks, rows=chunk.n):
+                columns = _chunk_columns(chunk, space, reward_range)
                 if monitors.enabled:
-                    monitors.observe_propensities(chunk.propensities)
-                block = None
-                if use_shm:
-                    try:
-                        block = shm.pack_chunk(
-                            chunk, key_to_col, eligible_shared,
-                            space.n_actions,
-                        )
-                    except shm.SharedMemoryUnsupported:
-                        block = None
-                try:
-                    if block is not None:
-                        future = executor.submit(
-                            _fold_shm_chunk_worker,
-                            (job_key, job_blob, block.descriptor,
-                             n_chunks, traced),
-                        )
-                    else:
-                        future = executor.submit(
-                            _fold_chunk_worker,
-                            (chunk, space, reward_range, reductions,
-                             n_chunks, traced),
-                        )
-                except BaseException:
-                    # submit itself fails on an already-broken pool; the
-                    # block is not in ``in_flight`` yet, so the outer
-                    # finally would miss it.
-                    if block is not None:
-                        block.release()
-                    raise
-                in_flight.append((future, block))
-                n_chunks += 1
-                if len(in_flight) >= 2 * workers:
-                    _drain_one()
-            while in_flight:
-                _drain_one()
-        finally:
-            for _future, block in in_flight:
-                if block is not None:
-                    block.release()
-        return states, n_chunks, quarantine
-
-    with tracer.span(
-        "evaluate.fold", chunk_size=chunk_size, workers=workers
-    ) as fold_span:
-        if workers > 1:
-            try:
-                states, n_chunks, quarantine = _fold_pass(parallel=True)
-            except BrokenProcessPool:
-                worker_pool.reset_pool()
-                warnings.warn(
-                    "chunked fold worker pool died; refolding serially "
-                    "(results are unaffected)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                states, n_chunks, quarantine = _fold_pass(parallel=False)
-        else:
-            states, n_chunks, quarantine = _fold_pass(parallel=False)
+                    monitors.observe_propensities(columns.propensities)
+                for index, reduction in enumerate(reductions):
+                    states[index] = reduction.fold(states[index], columns)
+            fold_seconds.observe(time.perf_counter() - start)
+            fold_count.inc()
+            n_chunks += 1
         fold_span.set(chunks=n_chunks)
     metrics.counter("engine.rows_ingested", backend="chunked").inc(total_rows)
 

@@ -73,16 +73,14 @@ def eligible_actions_fn(dataset: Dataset) -> Callable[[Interaction], list[int]]:
 class OffPolicyEstimator(ABC):
     """Interface: estimate a policy's value from logged exploration data.
 
-    Execution follows the engine's two process-wide knobs (see
+    Execution follows the engine's chunk-size knob (see
     :mod:`repro.core.engine`): by default the estimate is one fold of
     the dataset's cached columnar
     :class:`~repro.core.columns.DatasetColumns` view through the
     estimator's reduction (:mod:`repro.core.estimators.reductions`);
     under ``use_engine(chunk_size=...)`` it folds zero-copy chunk
-    slices instead, and with ``workers > 1`` those slices fold in
-    parallel against a shared-memory copy of the columns
-    (:mod:`repro.core.shm`).  Worker count never changes a result;
-    whole-log and chunked folds agree up to float reassociation.
+    slices instead.  Whole-log and chunked folds agree up to float
+    reassociation.
     """
 
     name: str = "estimator"
@@ -104,23 +102,18 @@ class OffPolicyEstimator(ABC):
         (e.g. trajectory estimators) override this method wholesale.
         """
         self._require_data(dataset)
-        from repro.core.engine import (
-            fold_dataset_chunked,
-            get_chunk_size,
-            get_workers,
-        )
+        from repro.core.engine import fold_dataset_chunked, get_chunk_size
         from repro.core.estimators.reductions import (
             LogSummary,
             ReductionContext,
         )
 
-        chunk_size, workers = get_chunk_size(), get_workers()
+        chunk_size = get_chunk_size()
         with get_tracer().span(
             "estimate",
             estimator=self.name,
             policy=policy.name,
             chunk_size=chunk_size,
-            workers=workers,
             n=len(dataset),
         ):
             context = ReductionContext.from_dataset(dataset)
@@ -130,7 +123,6 @@ class OffPolicyEstimator(ABC):
                 reduction.init_state(),
                 dataset,
                 chunk_size=chunk_size,
-                workers=workers,
             )
             return reduction.finalize(
                 state, LogSummary.from_columns(dataset.columns())

@@ -19,8 +19,7 @@ All three estimators execute through the reduction kernel
 (see :mod:`repro.core.engine`): by default one whole-log fold computed
 from a single :meth:`~repro.core.policies.Policy.probabilities_batch`
 call, or fixed-size zero-copy slices of the cached columns when a
-chunk size is set, folded in parallel workers attached to a
-shared-memory copy of the columns when ``workers > 1``.  Every derived
+chunk size is set.  Every derived
 quantity (terms, match counts, clipping statistics, diagnostics
 accumulators) comes from a *single* weight pass per chunk.
 """

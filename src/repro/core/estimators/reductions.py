@@ -14,8 +14,8 @@ a handful of moments.  That makes each of them a *reduction*::
 one chunk; states carry only sufficient statistics (weighted sums,
 match counts, Welford term moments, and the diagnostics accumulators
 for Kish ESS / weight tails / the E[w]=1 identity), so peak memory is
-O(chunk), not O(log).  Because ``merge`` is associative, chunks can be
-folded in parallel worker processes and combined in chunk order.  The
+O(chunk), not O(log).  Because ``merge`` is associative, chunk states
+can be folded separately and combined in chunk order.  The
 engine's one in-memory driver (a whole-log fold by default, chunk
 slices when a chunk size is set — see :mod:`repro.core.engine`), the
 JSONL file driver, and the streaming wrappers
@@ -30,8 +30,7 @@ Exact chunk-size invariance caveats worth knowing:
   merged q99 exact under any merge pattern — not an approximation.
 - Welford/Chan moment merging and the per-action inverse-propensity
   sums reassociate float additions, so chunked results match whole-log
-  results to ~1e-12 relative, not bit-for-bit.  Worker count never
-  matters: chunk states merge in chunk order either way.
+  results to ~1e-12 relative, not bit-for-bit.
 """
 
 from __future__ import annotations

@@ -1,18 +1,16 @@
-"""Persistent worker pool shared by chunk folds and bootstrap shards.
+"""Persistent worker pool shared by harvest shards and bootstrap shards.
 
 The parallel paths used to build a fresh ``ProcessPoolExecutor`` per
-call, paying fork/teardown for every evaluation and every bootstrap
-interval — and a fresh pool means fresh workers that re-attach every
-shared segment and re-unpickle every job.  This module keeps **one**
-lazily created executor for the whole process:
+call, paying fork/teardown for every harvest and every bootstrap
+interval — and a fresh pool means fresh workers that re-unpickle every
+job.  This module keeps **one** lazily created executor for the whole
+process:
 
 - :func:`get_pool` returns the singleton, growing it (by recreating)
   when a caller asks for more workers than it was built with.
-- Workers cache job context (the once-pickled ``(reductions, …)``
-  blob) by job key via :func:`job_payload`, so a job's context crosses
-  the pickle machinery once per worker no matter how many chunks or
-  shards it spans; shared segments are likewise attached once per
-  worker (see :mod:`repro.core.shm`).
+- Workers cache job context (the once-pickled harvest job blob) by job
+  key via :func:`job_payload`, so a job's context crosses the pickle
+  machinery once per worker no matter how many shards it spans.
 - :func:`reset_pool` discards a broken executor (a killed worker
   poisons the whole pool — ``BrokenProcessPool``); callers then fall
   back to bit-identical serial recomputation.
@@ -122,9 +120,9 @@ def new_job(context) -> tuple:
     Returns ``(job_key, blob)``.  The blob rides inside every task
     payload of the job, but workers unpickle it only on first sight
     (see :func:`job_payload`) — the per-task cost after that is the
-    bytes transfer, not reconstruction.  Raising here (unpicklable
-    policies/reductions) doubles as the picklability probe: callers
-    catch and fall back to serial execution.
+    bytes transfer, not reconstruction.  Raising here (an unpicklable
+    policy) doubles as the picklability probe: callers catch and fall
+    back to serial execution.
     """
     key = f"{os.getpid()}:{next(_job_counter)}"
     return key, pickle.dumps(context)

@@ -453,7 +453,7 @@ class TestUndecodableLine:
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize(
-        "read", ["rows", "columns", "streamed-w1", "streamed-w2"]
+        "read", ["rows", "columns", "streamed"]
     )
     @pytest.mark.parametrize("mode", ["strict", "quarantine", "repair"])
     def test_every_reader_sets_the_line_aside(
@@ -467,10 +467,10 @@ class TestUndecodableLine:
         path = str(_undecodable_log(lb_log, tmp_path, newline))
 
         def run():
-            if read.startswith("streamed"):
+            if read == "streamed":
                 evaluation = evaluate_jsonl_chunked(
                     path, [UniformRandomPolicy()], [IPSEstimator()],
-                    chunk_size=512, workers=int(read[-1]), mode=mode,
+                    chunk_size=512, mode=mode,
                 )
                 return evaluation.n, evaluation.quarantine
             loaded = Dataset.load_jsonl(
@@ -528,9 +528,8 @@ class TestStreamedEvaluateChecksTheChain:
 
     @pytest.mark.parametrize(
         "extra",
-        [[], ["--chunk-size", "512"],
-         ["--chunk-size", "512", "--workers", "2"]],
-        ids=["in-memory", "streamed-w1", "streamed-w2"],
+        [[], ["--chunk-size", "512"]],
+        ids=["in-memory", "streamed"],
     )
     def test_strict_refuses_a_tampered_log(
         self, lb_log, tmp_path, capsys, extra
@@ -541,9 +540,8 @@ class TestStreamedEvaluateChecksTheChain:
         assert self.MESSAGE in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["quarantine", "repair"])
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_lenient_modes_set_the_record_aside(
-        self, lb_log, tmp_path, mode, workers
+        self, lb_log, tmp_path, mode
     ):
         from repro.core.engine import evaluate_jsonl_chunked
         from repro.core.estimators import IPSEstimator
@@ -554,7 +552,7 @@ class TestStreamedEvaluateChecksTheChain:
         loaded = Dataset.load_jsonl(path, mode=mode)
         evaluation = evaluate_jsonl_chunked(
             path, [UniformRandomPolicy()], [IPSEstimator()],
-            chunk_size=512, workers=workers, mode=mode,
+            chunk_size=512, mode=mode,
         )
         assert evaluation.n == len(loaded) == 1999
         report = evaluation.quarantine.report()

@@ -212,8 +212,7 @@ class TestPrefixBound:
         grown.write_bytes(b"".join(lines) + lines[-1][:40])
         return str(prefix), str(grown), prefix.stat().st_size
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_bounded_evaluation_equals_the_prefix(self, grown, workers):
+    def test_bounded_evaluation_equals_the_prefix(self, grown):
         from repro.core.estimators import DoublyRobustEstimator
         from repro.core.policies import ConstantPolicy
 
@@ -222,7 +221,7 @@ class TestPrefixBound:
             evaluate_jsonl_chunked,
             policies=[UniformRandomPolicy(), ConstantPolicy(1)],
             estimators=[IPSEstimator(), DoublyRobustEstimator()],
-            chunk_size=64, workers=workers,
+            chunk_size=64,
         )
         bounded = run(path, prefix_bytes=size)
         alone = run(prefix)

@@ -279,6 +279,54 @@ class TestRetries:
         assert_matches_serial(result, reference_columns, reference_ledger)
 
 
+class BreaksOnSecondSubmit:
+    """An executor whose pool "dies" while shards are being submitted.
+
+    The first submission runs in-process and returns a finished
+    future; the second raises ``BrokenProcessPool`` from ``submit``
+    itself, as a real pool does once one of its workers has died.
+    Every later submission (the retry round) runs in-process again.
+    """
+
+    def __init__(self):
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        self.submits += 1
+        if self.submits == 2:
+            raise worker_pool.BrokenProcessPool("worker died mid-submit")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestBrokenDuringSubmit:
+    def test_unsubmitted_shards_are_rederived(self, monkeypatch):
+        job = synthetic_job()
+        reference = HarvestCoordinator(job, workers=1).run()
+        executor = BreaksOnSecondSubmit()
+        monkeypatch.setattr(worker_pool, "get_pool", lambda workers: executor)
+        coordinator = HarvestCoordinator(job, workers=2)
+        with pytest.warns(RuntimeWarning, match="worker pool died"):
+            result = coordinator.run()
+        # Shard 0 went through; shards 1..6 never reached the pool and
+        # each cost exactly one retry.
+        assert executor.submits == 2 + 6
+        assert coordinator.attempts == {0: 0, **dict.fromkeys(range(1, 7), 1)}
+        np.testing.assert_array_equal(
+            result.columns.actions, reference.columns.actions
+        )
+        np.testing.assert_array_equal(
+            result.columns.rewards, reference.columns.rewards
+        )
+        np.testing.assert_array_equal(
+            result.columns.propensities, reference.columns.propensities
+        )
+        assert result.head == reference.head
+
+
 class TruncatingCoordinator(HarvestCoordinator):
     """Drops the last row of one column in shard 1's first delivery."""
 

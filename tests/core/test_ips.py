@@ -184,3 +184,17 @@ class TestEstimatorResult:
         lo, hi = estimate.confidence_interval()
         assert lo < estimate.value < hi
         assert estimate.value - lo == pytest.approx(hi - estimate.value)
+
+
+class TestIPSWeightMemo:
+    def test_ips_weights_memoized_per_policy(self):
+        columns = make_uniform_dataset(60, seed=0).columns()
+        policy = EpsilonGreedyPolicy(ConstantPolicy(0), 0.2)
+        first = columns.ips_weights(policy)
+        assert columns.ips_weights(policy) is first
+        other = columns.ips_weights(ConstantPolicy(1))
+        assert other is not first
+        np.testing.assert_array_equal(
+            first,
+            columns.logged_probabilities(policy) / columns.propensities,
+        )

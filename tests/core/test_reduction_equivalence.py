@@ -1,19 +1,15 @@
 """Property-style equivalence suite for the reduction kernel.
 
 The contract of :mod:`repro.core.estimators.reductions`: the engine's
-two knobs (chunk size, workers) only change how the same
-fold/merge/finalize kernel is driven, so
+chunk-size knob only changes how the same fold/merge/finalize kernel
+is driven, so
 
 - every estimator matches the per-row reference in ``tests/oracles.py``
   at every chunk size (whole log, 1, a prime, N, N+1), including
-  diagnostics verdicts;
-- ``workers > 1`` is *bit-for-bit* the serial fold at every chunk size
-  and worker count — parallel folding through shared memory must not
-  move a single ulp — and the whole-log knob is exactly one fold;
+  diagnostics verdicts, and the whole-log knob is exactly one fold;
 - merging partial states is associative — any merge tree over any
   partition finalizes to the same result;
-- the out-of-core JSONL driver matches the in-memory fold, and its
-  parallel folding is bit-identical to serial;
+- the out-of-core JSONL driver matches the in-memory fold;
 - seeded bootstrap replicates are the same shards whether generated
   serially or across a worker pool.
 """
@@ -30,7 +26,6 @@ from repro.core.columns import iter_column_slices
 from repro.core.engine import (
     evaluate_jsonl_chunked,
     get_chunk_size,
-    get_workers,
     reset_backend_warnings,
     use_engine,
     warn_missing_batch,
@@ -162,13 +157,6 @@ class TestBackendEquivalence:
                     assert_results_match(
                         serial, ref, rel=1e-9 if chunk_size is None else 1e-8
                     )
-                    with use_engine(chunk_size=chunk_size, workers=2):
-                        parallel = estimator.estimate(policy, dataset)
-                    assert_bit_identical(
-                        parallel, serial,
-                        (estimator.name, policy.name, chunk_size),
-                    )
-        dataset.columns().release_shared_block()
 
     def test_whole_log_knob_is_exactly_one_fold(self):
         dataset = make_skewed_dataset()
@@ -210,72 +198,6 @@ class TestBackendEquivalence:
         assert [a["verdict"] for a in chunked.details["fallback"]] == [
             a["verdict"] for a in ref.details["fallback"]
         ]
-
-
-class TestSharedBackendEquivalence:
-    """workers > 1 == serial bit-for-bit: same slices, different processes."""
-
-    WORKER_COUNTS = (1, 2, 4)
-
-    @pytest.mark.parametrize("with_space", [True, False],
-                             ids=["action-space", "spaceless"])
-    def test_shared_bit_identical_to_chunked(self, with_space):
-        dataset = make_skewed_dataset(action_space=with_space)
-        policy = EpsilonGreedyPolicy(ConstantPolicy(2), 0.25)
-        # One plain-sum, one ratio, one model-based estimator cover the
-        # three state shapes crossing the shared segment.
-        estimators = [IPSEstimator(), SNIPSEstimator(),
-                      DoublyRobustEstimator()]
-        for chunk_size in CHUNK_SIZES:
-            for estimator in estimators:
-                with use_engine(chunk_size=chunk_size):
-                    ref = estimator.estimate(policy, dataset)
-                for workers in self.WORKER_COUNTS:
-                    with use_engine(chunk_size=chunk_size, workers=workers):
-                        shared = estimator.estimate(policy, dataset)
-                    assert_bit_identical(
-                        shared, ref,
-                        (estimator.name, chunk_size, workers),
-                    )
-        dataset.columns().release_shared_block()
-
-    def test_shared_every_estimator_and_policy(self):
-        dataset = make_skewed_dataset()
-        for policy in all_policies():
-            for estimator in all_estimators():
-                with use_engine(chunk_size=64):
-                    ref = estimator.estimate(policy, dataset)
-                with use_engine(chunk_size=64, workers=2):
-                    shared = estimator.estimate(policy, dataset)
-                assert_bit_identical(
-                    shared, ref, (estimator.name, policy.name)
-                )
-        dataset.columns().release_shared_block()
-
-    def test_shared_match_weights_identical(self):
-        dataset = make_skewed_dataset()
-        policy = EpsilonGreedyPolicy(ConstantPolicy(0), 0.1)
-        ips = IPSEstimator()
-        ref = ips.match_weights(policy, dataset)
-        with use_engine(chunk_size=7, workers=2):
-            shared = ips.match_weights(policy, dataset)
-        np.testing.assert_array_equal(ref, shared)
-
-    def test_shared_falls_back_when_disabled(self, monkeypatch):
-        # REPRO_NO_SHM is the kill switch: parallel folding must
-        # degrade to the serial chunked plan, results unchanged.
-        from repro.core import shm
-
-        dataset = make_skewed_dataset(n=97, seed=3)
-        policy = ConstantPolicy(1)
-        with use_engine(chunk_size=16):
-            ref = IPSEstimator().estimate(policy, dataset)
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        assert not shm.available()
-        with use_engine(chunk_size=16, workers=2):
-            shared = IPSEstimator().estimate(policy, dataset)
-        assert shared.value == ref.value
-        assert shared.std_error == ref.std_error
 
 
 class TestMergeAssociativity:
@@ -368,30 +290,6 @@ class TestJsonlDriver:
                     evaluation.results[pi][ei], ref, rel=1e-8
                 )
 
-    def test_parallel_folding_bit_identical_to_serial(self, log_file):
-        path, _ = log_file
-        policies = [UniformRandomPolicy(), ConstantPolicy(1)]
-        estimators = [IPSEstimator(), SNIPSEstimator(),
-                      DoublyRobustEstimator()]
-        serial = evaluate_jsonl_chunked(
-            path, policies, estimators, chunk_size=32, workers=1,
-            collect_terms=True,
-        )
-        parallel = evaluate_jsonl_chunked(
-            path, policies, estimators, chunk_size=32, workers=3,
-            collect_terms=True,
-        )
-        for pi in range(len(policies)):
-            for ei in range(len(estimators)):
-                a = serial.results[pi][ei]
-                b = parallel.results[pi][ei]
-                assert a.value == b.value  # bit-for-bit, not approx
-                assert a.std_error == b.std_error
-        key = (policies[0].name, "ips")
-        np.testing.assert_array_equal(
-            serial.terms[key], parallel.terms[key]
-        )
-
     def test_collected_terms_match_weighted_rewards(self, log_file):
         path, _ = log_file
         policy = ConstantPolicy(1)
@@ -482,23 +380,23 @@ class TestBackendScopeHygiene:
             warn_missing_batch(NoBatchPolicy)
         reset_backend_warnings()
 
-    def test_use_engine_scopes_both_knobs(self):
-        assert (get_chunk_size(), get_workers()) == (None, 1)
-        with use_engine(chunk_size=17, workers=3):
-            assert (get_chunk_size(), get_workers()) == (17, 3)
+    def test_use_engine_scopes_the_chunk_size(self):
+        assert get_chunk_size() is None
+        with use_engine(chunk_size=17):
+            assert get_chunk_size() == 17
             with use_engine():
-                assert (get_chunk_size(), get_workers()) == (None, 1)
-            assert (get_chunk_size(), get_workers()) == (17, 3)
-        assert (get_chunk_size(), get_workers()) == (None, 1)
+                assert get_chunk_size() is None
+            assert get_chunk_size() == 17
+        assert get_chunk_size() is None
 
     @pytest.mark.parametrize("knobs", [
-        {"chunk_size": 0}, {"chunk_size": -5}, {"workers": 0},
+        {"chunk_size": 0}, {"chunk_size": -5},
     ])
     def test_use_engine_rejects_bad_knobs(self, knobs):
         with pytest.raises(ValueError):
             with use_engine(**knobs):
                 pass  # pragma: no cover - never entered
-        assert (get_chunk_size(), get_workers()) == (None, 1)
+        assert get_chunk_size() is None
 
 
 class TestStreamingOnKernel:

@@ -121,7 +121,7 @@ class TestChunkedBackendSurvivesChaos:
         FallbackEstimator,
     )
 
-    def _evaluate_chunked(self, path, chunk_size, workers=1):
+    def _evaluate_chunked(self, path, chunk_size):
         from repro.core.engine import evaluate_jsonl_chunked
 
         return evaluate_jsonl_chunked(
@@ -130,7 +130,6 @@ class TestChunkedBackendSurvivesChaos:
             [cls() for cls in self.ESTIMATORS],
             mode="quarantine",
             chunk_size=chunk_size,
-            workers=workers,
         )
 
     @pytest.mark.parametrize("chunk_size", [37, 256])
@@ -175,23 +174,6 @@ class TestChunkedBackendSurvivesChaos:
                     chunked.diagnostics.reasons
                     == reference.diagnostics.reasons
                 )
-
-    def test_parallel_folding_preserves_quarantine_and_verdicts(
-        self, corrupted_log
-    ):
-        path, _ = corrupted_log
-        serial = self._evaluate_chunked(path, chunk_size=64, workers=1)
-        parallel = self._evaluate_chunked(path, chunk_size=64, workers=3)
-        assert (
-            serial.quarantine.counts_by_reason()
-            == parallel.quarantine.counts_by_reason()
-        )
-        for row_a, row_b in zip(serial.results, parallel.results):
-            for a, b in zip(row_a, row_b):
-                assert a.value == b.value
-                verdict_a = a.diagnostics and a.diagnostics.verdict
-                verdict_b = b.diagnostics and b.diagnostics.verdict
-                assert verdict_a == verdict_b
 
 
 class TestCliOnCorruptedLog:

@@ -2,9 +2,9 @@
 
 Two properties matter: (1) estimates are bit-identical with tracing on
 vs off — observation must not perturb the computation; (2) an
-instrumented chunked + parallel-bootstrap run produces a span tree
-covering validation, every chunk fold, and every bootstrap shard, with
-metric totals that reconcile against the run's own counts.
+instrumented streamed run with a parallel bootstrap produces a span
+tree covering validation, every chunk fold, and every bootstrap shard,
+with metric totals that reconcile against the run's own counts.
 """
 
 import math
@@ -23,11 +23,10 @@ from repro.obs.tracing import use_tracer
 from repro.obs.report import flatten_spans
 from tests.conftest import make_uniform_dataset
 
-#: Engine knob settings: whole-log fold, chunk slices, parallel slices.
+#: Engine knob settings: whole-log fold, chunk slices.
 ENGINES = {
     "whole": {},
     "chunked": {"chunk_size": 64},
-    "parallel": {"chunk_size": 64, "workers": 2},
 }
 
 
@@ -44,7 +43,6 @@ class TestObservationNeutrality:
             plain = estimator.estimate(policy, dataset)
             with use_tracer(), use_metrics():
                 traced = estimator.estimate(policy, dataset)
-        dataset.columns().release_shared_block()
         assert traced.value == plain.value  # bit-identical, not approx
         assert traced.std_error == plain.std_error
         assert traced.n == plain.n
@@ -54,7 +52,7 @@ class TestObservationNeutrality:
         path = str(tmp_path / "log.jsonl")
         make_uniform_dataset(300, seed=9).save_jsonl(path)
         policies = [UniformRandomPolicy(), ConstantPolicy(0)]
-        kwargs = dict(chunk_size=64, workers=1)
+        kwargs = dict(chunk_size=64)
         plain = evaluate_jsonl_chunked(
             path, policies, [IPSEstimator()], **kwargs
         )
@@ -77,7 +75,7 @@ class TestObservationNeutrality:
 
 
 class TestAcceptanceRun:
-    """Chunked + parallel bootstrap with full instrumentation on."""
+    """Streamed run + parallel bootstrap with full instrumentation on."""
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
@@ -99,7 +97,6 @@ class TestAcceptanceRun:
                 [UniformRandomPolicy(), ConstantPolicy(1)],
                 [IPSEstimator()],
                 chunk_size=128,
-                workers=2,
                 mode="quarantine",
                 collect_terms=True,
             )
@@ -124,8 +121,8 @@ class TestAcceptanceRun:
         assert counts["evaluate.validation"] == 1
         assert counts["evaluate.fold"] == 1
         assert counts["evaluate.finalize"] == 1
-        # Every chunk fold and every bootstrap shard landed a span even
-        # though both ran across a process pool.
+        # Every chunk fold and every bootstrap shard landed a span, the
+        # shards although they ran across a process pool.
         assert counts["evaluate.chunk"] == evaluation.n_chunks
         expected_shards = math.ceil(n_boot / BOOTSTRAP_SHARD)
         assert counts["bootstrap.shard"] == expected_shards
@@ -211,7 +208,6 @@ class TestMetricMirroring:
             with use_engine(**knobs), use_metrics() as metrics:
                 IPSEstimator().estimate(policy, dataset)
             totals[engine] = metrics.total("estimator.verdicts")
-        dataset.columns().release_shared_block()
         assert totals == dict.fromkeys(ENGINES, 1.0)
 
     def test_harvest_rows_counted_per_scenario(self):

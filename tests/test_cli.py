@@ -97,7 +97,7 @@ class TestEvaluateSubcommand:
         assert out_1 == out_2
 
     def test_default_backend_restored_after_run(self, log_path, capsys):
-        from repro.core.engine import get_chunk_size, get_workers
+        from repro.core.engine import get_chunk_size
 
         for extra in ([], ["--chunk-size", "64"]):
             code, _ = self._run(
@@ -107,7 +107,7 @@ class TestEvaluateSubcommand:
             )
             assert code == 0
             # The flags are scoped to the run; nothing leaks past it.
-            assert (get_chunk_size(), get_workers()) == (None, 1)
+            assert get_chunk_size() is None
 
     @pytest.mark.parametrize("flag, value", [
         ("--workers", "0"),

@@ -92,6 +92,7 @@ REMOVED = {
     "repro.core.engine": (
         "BACKENDS", "get_default_backend", "set_default_backend",
         "resolve_backend", "use_backend", "reset_fallback_warnings",
+        "get_workers",
     ),
     "repro.core.columns": ("iter_chunk_columns",),
     "repro.core.harvest": ("harvest_rows",),
@@ -108,6 +109,28 @@ def test_removed_names_stay_gone(module_name):
     module = importlib.import_module(module_name)
     for name in REMOVED[module_name]:
         assert not hasattr(module, name), f"{module_name}.{name} is back"
+
+
+def test_shared_memory_transport_is_gone():
+    from repro.core.columns import DatasetColumns
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.shm")
+    assert not hasattr(DatasetColumns, "shared_block")
+    assert not hasattr(DatasetColumns, "release_shared_block")
+
+
+def test_evaluation_folds_take_no_workers():
+    import inspect
+
+    from repro.core.engine import (
+        evaluate_jsonl_chunked,
+        fold_dataset_chunked,
+        use_engine,
+    )
+
+    for fn in (use_engine, evaluate_jsonl_chunked, fold_dataset_chunked):
+        assert "workers" not in inspect.signature(fn).parameters, fn
 
 
 def test_no_public_signature_takes_a_backend():
