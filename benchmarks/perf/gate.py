@@ -53,6 +53,7 @@ GATED_METRICS = (
     ("class-search speedup", ("class_search", "speedup")),
     ("chunked relative throughput", ("chunked", "relative_throughput")),
     ("parallel bootstrap speedup", ("bootstrap", "parallel_speedup")),
+    ("class bootstrap speedup", ("class_bootstrap", "speedup")),
     (
         "instrumentation relative throughput",
         ("instrumentation", "relative_throughput"),

@@ -39,9 +39,11 @@ from repro.core.bootstrap import (
 from repro.core.learners.cb import PolicyClassOptimizer
 from repro.core.estimators.ips import IPSEstimator
 from repro.core.policies import (
+    ConstantPolicy,
     EpsilonGreedyPolicy,
     LinearThresholdPolicy,
     PolicyClass,
+    UniformRandomPolicy,
 )
 from repro.core.types import ActionSpace, Dataset, Interaction, RewardRange
 from repro.obs.metrics import use_metrics
@@ -65,6 +67,8 @@ ROUNDS = 1 if SMOKE else 3
 CHUNK_SIZE = 512 if SMOKE else 8_192
 N_BOOT = 400 if SMOKE else 4_000
 BOOT_WORKERS = 4
+#: Replicates of the class-bootstrap row: lb-search's ``--bootstrap``.
+N_BOOT_CLASS = 200
 #: Shortest wall time one timed sample of a paired comparison may last:
 #: one sub-millisecond call times scheduler noise, not the kernel, so
 #: cheap calls repeat within a sample until it lasts this long.
@@ -293,7 +297,7 @@ class TestShardedBootstrap:
     plus ``cpu_count`` (on single-core runners the "speedup" is ≤1 —
     process overhead with no parallelism to buy).  The artifact also
     records the per-shard pickle payload: every shard task ships its
-    own copy of the term vector.
+    own copy of the term matrix (here one row) with its counters.
     """
 
     def test_bench_bootstrap_serial_vs_parallel(self, workload, benchmark):
@@ -336,8 +340,10 @@ class TestShardedBootstrap:
         )
 
         # Per-shard payload: what one shard task pickles through the
-        # pool (the full term vector plus its counters).
-        shard_bytes = len(pickle.dumps((terms, BOOTSTRAP_SHARD, 13, 0)))
+        # pool (the term matrix, its counters and the tracing flags).
+        shard_bytes = len(pickle.dumps(
+            ((np.atleast_2d(terms), BOOTSTRAP_SHARD, 13, 0), False, False)
+        ))
         RESULTS["bootstrap"] = {
             "n": len(terms),
             "n_boot": N_BOOT,
@@ -347,6 +353,61 @@ class TestShardedBootstrap:
             "parallel_seconds": parallel_seconds,
             "parallel_speedup": serial_seconds / parallel_seconds,
             "per_shard_pickle_bytes": shard_bytes,
+        }
+
+
+def lb_search_class() -> list:
+    """The pipeline benchmark's lb-search class: uniform, both
+    constants, and four ε-greedy mixes of each constant."""
+    return [UniformRandomPolicy(), ConstantPolicy(0), ConstantPolicy(1)] + [
+        EpsilonGreedyPolicy(ConstantPolicy(action), epsilon)
+        for action in (0, 1)
+        for epsilon in (0.05, 0.1, 0.2, 0.4)
+    ]
+
+
+class TestClassBootstrap:
+    """One shared replicate draw for a policy class vs one per policy.
+
+    ``evaluate --bootstrap`` stacks its policies' IPS terms into one
+    ``(P, n)`` call, which draws the replicate indices once and gathers
+    every row from them.  The per-policy arm makes P one-vector calls,
+    each drawing the same indices again.  lb-search's 11 policies at
+    its 200 replicates, serial, timed interleaved
+    (:func:`_paired_seconds`); both arms must give equal intervals.
+    """
+
+    def test_bench_class_bootstrap(self, workload):
+        log = workload[0]
+        ips = IPSEstimator()
+        terms = np.stack(
+            [ips.weighted_rewards(policy, log) for policy in lb_search_class()]
+        )
+
+        def shared():
+            return bootstrap_interval_from_terms(
+                terms, n_boot=N_BOOT_CLASS, seed=7
+            )
+
+        def per_policy():
+            return [
+                bootstrap_interval_from_terms(row, n_boot=N_BOOT_CLASS, seed=7)
+                for row in terms
+            ]
+
+        assert shared() == per_policy(), (
+            "the shared draw must give each policy its own interval"
+        )
+        per_policy_seconds, shared_seconds = _paired_seconds(
+            per_policy, shared
+        )
+        RESULTS["class_bootstrap"] = {
+            "n": len(log),
+            "n_policies": len(terms),
+            "n_boot": N_BOOT_CLASS,
+            "per_policy_seconds": per_policy_seconds,
+            "shared_seconds": shared_seconds,
+            "speedup": per_policy_seconds / shared_seconds,
         }
 
 
@@ -940,6 +1001,7 @@ class TestThroughputArtifact:
             "class_scalar",
             "single_chunked",
             "bootstrap",
+            "class_bootstrap",
             "instrumentation",
             "obs_monitor",
             "harvest_machinehealth",
@@ -983,6 +1045,7 @@ class TestThroughputArtifact:
                 "relative_throughput": chunked_relative,
             },
             "bootstrap": RESULTS["bootstrap"],
+            "class_bootstrap": RESULTS["class_bootstrap"],
             "instrumentation": RESULTS["instrumentation"],
             "obs": {"monitor_overhead": RESULTS["obs_monitor"]},
             "harvest": {
@@ -1034,6 +1097,16 @@ class TestThroughputArtifact:
                     "-",
                     str(RESULTS["bootstrap"]["per_shard_pickle_bytes"]),
                     "-",
+                ],
+                [
+                    (
+                        "class bootstrap, "
+                        f"{RESULTS['class_bootstrap']['n_policies']} "
+                        "policies (per-policy vs shared draw)"
+                    ),
+                    f"{RESULTS['class_bootstrap']['per_policy_seconds']:.4f}s",
+                    f"{RESULTS['class_bootstrap']['shared_seconds']:.4f}s",
+                    f"{RESULTS['class_bootstrap']['speedup']:.2f}x",
                 ],
                 [
                     "instrumented IPS (vs plain)",

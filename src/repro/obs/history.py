@@ -13,9 +13,9 @@ Records come in two kinds:
 - ``bench`` — the gated ratio metrics flattened out of a
   ``BENCH_ope.json`` artifact (:func:`bench_record`); appended by the
   benchmark artifact writer and by ``benchmarks/perf/gate.py``.
-- ``manifest`` — result/health/duration summaries from a run manifest
-  (:func:`manifest_record`); appended by the CLI when ``--history``
-  is given.
+- ``manifest`` — result/bootstrap/health/duration summaries from a run
+  manifest (:func:`manifest_record`); appended by the CLI when
+  ``--history`` is given.
 
 :func:`monotone_regressions` is the trend check the perf gate runs:
 ``k`` consecutive strictly-decreasing values of a gated metric on the
@@ -94,15 +94,20 @@ def bench_record(artifact: Mapping, cwd: Optional[str] = None) -> dict:
 def manifest_record(manifest: Mapping, cwd: Optional[str] = None) -> dict:
     """Summarize a run manifest into one history record.
 
-    Carries the command, result estimates, health verdicts, and total
-    wall time of the root spans — enough for the dashboard's trend
-    lane without duplicating the manifest itself.
+    Carries the command, result estimates, bootstrap intervals
+    (``{policy: [low, high]}``), health verdicts, and total wall time
+    of the root spans — enough for the dashboard's trend lane without
+    duplicating the manifest itself.
     """
     results = {}
     for entry in manifest.get("results", ()):
         key = f"{entry.get('policy')}/{entry.get('estimator')}"
         if entry.get("value") is not None:
             results[key] = entry["value"]
+    bootstrap = {
+        policy: [interval.get("low"), interval.get("high")]
+        for policy, interval in manifest.get("bootstrap", {}).items()
+    }
     health = manifest.get("health", {})
     spans = manifest.get("spans", ())
     wall = sum(s.get("wall_s") or 0.0 for s in spans)
@@ -111,6 +116,7 @@ def manifest_record(manifest: Mapping, cwd: Optional[str] = None) -> dict:
             "kind": "manifest",
             "command": manifest.get("command"),
             "results": results,
+            "bootstrap": bootstrap,
             "health": {
                 "overall": health.get("overall"),
                 "levels": {

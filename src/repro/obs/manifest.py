@@ -11,6 +11,10 @@ captures one ``evaluate``/``compare`` run end to end:
 - **environment** — package version, Python version, platform;
 - **results** — per (policy × estimator) value, standard error, n, and
   the reliability verdict;
+- **bootstrap** (``evaluate --bootstrap``) — every printed
+  percentile-bootstrap interval, keyed by policy, with its confidence,
+  replicate count and seed (an ``ips`` result also carries its
+  policy's interval);
 - **metrics** — the run's :class:`~repro.obs.metrics.MetricsRegistry`
   snapshot (quarantine counts, downgrades, fold latencies, …);
 - **spans** — the run's :class:`~repro.obs.tracing.Tracer` tree;

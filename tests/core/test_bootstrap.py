@@ -1,16 +1,31 @@
-"""Unit tests for bootstrap confidence intervals."""
+"""Unit tests for bootstrap confidence intervals.
+
+The resampling kernel draws one replicate index matrix per call, in row
+blocks, and gathers every policy's terms from it.  The suites below pin
+it to the per-policy reference in ``tests/oracles.py`` (each policy
+drawing and gathering its whole matrix) value for value, and pin the
+numpy property that makes that possible.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.bootstrap import (
+    BLOCK_BYTES,
+    BOOTSTRAP_SHARD,
+    _replicate_sums,
     bootstrap_interval_from_terms,
     bootstrap_ips_interval,
     bootstrap_snips_interval,
 )
-from repro.core.policies import ConstantPolicy
+from repro.core.estimators.ips import SNIPSEstimator
+from repro.core.policies import ConstantPolicy, EpsilonGreedyPolicy
 from repro.core.types import ActionSpace, Dataset, Interaction
+from repro.obs.metrics import use_metrics
+from repro.obs.report import flatten_spans
+from repro.obs.tracing import use_tracer
 
+from tests import oracles
 from tests.conftest import make_uniform_dataset
 
 
@@ -103,3 +118,173 @@ class TestSNIPSBootstrap:
             ds.append(Interaction({}, 0, 0.5, 0.5, float(t)))
         with pytest.raises(ValueError):
             bootstrap_snips_interval(ConstantPolicy(2), ds)
+
+
+class TestRowBlockDraws:
+    """Consecutive row-block draws from one Generator equal one draw.
+
+    The blocked kernel is bit-identical to drawing the whole
+    ``(count, n)`` index matrix only because numpy's bounded-integer
+    draws continue one stream across calls, whatever the block sizes
+    (odd sizes included: a 64-bit output split into two 32-bit draws
+    keeps its spare half in the generator between calls).
+    """
+
+    STREAMS = {
+        "seed-shard": lambda: np.random.default_rng((7, 3)),
+        "rng": lambda: np.random.default_rng(11),
+    }
+
+    @pytest.mark.parametrize("stream", sorted(STREAMS))
+    @pytest.mark.parametrize("n", [2, 3, 19_999, 20_000, 200_001])
+    def test_blocks_concatenate_to_one_draw(self, n, stream):
+        blocks = (5, 1, 7, 2, 4)
+        whole = self.STREAMS[stream]().integers(
+            0, n, size=(sum(blocks), n)
+        )
+        rng = self.STREAMS[stream]()
+        drawn = np.concatenate(
+            [rng.integers(0, n, size=(rows, n)) for rows in blocks]
+        )
+        np.testing.assert_array_equal(drawn, whole)
+
+    def test_blocks_continue_a_stream_left_mid_output(self):
+        # An explicit rng may arrive with half a 64-bit output spare.
+        first, second = np.random.default_rng(3), np.random.default_rng(3)
+        first.integers(0, 5, size=1)
+        second.integers(0, 5, size=1)
+        whole = first.integers(0, 19_999, size=(9, 19_999))
+        drawn = np.concatenate(
+            [second.integers(0, 19_999, size=(rows, 19_999))
+             for rows in (4, 3, 2)]
+        )
+        np.testing.assert_array_equal(drawn, whole)
+
+
+#: Terms per row: odd, and large enough that a 256-replicate shard
+#: spans three uneven blocks (104, 104, 48 replicates).
+N_TERMS = 5_003
+
+#: ``(replication, workers)``: seeded serially and in the pool, and the
+#: explicit-rng stream (which must stay serial).
+MODES = [("seed", 1), ("seed", 2), ("rng", 1)]
+
+
+def replication(mode: str) -> dict:
+    """Fresh keyword arguments naming the replicate stream."""
+    if mode == "seed":
+        return {"seed": 5}
+    return {"rng": np.random.default_rng(8)}
+
+
+def percentile(replicates, delta=0.05) -> tuple:
+    return (
+        float(np.quantile(replicates, delta / 2.0)),
+        float(np.quantile(replicates, 1.0 - delta / 2.0)),
+    )
+
+
+class TestSharedKernel:
+    """One draw for every row equals each policy drawing alone."""
+
+    @pytest.fixture(scope="class")
+    def terms(self):
+        rng = np.random.default_rng(6)
+        hit_rates = np.array([[0.05], [0.4], [1.0]])
+        return rng.exponential(size=(3, N_TERMS)) * (
+            rng.uniform(size=(3, N_TERMS)) < hit_rates
+        )
+
+    @pytest.fixture(scope="class")
+    def snips_log(self):
+        dataset = make_uniform_dataset(N_TERMS, seed=12)
+        policy = EpsilonGreedyPolicy(ConstantPolicy(1), 0.3)
+        weights = SNIPSEstimator().match_weights(policy, dataset)
+        return dataset, policy, weights * dataset.rewards(), weights
+
+    def test_sizes_exercise_blocks(self):
+        assert 1 < BLOCK_BYTES // (16 * N_TERMS) < BOOTSTRAP_SHARD
+
+    @pytest.mark.parametrize("mode, workers", MODES)
+    @pytest.mark.parametrize("n_boot", [10, 200, 256, 257, 1000])
+    def test_ips_means_equal_the_reference_row_by_row(
+        self, terms, n_boot, mode, workers
+    ):
+        stream = replication(mode)
+        sums = _replicate_sums(
+            terms, n_boot, stream.get("rng"), stream.get("seed"), workers
+        )
+        intervals = bootstrap_interval_from_terms(
+            terms, n_boot=n_boot, workers=workers, **replication(mode)
+        )
+        assert len(intervals) == len(terms)
+        for row, row_sums, interval in zip(terms, sums, intervals):
+            means = oracles.bootstrap_replicates(
+                oracles.mean_shard, (row,), n_boot, **replication(mode)
+            )
+            np.testing.assert_array_equal(row_sums / N_TERMS, means)
+            assert (interval.low, interval.high) == percentile(means)
+            assert interval == bootstrap_interval_from_terms(
+                row, n_boot=n_boot, workers=workers, **replication(mode)
+            )
+
+    @pytest.mark.parametrize("mode, workers", MODES)
+    @pytest.mark.parametrize("n_boot", [10, 200, 256, 257, 1000])
+    def test_snips_ratios_equal_the_reference(
+        self, snips_log, n_boot, mode, workers
+    ):
+        dataset, policy, numerators, weights = snips_log
+        ratios = oracles.bootstrap_replicates(
+            oracles.ratio_shard, (numerators, weights), n_boot,
+            **replication(mode),
+        )
+        interval = bootstrap_snips_interval(
+            policy, dataset, n_boot=n_boot, workers=workers,
+            **replication(mode),
+        )
+        expected = percentile(ratios[np.isfinite(ratios)])
+        assert (interval.low, interval.high) == expected
+
+    def test_vector_returns_one_interval_matrix_a_list(self, terms):
+        single = bootstrap_interval_from_terms(terms[1], n_boot=50, seed=2)
+        rows = bootstrap_interval_from_terms(terms, n_boot=50, seed=2)
+        assert isinstance(rows, list) and rows[1] == single
+
+    def test_more_than_two_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="vector or a"):
+            bootstrap_interval_from_terms(np.ones((2, 2, 5)))
+
+
+class TestOneDrawPerCall:
+    """Spans and counters count draws, not the policies sharing one."""
+
+    def _run(self, terms, **kwargs):
+        with use_tracer() as tracer, use_metrics() as metrics:
+            bootstrap_interval_from_terms(terms, **kwargs)
+        counts = {}
+        replicates = []
+        for _, span in flatten_spans(tracer.span_tree()):
+            counts[span["name"]] = counts.get(span["name"], 0) + 1
+            if span["name"] == "bootstrap.replicates":
+                replicates.append(span["attributes"])
+        return counts, replicates, metrics
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_seeded_class_is_one_draw(self, workers):
+        terms = np.random.default_rng(1).uniform(size=(11, 300))
+        counts, (span,), metrics = self._run(
+            terms, n_boot=600, seed=7, workers=workers
+        )
+        assert counts["bootstrap.replicates"] == 1
+        assert counts["bootstrap.shard"] == 3
+        assert span["policies"] == 11 and span["shards"] == 3
+        assert metrics.total("bootstrap.replicates") == 600
+        assert metrics.total("bootstrap.shards") == 3
+
+    def test_unseeded_stream_is_one_shard(self):
+        terms = np.random.default_rng(1).uniform(size=(2, 300))
+        counts, (span,), metrics = self._run(terms, n_boot=600)
+        assert counts["bootstrap.shard"] == 1
+        assert span["seed"] is None and span["shards"] == 1
+        assert metrics.total("bootstrap.replicates") == 600
+

@@ -12,7 +12,10 @@ Sizing (measured on CPython 3.11 / NumPy baseline ≈150 MB of VA): the
 whole-log path loads 500k rows as columns and needs between 288 and
 320 MB of address space, while the streamed path folds 8192-row chunks
 in one process and fits in 192 MB.  The 240 MB cap splits those with
-margin on both sides.
+margin on both sides.  A streamed run's bootstrap must fit under the
+same cap: it keeps the policies' IPS term vectors (8 bytes a row
+each) and draws its replicate indices in bounded row blocks, where one
+``(200, 500000)`` index matrix alone would need 763 MiB.
 
 ``REPRO_MEMORY_ROWS`` scales the log down for quick local iterations;
 CI runs the full default (see ``.github/workflows/ci.yml``,
@@ -115,3 +118,25 @@ class TestAddressSpaceCap:
             chunked.stdout.splitlines()[1:]
             == vectorized.stdout.splitlines()[1:]
         )
+
+    def test_streamed_bootstrap_fits_under_the_cap(self, big_log):
+        bootstrap = ("--bootstrap", "200", "--seed", "7")
+        capped = run_evaluate(
+            big_log,
+            cap_bytes=CAP_BYTES,
+            extra=("--chunk-size", "8192") + bootstrap,
+        )
+        uncapped = run_evaluate(big_log, extra=bootstrap)
+        assert capped.returncode == 0, capped.stderr[-2000:]
+        assert uncapped.returncode == 0, uncapped.stderr[-2000:]
+
+        def intervals(stdout):
+            return [
+                line for line in stdout.splitlines()
+                if line.startswith("bootstrap[")
+            ]
+
+        # One interval per policy, the same as the uncapped whole-log
+        # run prints for the same seed.
+        assert len(intervals(capped.stdout)) == 2
+        assert intervals(capped.stdout) == intervals(uncapped.stdout)

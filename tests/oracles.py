@@ -11,7 +11,10 @@ disagreement localizes to the per-row quantities, not the bookkeeping.
 
 Used by the equivalence suites and by the perf bench's scalar rows.
 :func:`fit_reward_model_rows` is the same kind of reference for
-:meth:`~repro.core.estimators.direct.RewardModel.fit`.
+:meth:`~repro.core.estimators.direct.RewardModel.fit`, and
+:func:`bootstrap_replicates` (with :func:`mean_shard` and
+:func:`ratio_shard`) for the bootstrap: each policy drawing its own
+whole index matrix, which the shared, row-blocked draw must match.
 
 The machine-health references (:func:`machinehealth_rows` and the
 builder :func:`machinehealth_shard_inputs`) build the scenario one
@@ -33,6 +36,7 @@ import numpy as np
 
 from repro.audit.ledger import ChainFollower, verify_records
 from repro.audit.shards import ShardedVerification, _splice_geometry_issues
+from repro.core.bootstrap import BOOTSTRAP_SHARD
 from repro.core.coordinator import HarvestInputs
 from repro.core.estimators.base import EstimatorResult, eligible_actions_fn
 from repro.core.estimators.direct import RewardModel
@@ -244,6 +248,46 @@ def estimate(estimator, policy, dataset: Dataset) -> EstimatorResult:
     return reduction.finalize(
         state, LogSummary.from_columns(dataset.columns())
     )
+
+
+# -- bootstrap ----------------------------------------------------------------
+
+
+def mean_shard(terms: np.ndarray, count: int, rng) -> np.ndarray:
+    """One policy's replicate means from one whole ``(count, n)`` draw."""
+    indices = rng.integers(0, terms.size, size=(count, terms.size))
+    return terms[indices].mean(axis=1)
+
+
+def ratio_shard(numerators, weights, count: int, rng) -> np.ndarray:
+    """One policy's resampled SNIPS ratios (pairs resampled jointly)."""
+    indices = rng.integers(0, weights.size, size=(count, weights.size))
+    num = numerators[indices].sum(axis=1)
+    den = weights[indices].sum(axis=1)
+    return np.divide(num, den, out=np.full(count, np.nan), where=den > 0)
+
+
+def bootstrap_replicates(shard_fn, arrays, n_boot: int, seed=None, rng=None):
+    """The per-policy reference for one policy's replicates.
+
+    Seeded: shards of :data:`~repro.core.bootstrap.BOOTSTRAP_SHARD`
+    replicates, shard ``s`` drawn whole from ``default_rng((seed, s))``,
+    concatenated in order.  Otherwise one draw of all ``n_boot`` from
+    ``rng`` (default ``default_rng(0)``).  :mod:`repro.core.bootstrap`
+    draws once for every policy and in row blocks, and must give these
+    values exactly, row by row.
+    """
+    if seed is None:
+        rng = rng if rng is not None else np.random.default_rng(0)
+        return shard_fn(*arrays, n_boot, rng)
+    return np.concatenate([
+        shard_fn(
+            *arrays,
+            min(BOOTSTRAP_SHARD, n_boot - start),
+            np.random.default_rng((seed, start // BOOTSTRAP_SHARD)),
+        )
+        for start in range(0, n_boot, BOOTSTRAP_SHARD)
+    ])
 
 
 # -- machine health -----------------------------------------------------------

@@ -333,6 +333,52 @@ class TestObservabilityFlags:
         assert "uniform-random" in out
         assert "metric totals" in out
 
+    @pytest.mark.parametrize(
+        "estimators", [["dr"], ["dr", "ips"]], ids=["dr", "dr-ips"]
+    )
+    @pytest.mark.parametrize(
+        "extra", [[], ["--chunk-size", "64"]], ids=["in-memory", "streamed"]
+    )
+    def test_manifest_and_history_record_every_interval(
+        self, log_path, tmp_path, capsys, extra, estimators
+    ):
+        import json
+
+        manifest_path = tmp_path / "m.json"
+        history_path = tmp_path / "runs.jsonl"
+        args = [log_path, "--policy", "uniform", "--policy", "constant:1",
+                "--bootstrap", "50", "--seed", "3",
+                "--manifest", str(manifest_path),
+                "--history", str(history_path)] + extra
+        for name in estimators:
+            args += ["--estimator", name]
+        code, out, _err = self._run(args, capsys)
+        assert code == 0
+        printed = [l for l in out.splitlines() if l.startswith("bootstrap[")]
+        assert len(printed) == 2
+
+        data = json.loads(manifest_path.read_text())
+        section = data["bootstrap"]
+        assert list(section) == ["uniform-random", "constant[1]"]
+        for line, (policy, interval) in zip(printed, section.items()):
+            assert line.endswith(
+                f"{policy}: [{interval['low']:.4f}, {interval['high']:.4f}]"
+            )
+            assert (interval["n_boot"], interval["seed"]) == (50, 3)
+        # An ips result carries its policy's interval, as it always
+        # has; no other estimator's result does.
+        for entry in data["results"]:
+            if entry["estimator"] == "ips":
+                assert entry["bootstrap"] == section[entry["policy"]]
+            else:
+                assert "bootstrap" not in entry
+
+        record = json.loads(history_path.read_text().splitlines()[-1])
+        assert record["bootstrap"] == {
+            policy: [interval["low"], interval["high"]]
+            for policy, interval in section.items()
+        }
+
     def test_report_missing_file_errors(self, tmp_path, capsys):
         code = main(["report", str(tmp_path / "absent.json")])
         assert code == 1

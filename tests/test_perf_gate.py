@@ -9,12 +9,13 @@ from benchmarks.perf.gate import check_regressions, main
 
 def artifact(single=2.9, klass=90.0, chunked=4.0, boot=0.5,
              instr=1.0, harvest=(25.0, 60.0, 13.0), ledger=0.95,
-             obs=0.95, serve=75_000.0):
+             obs=0.95, serve=75_000.0, class_boot=3.0):
     return {
         "single_policy_ips": {"speedup": single},
         "class_search": {"speedup": klass},
         "chunked": {"relative_throughput": chunked},
         "bootstrap": {"parallel_speedup": boot},
+        "class_bootstrap": {"speedup": class_boot},
         "instrumentation": {"relative_throughput": instr},
         "harvest": {
             "machinehealth": {"speedup": harvest[0]},
@@ -43,6 +44,14 @@ class TestCheckRegressions:
         failures = check_regressions(current, artifact(), tolerance=0.30)
         assert len(failures) == 1
         assert "single-policy" in failures[0]
+
+    def test_class_bootstrap_drop_fails(self):
+        # One draw per policy again (~1x) is far below a 3x baseline.
+        failures = check_regressions(
+            artifact(class_boot=1.0), artifact(), tolerance=0.30
+        )
+        assert len(failures) == 1
+        assert "class bootstrap" in failures[0]
 
     def test_both_metrics_reported(self):
         failures = check_regressions(
