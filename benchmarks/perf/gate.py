@@ -70,19 +70,11 @@ GATED_METRICS = (
 #: than a baseline: same-box ratios whose acceptable minimum is a spec,
 #: not a measurement.  The ledger's overhead budget is ≤10% on the
 #: batched harvest hot path, so relative throughput must stay ≥ 0.9
-#: regardless of what any baseline happened to record.  The sharded
-#: coordinator carries the same budget at ``workers=1``: shard specs,
-#: provisional seals, and the final splice may not cost more than 10%
-#: of the monolithic serial loop they replaced.
+#: regardless of what any baseline happened to record.
 ABSOLUTE_FLOORS = (
     (
         "ledger relative throughput",
         ("ledger", "relative_throughput"),
-        0.9,
-    ),
-    (
-        "sharded harvest relative throughput",
-        ("sharded", "relative_throughput"),
         0.9,
     ),
     # The watchtower carries the same ≤10% budget: streaming health

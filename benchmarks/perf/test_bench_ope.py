@@ -772,122 +772,6 @@ class TestLedgerOverhead:
             )
 
 
-class TestShardedHarvestThroughput:
-    """Coordinator overhead: sharded harvest vs the monolithic loop.
-
-    The shard-native refactor routes every ledgered harvest through
-    ``HarvestCoordinator`` — shard specs, provisional GENESIS-anchored
-    seals, payload checksums, and a final splice — even at
-    ``workers=1``.  That machinery must cost ≤10% over the monolithic
-    serial loop it replaced: ``relative_throughput`` (serial seconds /
-    sharded-at-one-worker seconds) is held to an **absolute floor**
-    of 0.9 in ``gate.py``.  A ``workers=cpu_count`` row rides along as
-    informational — recorded next to ``cpu_count`` because process
-    fan-out buys nothing on a single-core runner.
-
-    As with the ledger benchmark, the absolute floor demands care:
-    serial and sharded rounds are interleaved so clock drift hits both
-    sides, both paths share one prebuilt ``HarvestInputs`` (context
-    construction is excluded), and min-of-rounds discards scheduler
-    noise.
-    """
-
-    def test_bench_sharded_harvest(self, benchmark):
-        from repro.core import pool as worker_pool
-        from repro.core.coordinator import (
-            HarvestCoordinator,
-            HarvestJob,
-            build_inputs,
-        )
-        from repro.core.policies import UniformRandomPolicy
-        from repro.audit.ledger import DecisionLedger
-        from repro.audit.streams import StreamRegistry, StreamRNG
-        from repro.core.harvest import harvest_columns
-
-        n = max(N_HARVEST, 20_000)
-        rounds = max(ROUNDS, 9)
-        shard_size = 2_048
-        job = HarvestJob(
-            scenario="synthetic",
-            rows=n,
-            master_seed=7,
-            policy=UniformRandomPolicy(),
-            shard_size=shard_size,
-            batch_size=shard_size,
-        )
-        inputs = build_inputs(job, StreamRegistry(job.master_seed))
-        key = job.stream_key()
-        heads: dict[str, str] = {}
-
-        def serial():
-            registry = StreamRegistry(job.master_seed)
-            stream = StreamRNG(registry, key, shard_size=shard_size)
-            ledger = DecisionLedger(
-                key,
-                shard_size=shard_size,
-                master_fingerprint=registry.master_fingerprint,
-            )
-            harvest_columns(
-                job.policy, inputs.contexts, inputs.reward_fn, stream,
-                eligible=inputs.eligible, batch_size=job.batch_size,
-                scenario=job.scenario, ledger=ledger,
-            )
-            heads["serial"] = ledger.head
-
-        def sharded():
-            result = HarvestCoordinator(job, workers=1, inputs=inputs).run()
-            heads["sharded"] = result.head
-
-        serial()  # warm caches on both paths before any timed round
-        benchmark.pedantic(sharded, rounds=1, iterations=1, warmup_rounds=0)
-        assert heads["sharded"] == heads["serial"]
-
-        serial_durations: list[float] = []
-        sharded_durations: list[float] = []
-        for _ in range(rounds):
-            start = time.perf_counter()
-            serial()
-            serial_durations.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            sharded()
-            sharded_durations.append(time.perf_counter() - start)
-        serial_seconds = min(serial_durations)
-        sharded_seconds = min(sharded_durations)
-
-        workers = os.cpu_count() or 1
-        worker_pool.reset_pool()
-        parallel_durations: list[float] = []
-        for _ in range(max(1, rounds // 3)):
-            start = time.perf_counter()
-            result = HarvestCoordinator(
-                job, workers=workers, inputs=inputs
-            ).run()
-            parallel_durations.append(time.perf_counter() - start)
-            assert result.head == heads["serial"]
-            assert result.retries == 0
-        worker_pool.reset_pool()
-        parallel_seconds = min(parallel_durations)
-
-        relative = serial_seconds / sharded_seconds
-        RESULTS["sharded"] = {
-            "n": n,
-            "shard_size": shard_size,
-            "n_shards": -(-n // shard_size),
-            "cpu_count": os.cpu_count(),
-            "serial_seconds": serial_seconds,
-            "sharded_seconds": sharded_seconds,
-            "relative_throughput": relative,
-            "parallel_workers": workers,
-            "parallel_seconds": parallel_seconds,
-            "parallel_speedup": serial_seconds / parallel_seconds,
-        }
-        if not SMOKE:
-            assert relative >= 0.9, (
-                f"sharded harvest at workers=1 runs at {relative:.2f}x "
-                "serial throughput, breaching the 10% coordination budget"
-            )
-
-
 class TestServeThroughput:
     """Online decision service: the decide core and the batcher loop.
 
@@ -1008,7 +892,6 @@ class TestThroughputArtifact:
             "harvest_loadbalance",
             "harvest_cache",
             "ledger",
-            "sharded",
             "serve",
         }, "benchmark tests must run before the artifact test (file order)"
         single_speedup = (
@@ -1054,7 +937,6 @@ class TestThroughputArtifact:
                 "cache": RESULTS["harvest_cache"],
             },
             "ledger": RESULTS["ledger"],
-            "sharded": RESULTS["sharded"],
             "serve": RESULTS["serve"],
         }
         with open(ARTIFACT_PATH, "w", encoding="utf-8") as f:
@@ -1136,21 +1018,6 @@ class TestThroughputArtifact:
                     f"{RESULTS['ledger']['plain_seconds']:.3f}s",
                     f"{RESULTS['ledger']['ledgered_seconds']:.3f}s",
                     f"{RESULTS['ledger']['relative_throughput']:.2f}x",
-                ],
-                [
-                    "sharded harvest workers=1 (vs serial)",
-                    f"{RESULTS['sharded']['serial_seconds']:.3f}s",
-                    f"{RESULTS['sharded']['sharded_seconds']:.3f}s",
-                    f"{RESULTS['sharded']['relative_throughput']:.2f}x",
-                ],
-                [
-                    (
-                        f"sharded harvest x{RESULTS['sharded']['parallel_workers']}"
-                        f" workers ({RESULTS['sharded']['cpu_count']} cpu)"
-                    ),
-                    f"{RESULTS['sharded']['serial_seconds']:.3f}s",
-                    f"{RESULTS['sharded']['parallel_seconds']:.3f}s",
-                    f"{RESULTS['sharded']['parallel_speedup']:.2f}x",
                 ],
                 [
                     "serve decide core (decisions/s)",

@@ -1,15 +1,14 @@
-"""Sharded distributed harvest — one verified chain from many workers.
+"""Sharded harvest — one pass, one verified chain, shards auditable alone.
 
-The shard-native harvest path (ADR-0002): a :class:`HarvestCoordinator`
-partitions the rows into stream-keyed shards, fans them onto the
-persistent worker pool, and splices the returned payloads into ONE
-hash chain that is bit-identical to a serial harvest:
+The sharded harvest path (ADR-0002): a :class:`HarvestCoordinator`
+samples every row in one pass over one HKDF stream and seals one hash
+chain; the shard grid (rows ``[k·S, (k+1)·S)``) is the audit record:
 
-1. harvest the same job at 1 worker and at 2 workers;
-2. show rows, ledger head, and every entry hash agree exactly;
-3. inspect the shard map (per-shard boundary hashes + retry counts);
-4. save the log and verify it per shard against the manifest entry;
-5. re-derive one shard in isolation from (master seed, key, ordinal).
+1. harvest a ledgered job;
+2. inspect the shard map (per-shard boundary hashes);
+3. save the log and verify it per shard against the manifest entry;
+4. re-derive one shard in isolation from (master seed, key, ordinal)
+   and its recorded ``prev``.
 
 Run:  python examples/distributed_harvest.py
 """
@@ -19,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.audit.ledger import DecisionLedger
 from repro.audit.shards import verify_sharded_jsonl
 from repro.audit.streams import StreamRegistry, StreamRNG
-from repro.core import pool as worker_pool
 from repro.core.coordinator import (
     HarvestCoordinator,
     HarvestJob,
@@ -47,42 +46,28 @@ def main() -> None:
         config={"seed": 11, "latency_noise": 0.01},
     )
 
-    # -- 1. the same job, serial and fanned out ---------------------------
-    serial = HarvestCoordinator(job, workers=1).run()
-    parallel = HarvestCoordinator(job, workers=2).run()
+    # -- 1. one pass, one chain -------------------------------------------
+    result = HarvestCoordinator(job).run()
     print(
-        f"harvested {serial.columns.n} rows in "
-        f"{len(serial.plan)} shard(s) of {SHARD}"
+        f"harvested {result.columns.n} rows in "
+        f"{len(result.plan)} shard(s) of {SHARD}"
     )
+    print(f"chain head: {result.head[:16]}…")
 
-    # -- 2. worker count is invisible in the output -----------------------
-    identical = (
-        np.array_equal(serial.columns.actions, parallel.columns.actions)
-        and np.array_equal(serial.columns.rewards, parallel.columns.rewards)
-        and serial.head == parallel.head
-        and serial.entries() == parallel.entries()
-    )
-    print(
-        "workers=1 vs workers=2: "
-        f"{'bit-identical' if identical else 'DIVERGED'}"
-    )
-    print(f"spliced head: {serial.head[:16]}…")
-
-    # -- 3. the shard map: boundary hashes are the audit record -----------
-    for shard in parallel.shard_map:
+    # -- 2. the shard map: boundary hashes are the audit record -----------
+    for shard in result.shard_map:
         print(
             f"  shard {shard['index']} rows "
             f"[{shard['start']}, {shard['start'] + shard['n']}) "
-            f"prev {shard['prev'][:8]}… head {shard['head'][:8]}… "
-            f"retries {shard['retries']}"
+            f"prev {shard['prev'][:8]}… head {shard['head'][:8]}…"
         )
 
-    # -- 4. save, then verify each shard against the manifest entry -------
-    dataset = parallel.columns.to_dataset()
-    parallel.annotate(dataset)
+    # -- 3. save, then verify each shard against the manifest entry -------
+    dataset = result.columns.to_dataset()
+    result.annotate(dataset)
     log_path = workdir / "sharded.jsonl"
     dataset.save_jsonl(str(log_path))
-    entry = parallel.manifest_entry()
+    entry = result.manifest_entry()
     verification = verify_sharded_jsonl(
         str(log_path),
         entry["shards"],
@@ -95,13 +80,16 @@ def main() -> None:
         f"{len(entry['shards'])} shard(s)"
     )
 
-    # -- 5. fork equivalence: one shard re-derives in isolation -----------
-    spec = parallel.plan[1]
+    # -- 4. fork equivalence: one shard re-derives in isolation -----------
+    spec, shard = result.plan[1], result.shard_map[1]
     registry = StreamRegistry(MASTER_SEED)
     inputs = build_inputs(job, registry)
     stream = StreamRNG(
         registry, job.stream_key(),
         shard_size=SHARD, start_ordinal=spec.start,
+    )
+    ledger = DecisionLedger(
+        job.stream_key(), genesis=shard["prev"], start_ordinal=spec.start
     )
     shard_columns = harvest_columns(
         job.policy,
@@ -114,20 +102,23 @@ def main() -> None:
         action_space=inputs.action_space,
         batch_size=64,
         scenario=job.scenario,
+        ledger=ledger,
     )
-    rederived = np.array_equal(
-        shard_columns.actions,
-        parallel.columns.actions[spec.start: spec.stop],
-    ) and np.array_equal(
-        shard_columns.rewards,
-        parallel.columns.rewards[spec.start: spec.stop],
+    rederived = (
+        np.array_equal(
+            shard_columns.actions,
+            result.columns.actions[spec.start: spec.stop],
+        )
+        and np.array_equal(
+            shard_columns.rewards,
+            result.columns.rewards[spec.start: spec.stop],
+        )
+        and ledger.head == shard["head"]
     )
     print(
         f"shard {spec.index} re-derived in isolation: "
         f"{'bit-identical' if rederived else 'DIVERGED'}"
     )
-
-    worker_pool.reset_pool()
     print("done.")
 
 

@@ -8,17 +8,17 @@ it.  This package is the provenance layer:
 - :mod:`repro.audit.streams` — HKDF-SHA256 stream derivation from one
   master seed, keyed ``(scenario, component, stream, ordinal)``.  Any
   shard of a harvested log re-derives its generator in isolation (fork
-  equivalence), so distributed harvesters need no coordinated RNG
-  state.
+  equivalence), so auditing a shard needs no RNG state beyond the
+  master seed.
 - :mod:`repro.audit.ledger` — a hash-chained decision ledger: every
   harvested decision records ``(prev_hash, stream key, ordinal,
   context digest, action, propensity)``, so corrupted, reordered, or
   truncated log segments are detected — and localized — by chain
   verification.
 - :mod:`repro.audit.shards` — shard planning and splice verification
-  for distributed harvests: partition ``(rows, shard_size)`` into
-  stream-keyed shard specs, splice worker-sealed shard payloads into
-  one serial-equivalent chain, and verify sharded manifests shard by
+  for sharded harvests: partition ``(rows, shard_size)`` into
+  stream-keyed shard specs, splice per-shard digests into one
+  serial-equivalent chain, and verify sharded manifests shard by
   shard.
 - :mod:`repro.audit.lint` — static analysis that finds *ambient* RNG
   (module-level ``random.*`` / ``np.random.*`` calls, argless
@@ -57,7 +57,6 @@ from repro.audit.shards import (
     ShardSpec,
     ShardedVerification,
     SpliceError,
-    chain_digests,
     splice_payloads,
     verify_sharded_jsonl,
     verify_sharded_records,
@@ -88,7 +87,6 @@ __all__ = [
     "ShardSpec",
     "ShardedVerification",
     "SpliceError",
-    "chain_digests",
     "splice_payloads",
     "verify_sharded_jsonl",
     "verify_sharded_records",

@@ -298,12 +298,11 @@ class DecisionLedger:
     ) -> None:
         """Seal decisions whose context digests are already computed.
 
-        The splice path of a sharded harvest: workers digest their
-        shard's contexts (the expensive half of sealing) and ship the
-        digests home, and the coordinator re-chains them here against
-        the true predecessor head — every entry hash still commits to
-        the full log prefix, but no context is hashed twice.  Seals
-        immediately (there is nothing left to defer).
+        The splice path of :func:`repro.audit.shards.splice_payloads`:
+        each shard's digests are chained here against the true
+        predecessor head — every entry hash still commits to the full
+        log prefix, but no context is hashed twice.  Seals immediately
+        (there is nothing left to defer).
         """
         n = len(context_shas)
         if len(actions) != n or len(propensities) != n:
@@ -317,44 +316,6 @@ class DecisionLedger:
             _int_list(actions),
             _float_list(propensities),
         )
-
-    def adopt(self, rows: SealedRows) -> None:
-        """Append rows already sealed against this ledger's head.
-
-        The trusted half of the sharded splice: an in-process shard
-        harvested in ordinal order is anchored at the true predecessor
-        head, so its sealed rows are *exactly* the rows this ledger
-        would seal — adopting them skips the second chain-hash pass
-        that :meth:`extend_digests` pays for untrusted payloads.  The
-        anchor, first ordinal, and stream are checked; the interior
-        linkage is the producing ledger's own invariant.  Never call
-        this with rows that crossed a process boundary — re-chain those
-        from their digests instead.
-        """
-        if not len(rows):
-            return
-        self._drain()
-        if rows.prev != self._head:
-            raise ValueError(
-                f"cannot adopt entries anchored at {rows.prev[:12]}…: "
-                f"the chain head is {self._head[:12]}…"
-            )
-        expected = self.start_ordinal + len(self._hashes)
-        if rows.start != expected:
-            raise ValueError(
-                f"cannot adopt entries starting at ordinal {rows.start}: "
-                f"expected {expected}"
-            )
-        if rows.stream != self.stream:
-            raise ValueError(
-                f"cannot adopt entries of stream {rows.stream!r} into "
-                f"{self.stream!r}"
-            )
-        self._shas.extend(rows.context_shas)
-        self._actions.extend(rows.actions)
-        self._propensities.extend(rows.propensities)
-        self._hashes.extend(rows.hashes)
-        self._head = rows.hashes[-1]
 
     def _chain(
         self, shas: list, actions: list, propensities: list

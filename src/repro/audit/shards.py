@@ -1,6 +1,6 @@
-"""Shard planning and splice verification for distributed harvests.
+"""Shard planning and splice verification for sharded harvests.
 
-The distributed harvest story rests on two PR-7 primitives: any shard
+The sharded harvest story rests on two audit primitives: any shard
 of a stream re-derives in isolation from ``(master seed, stream key,
 start ordinal)`` (:class:`repro.audit.streams.StreamRNG`), and a
 ledger shard anchored at its predecessor's head reproduces the full
@@ -9,17 +9,13 @@ log's hashes (:class:`repro.audit.ledger.DecisionLedger` with
 bookkeeping:
 
 - :class:`ShardPlan` partitions ``(rows, shard_size)`` into
-  stream-keyed :class:`ShardSpec` entries — each spec *is* the full
-  worker bootstrap descriptor (together with the master fingerprint
-  and stream key), no RNG state needs to travel;
-- :func:`chain_digests` re-chains a shard's worker-computed digests,
-  which doubles as the payload-integrity check (a worker's
-  genesis-anchored provisional head must recompute from the shipped
-  columns) and as the splice primitive;
-- :func:`splice_payloads` seals ordered shard payloads into ONE
-  ledger whose entries and head are bit-identical to a serial
-  harvest, recording the per-shard ``prev``/``head`` boundary hashes
-  (the shard map published in the run manifest);
+  stream-keyed :class:`ShardSpec` entries — each spec is a complete
+  re-derivation descriptor (together with the master fingerprint and
+  stream key), no RNG state needs to travel;
+- :func:`splice_payloads` seals ordered per-shard decision digests
+  into ONE ledger whose entries and head are bit-identical to a
+  one-pass harvest, recording the per-shard ``prev``/``head``
+  boundary hashes (the shard map published in the run manifest);
 - :func:`verify_sharded_jsonl` walks a sharded log the way
   ``repro verify-ledger --manifest`` needs to: each shard verified in
   isolation against its recorded ``prev``/``head``/``n`` (so
@@ -34,12 +30,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.audit.ledger import (
-    GENESIS,
-    ChainVerification,
-    DecisionLedger,
-    entry_hash,
-)
+from repro.audit.ledger import GENESIS, ChainVerification, DecisionLedger
 from repro.audit.ledger import _checked_records, _verify_checked
 from repro.audit.streams import StreamKey
 
@@ -48,7 +39,6 @@ __all__ = [
     "ShardSpec",
     "ShardedVerification",
     "SpliceError",
-    "chain_digests",
     "splice_payloads",
     "verify_sharded_jsonl",
     "verify_sharded_records",
@@ -64,9 +54,10 @@ class ShardSpec:
     """One shard of a harvest: rows ``[start, stop)`` of the plan.
 
     ``start`` is simultaneously the ledger ordinal of the shard's
-    first decision and the stream-derivation ordinal a worker anchors
-    its :class:`~repro.audit.streams.StreamRNG` at — the whole worker
-    bootstrap is ``(master fingerprint, stream key, start, n rows)``.
+    first decision and the stream-derivation ordinal an isolated
+    re-derivation anchors its :class:`~repro.audit.streams.StreamRNG`
+    at — the whole descriptor is ``(master fingerprint, stream key,
+    start, n rows)``.
     """
 
     index: int
@@ -90,7 +81,7 @@ class ShardPlan:
     Shard ``k`` covers rows ``[k·S, min(n, (k+1)·S))`` — the same grid
     :class:`~repro.audit.streams.StreamRNG` derives generators on, so
     every shard's stream is derivable at exactly its own start ordinal
-    and a parallel harvest touches no derivation outside its shards.
+    and an isolated shard touches no derivation outside itself.
     """
 
     n_rows: int
@@ -130,42 +121,6 @@ class ShardPlan:
         }
 
 
-def chain_digests(
-    stream: Union[StreamKey, str],
-    context_shas: Sequence[str],
-    actions: Sequence[int],
-    propensities: Sequence[float],
-    genesis: str = GENESIS,
-    start_ordinal: int = 0,
-) -> str:
-    """The chain head over pre-digested decisions, without a ledger.
-
-    Exactly the hashes :class:`~repro.audit.ledger.DecisionLedger`
-    would seal — used to validate a shard payload in transit: a worker
-    returns its provisional (genesis-anchored) head, and the
-    coordinator recomputes it from the shipped columns; any flipped
-    action, rescaled propensity, or swapped digest changes the head.
-    """
-    name = stream.name if isinstance(stream, StreamKey) else str(stream)
-    n = len(context_shas)
-    if len(actions) != n or len(propensities) != n:
-        raise ValueError(
-            f"length mismatch: {n} digests, {len(actions)} actions, "
-            f"{len(propensities)} propensities"
-        )
-    head = str(genesis)
-    for row in range(n):
-        head = entry_hash(
-            head,
-            name,
-            start_ordinal + row,
-            str(context_shas[row]),
-            int(actions[row]),
-            float(propensities[row]),
-        )
-    return head
-
-
 def splice_payloads(
     stream: Union[StreamKey, str],
     payloads: Sequence[Mapping],
@@ -176,20 +131,15 @@ def splice_payloads(
 ) -> Tuple[DecisionLedger, list]:
     """Seal ordered shard payloads into one serial-equivalent ledger.
 
-    Each payload carries ``start``, ``context_shas``, ``actions``,
-    ``propensities`` (and optionally ``retries``) for one shard; they
-    must arrive sorted by ``start`` and contiguous from row 0.  The
-    splice re-chains every entry against the true predecessor head
-    (workers sealed against a provisional genesis anchor — only the
-    ``prev`` linkage changes, the digests are reused), so the result
-    is bit-identical to a serially-harvested ledger.  A payload that
-    still carries its ``sealed`` rows AND whose ``genesis`` already
-    equals the true predecessor head — an in-process shard harvested
-    in ordinal order, never a shipped one (workers strip them) — is
-    adopted outright: its chain is the final chain, nothing to redo.
+    Each payload carries ``start``, ``context_shas``, ``actions`` and
+    ``propensities`` for one shard; they must arrive sorted by
+    ``start`` and contiguous from row 0.  The splice chains every
+    entry against the true predecessor head (only the ``prev`` linkage
+    depends on the neighbours, the digests are reused), so the result
+    is bit-identical to a one-pass ledger of the same decisions.
     Returns the ledger plus the shard map: per shard ``{index, start,
-    n, prev, head, retries}`` — the boundary hashes that let
-    ``verify-ledger`` check each shard in isolation later.
+    n, prev, head}`` — the boundary hashes that let ``verify-ledger``
+    check each shard in isolation later.
     """
     ledger = DecisionLedger(
         stream,
@@ -208,13 +158,9 @@ def splice_payloads(
             )
         context_shas = payload["context_shas"]
         prev = ledger.head
-        sealed = payload.get("sealed")
-        if sealed is not None and payload.get("genesis") == prev:
-            ledger.adopt(sealed)
-        else:
-            ledger.extend_digests(
-                context_shas, payload["actions"], payload["propensities"]
-            )
+        ledger.extend_digests(
+            context_shas, payload["actions"], payload["propensities"]
+        )
         shard_map.append(
             {
                 "index": index,
@@ -222,7 +168,6 @@ def splice_payloads(
                 "n": len(context_shas),
                 "prev": prev,
                 "head": ledger.head,
-                "retries": int(payload.get("retries", 0)),
             }
         )
         expected_start = start + len(context_shas)

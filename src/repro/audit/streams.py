@@ -300,22 +300,6 @@ class StreamRegistry:
         """The derivation log (one entry per distinct stream key)."""
         return [dict(entry) for entry in self._derivations]
 
-    def absorb(self, derivations: Iterable[dict]) -> None:
-        """Merge derivation-log entries reported by another registry.
-
-        Distributed harvest workers derive streams in their own
-        registries (same master seed); the coordinator absorbs their
-        logs so the run manifest still lists every stream the run
-        consumed.  Entries already recorded here are skipped, so
-        absorbing overlapping worker logs is idempotent.
-        """
-        for entry in derivations:
-            canonical = entry.get("key")
-            if not canonical or canonical in self._seen:
-                continue
-            self._seen.add(canonical)
-            self._derivations.append(dict(entry))
-
     def manifest_entry(self) -> dict:
         """Manifest section: master fingerprint + derivation log."""
         return {

@@ -1,16 +1,11 @@
-"""Persistent worker pool shared by harvest shards and bootstrap shards.
+"""Persistent worker pool for seeded bootstrap shards.
 
-The parallel paths used to build a fresh ``ProcessPoolExecutor`` per
-call, paying fork/teardown for every harvest and every bootstrap
-interval — and a fresh pool means fresh workers that re-unpickle every
-job.  This module keeps **one** lazily created executor for the whole
-process:
+A fresh ``ProcessPoolExecutor`` per call would pay fork/teardown for
+every bootstrap interval.  This module keeps **one** lazily created
+executor for the whole process:
 
 - :func:`get_pool` returns the singleton, growing it (by recreating)
   when a caller asks for more workers than it was built with.
-- Workers cache job context (the once-pickled harvest job blob) by job
-  key via :func:`job_payload`, so a job's context crosses the pickle
-  machinery once per worker no matter how many shards it spans.
 - :func:`reset_pool` discards a broken executor (a killed worker
   poisons the whole pool — ``BrokenProcessPool``); callers then fall
   back to bit-identical serial recomputation.
@@ -20,23 +15,16 @@ process:
 Per-task observability survives pool reuse because workers open a
 *fresh* :class:`~repro.obs.tracing.Tracer` per traced task and ship
 the span dict home with the result — nothing accumulates in worker
-globals between tasks.  The watchtower layer rides the same contract:
-monitored tasks run under a fresh
-:class:`~repro.obs.monitors.MonitorSuite` and ship their mergeable
-states home, profiled tasks under a fresh
+globals between tasks.  Profiled tasks likewise run under a fresh
 :class:`~repro.obs.profiler.SpanProfiler` and ship their flame
-tables; the parent absorbs both exactly where it grafts spans.  Pool
+tables; the parent absorbs them exactly where it grafts spans.  Pool
 churn is itself telemetry: ``pool.created`` / ``pool.resets``
-counters feed the dashboard, and coordinator-level retries feed the
-``retry_storm`` monitor.
+counters feed the dashboard.
 """
 
 from __future__ import annotations
 
 import atexit
-import itertools
-import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Optional
@@ -46,8 +34,6 @@ from repro.obs.metrics import get_metrics
 __all__ = [
     "BrokenProcessPool",
     "get_pool",
-    "job_payload",
-    "new_job",
     "pool_size",
     "reset_pool",
     "shutdown_pool",
@@ -55,12 +41,6 @@ __all__ = [
 
 _pool: Optional[ProcessPoolExecutor] = None
 _pool_workers = 0
-_job_counter = itertools.count(1)
-
-#: Worker-side cache of unpickled job blobs, keyed by job key.  Small:
-#: a worker only ever serves a handful of concurrent jobs.
-_JOB_CACHE: dict = {}
-_JOB_CACHE_SIZE = 4
 
 
 def get_pool(workers: int) -> ProcessPoolExecutor:
@@ -113,32 +93,3 @@ def shutdown_pool() -> None:
 
 atexit.register(shutdown_pool)
 
-
-def new_job(context) -> tuple:
-    """Serialize a job's shared context exactly once.
-
-    Returns ``(job_key, blob)``.  The blob rides inside every task
-    payload of the job, but workers unpickle it only on first sight
-    (see :func:`job_payload`) — the per-task cost after that is the
-    bytes transfer, not reconstruction.  Raising here (an unpicklable
-    policy) doubles as the picklability probe: callers catch and fall
-    back to serial execution.
-    """
-    key = f"{os.getpid()}:{next(_job_counter)}"
-    return key, pickle.dumps(context)
-
-
-def job_payload(job_key: str, blob: bytes):
-    """Worker-side: the job context, unpickled once per worker.
-
-    Cache keyed by ``job_key`` (process id + counter, so keys never
-    collide across parent restarts); a tiny LRU keeps concurrent jobs
-    from thrashing each other.
-    """
-    cached = _JOB_CACHE.get(job_key)
-    if cached is None:
-        while len(_JOB_CACHE) >= _JOB_CACHE_SIZE:
-            _JOB_CACHE.pop(next(iter(_JOB_CACHE)))
-        cached = pickle.loads(blob)
-        _JOB_CACHE[job_key] = cached
-    return cached

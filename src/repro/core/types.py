@@ -205,28 +205,29 @@ class Dataset:
         self._version = 0
         self._columns_cache = None
         self._columns_version = -1
-        # Sealed ledger rows a columns-backed view stamps into each
+        # The ledger whose chain a columns-backed view stamps into each
         # row's metadata (see :meth:`from_columns`).
-        self._sealed = None
+        self._ledger = None
 
     @classmethod
-    def from_columns(cls, columns, sealed=None) -> "Dataset":
+    def from_columns(cls, columns, ledger=None) -> "Dataset":
         """A dataset backed by a columnar view, holding no per-row objects.
 
         ``columns`` (a :class:`~repro.core.columns.DatasetColumns`) is
-        the dataset's :meth:`columns`; ``sealed`` (a
-        :class:`~repro.audit.ledger.SealedRows` aligned with the rows)
-        is the chain each row's ``metadata["ledger"]`` carries.
-        :meth:`save_jsonl` writes straight from both, and the first
+        the dataset's :meth:`columns`; ``ledger`` (a
+        :class:`~repro.audit.ledger.DecisionLedger` aligned with the
+        rows) holds the chain each row's ``metadata["ledger"]`` carries.
+        :meth:`save_jsonl` writes straight from both, encoding contexts
+        through the ledger's memo of distinct contexts, and the first
         per-row access (iteration, indexing, mutation) materializes
         :class:`Interaction` objects — with ledger metadata when
-        ``sealed`` is given, and no ``full_rewards``.
+        ``ledger`` is given, and no ``full_rewards``.
         """
         dataset = cls(None, columns.action_space, columns.reward_range)
         dataset._rows = None
         dataset._columns_cache = columns
         dataset._columns_version = dataset._version
-        dataset._sealed = sealed
+        dataset._ledger = ledger
         return dataset
 
     @property
@@ -234,8 +235,8 @@ class Dataset:
         """The per-row list, materialized from the columns on first use."""
         if self._rows is None:
             rows = self._columns_cache.to_dataset()._interactions
-            if self._sealed is not None:
-                for interaction, entry in zip(rows, self._sealed.entries()):
+            if self._ledger is not None:
+                for interaction, entry in zip(rows, self._ledger.entries()):
                     interaction.metadata["ledger"] = entry.to_metadata()
             self._rows = rows
         return self._rows
@@ -377,17 +378,19 @@ class Dataset:
         byte, written through the log codec (:mod:`repro.core.codec`),
         which encodes each distinct context once.  A columns-backed
         dataset (:meth:`from_columns`) writes straight from its columns
-        and sealed ledger rows, building no per-row object.
+        and ledger, building no per-row object.
         """
         from repro.core import codec
 
         with open(path, "w", encoding="utf-8") as f:
             if self._rows is None:
-                columns = self._columns_cache
+                columns, ledger = self._columns_cache, self._ledger
                 codec.write_columns(
-                    f, codec.ContextTable(), columns.contexts,
-                    columns.actions, columns.rewards, columns.propensities,
-                    columns.timestamps, self._sealed,
+                    f,
+                    codec.ContextTable() if ledger is None else ledger.contexts,
+                    columns.contexts, columns.actions, columns.rewards,
+                    columns.propensities, columns.timestamps,
+                    None if ledger is None else ledger.sealed(),
                 )
             else:
                 codec.write_interactions(f, self._rows)

@@ -9,7 +9,7 @@ validation → estimator folds → bootstrap → reporting:
   Prometheus-text and JSON exporters;
 - :mod:`repro.obs.monitors` — streaming health monitors (windowed
   ESS, propensity floor, weight tails, quarantine/ledger-break rates,
-  shard retry storms) emitting OK/WARN/CRITICAL
+  serving latency and errors) emitting OK/WARN/CRITICAL
   :class:`~repro.obs.monitors.HealthEvent` records while the run is
   in flight;
 - :mod:`repro.obs.profiler` — a stdlib signal-sampling profiler that

@@ -209,7 +209,8 @@ def _health_section(manifest: Mapping) -> str:
 
 def _results_section(manifest: Mapping) -> str:
     results = manifest.get("results") or []
-    if not results:
+    intervals = manifest.get("bootstrap") or {}
+    if not results and not intervals:
         return ""
     rows = []
     for entry in results:
@@ -226,15 +227,29 @@ def _results_section(manifest: Mapping) -> str:
                 _badge(level) if level else "—",
             )
         )
-    return _section(
-        "Results",
-        _table(
-            [("policy", ""), ("estimator", ""), ("value", "num"),
-             ("std err", "num"), ("n", "num"), ("effective n", "num"),
-             ("verdict", "")],
-            rows,
-        ),
+    body = _table(
+        [("policy", ""), ("estimator", ""), ("value", "num"),
+         ("std err", "num"), ("n", "num"), ("effective n", "num"),
+         ("verdict", "")],
+        rows,
     )
+    if intervals:
+        # The printed ``[low, high]`` of each policy's IPS terms.
+        body += "<p class='meta'>bootstrap intervals (ips terms)</p>" + _table(
+            [("policy", ""), ("interval", "num"), ("confidence", "num"),
+             ("n_boot", "num"), ("seed", "num")],
+            (
+                (
+                    _esc(str(policy)),
+                    f"[{entry['low']:.4f}, {entry['high']:.4f}]",
+                    _fmt_num(entry.get("confidence")),
+                    _fmt_num(entry.get("n_boot")),
+                    _fmt_num(entry.get("seed")),
+                )
+                for policy, entry in intervals.items()
+            ),
+        )
+    return _section("Results", body)
 
 
 # -- span waterfall --------------------------------------------------------

@@ -1,25 +1,18 @@
 """Streaming health monitors over the live harvest/evaluation stream.
 
-PR 4 gave every run a post-hoc report; this module is the watchtower
-that reads the stream *while it flows*.  A :class:`MonitorSuite` holds
-a set of :class:`HealthMonitor` instances — windowed Kish ESS,
-propensity floor, weight tails, quarantine rate, ledger-break rate,
-shard retry storms — each folding cheap aggregates per batch and
-emitting a :class:`HealthEvent` whenever its OK/WARN/CRITICAL level
-changes.  Events land in the active metrics registry
+The run manifest gives every run a post-hoc report; this module is
+the watchtower that reads the stream *while it flows*.  A
+:class:`MonitorSuite` holds a set of :class:`HealthMonitor` instances
+— windowed Kish ESS, propensity floor, weight tails, quarantine rate,
+ledger-break rate, and the serving monitors — each folding cheap
+aggregates per batch and emitting a :class:`HealthEvent` whenever its
+OK/WARN/CRITICAL level changes.  Events land in the active metrics registry
 (``health.events`` counter, ``health.level`` gauge) and the suite's
 :meth:`~MonitorSuite.snapshot` becomes the manifest's ``health``
 section.
 
-**Merge like estimators.**  Monitor state is a plain JSON-able dict
-with the same ``init/fold/merge`` contract as the PR 3 estimator
-reductions: pool workers run their own suite, ship
-:meth:`~MonitorSuite.states` home in the result payload, and the
-coordinator :meth:`~MonitorSuite.absorb`\\ s them — so sharded harvests
-get the same verdicts as serial ones.  (Window boundaries in the ESS
-monitor follow batch/shard edges, so the *worst-window* statistic can
-differ slightly between worker counts; levels use the same
-thresholds either way.)
+Monitor state is a plain JSON-able dict per monitor
+(:meth:`~MonitorSuite.states`), folded in place by typed feeds.
 
 **Zero overhead when off.**  The process-wide default is
 :data:`NULL_MONITORS`; install a real suite per run with
@@ -46,7 +39,6 @@ __all__ = [
     "WeightTailMonitor",
     "QuarantineRateMonitor",
     "LedgerBreakMonitor",
-    "RetryStormMonitor",
     "ServeLatencyMonitor",
     "ServeErrorMonitor",
     "MonitorSuite",
@@ -115,12 +107,11 @@ def _finite(value) -> Optional[float]:
 class HealthMonitor:
     """Base monitor: a named reduction with thresholded evaluation.
 
-    Subclasses override :meth:`init_state`, :meth:`merge`,
-    :meth:`evaluate`, and whichever ``fold_*`` hooks they consume.
-    Fold hooks mutate ``state`` in place and return ``True`` when the
-    state changed (the suite only re-evaluates changed monitors).
-    State must stay a plain dict of JSON-able scalars so it can ship
-    across the worker pool and into the manifest.
+    Subclasses override :meth:`init_state`, :meth:`evaluate`, and
+    whichever ``fold_*`` hooks they consume.  Fold hooks mutate
+    ``state`` in place and return ``True`` when the state changed (the
+    suite only re-evaluates changed monitors).  State must stay a
+    plain dict of JSON-able scalars so it can go into the manifest.
     """
 
     name = "monitor"
@@ -128,10 +119,6 @@ class HealthMonitor:
     def init_state(self) -> dict:
         """A fresh (empty-stream) state dict."""
         return {}
-
-    def merge(self, state: dict, other: dict) -> dict:
-        """Combine two states (commutative; used for worker absorb)."""
-        raise NotImplementedError
 
     def evaluate(self, state: dict) -> tuple:
         """``(level, value, threshold, message)`` for the current state."""
@@ -160,12 +147,6 @@ class HealthMonitor:
 
     def fold_rows(self, state: dict, count: int) -> bool:
         """Fold accepted/generated row counts (rate denominators)."""
-        return False
-
-    def fold_shards(
-        self, state: dict, completed: int, retried: int, fallback: int
-    ) -> bool:
-        """Fold shard completion/retry/fallback counts."""
         return False
 
     def fold_serve(
@@ -237,18 +218,6 @@ class EssMonitor(HealthMonitor):
             state["windows"] += 1
         return frac is not None
 
-    def merge(self, state: dict, other: dict) -> dict:
-        worsts = [w for w in (state["worst"], other["worst"]) if w is not None]
-        merged = {
-            "n": state["n"] + other["n"],
-            "sum": state["sum"] + other["sum"],
-            "sumsq": state["sumsq"] + other["sumsq"],
-            "worst": min(worsts) if worsts else None,
-            "windows": state["windows"] + other["windows"],
-        }
-        self._flush(merged)
-        return merged
-
     def evaluate(self, state: dict) -> tuple:
         candidates = []
         if state["worst"] is not None:
@@ -313,16 +282,6 @@ class PropensityFloorMonitor(HealthMonitor):
         state["n"] += int(probs.size)
         return True
 
-    def merge(self, state: dict, other: dict) -> dict:
-        mins = [m for m in (state["min"], other["min"]) if m is not None]
-        return {
-            "min": min(mins) if mins else None,
-            "below_warn": state["below_warn"] + other["below_warn"],
-            "below_critical": state["below_critical"]
-            + other["below_critical"],
-            "n": state["n"] + other["n"],
-        }
-
     def evaluate(self, state: dict) -> tuple:
         low = state["min"]
         if low is None:
@@ -381,14 +340,6 @@ class WeightTailMonitor(HealthMonitor):
         state["n"] += int(n)
         return True
 
-    def merge(self, state: dict, other: dict) -> dict:
-        highs = [m for m in (state["max"], other["max"]) if m is not None]
-        return {
-            "max": max(highs) if highs else None,
-            "tail": state["tail"] + other["tail"],
-            "n": state["n"] + other["n"],
-        }
-
     def evaluate(self, state: dict) -> tuple:
         high = state["max"]
         if high is None:
@@ -432,12 +383,6 @@ class QuarantineRateMonitor(HealthMonitor):
     def fold_rows(self, state: dict, count: int) -> bool:
         state["rows"] += int(count)
         return True
-
-    def merge(self, state: dict, other: dict) -> dict:
-        return {
-            "rejected": state["rejected"] + other["rejected"],
-            "rows": state["rows"] + other["rows"],
-        }
 
     def _rate(self, state: dict) -> Optional[float]:
         total = state["rejected"] + state["rows"]
@@ -491,12 +436,6 @@ class LedgerBreakMonitor(HealthMonitor):
         state["rows"] += int(count)
         return True
 
-    def merge(self, state: dict, other: dict) -> dict:
-        return {
-            "breaks": state["breaks"] + other["breaks"],
-            "rows": state["rows"] + other["rows"],
-        }
-
     def evaluate(self, state: dict) -> tuple:
         breaks = state["breaks"]
         if not breaks:
@@ -511,71 +450,6 @@ class LedgerBreakMonitor(HealthMonitor):
         return (
             LEVEL_WARN, rate, self.critical_rate,
             f"{breaks} ledger-broken rows ({rate:.2%} of stream)",
-        )
-
-
-class RetryStormMonitor(HealthMonitor):
-    """Shard retries from the harvest coordinator (PR 8).
-
-    Occasional retries are the design working; a retry *storm*
-    (retries rivalling completions) or a pool falling back to serial
-    re-derivation means workers are dying faster than shards finish.
-    """
-
-    name = "retry_storm"
-
-    def __init__(
-        self,
-        warn_ratio: float = 0.25,
-        critical_ratio: float = 1.0,
-        min_retries: int = 2,
-    ) -> None:
-        self.warn_ratio = float(warn_ratio)
-        self.critical_ratio = float(critical_ratio)
-        self.min_retries = int(min_retries)
-
-    def init_state(self) -> dict:
-        return {"completed": 0, "retried": 0, "fallback": 0}
-
-    def fold_shards(
-        self, state: dict, completed: int, retried: int, fallback: int
-    ) -> bool:
-        state["completed"] += int(completed)
-        state["retried"] += int(retried)
-        state["fallback"] += int(fallback)
-        return bool(completed or retried or fallback)
-
-    def merge(self, state: dict, other: dict) -> dict:
-        return {
-            "completed": state["completed"] + other["completed"],
-            "retried": state["retried"] + other["retried"],
-            "fallback": state["fallback"] + other["fallback"],
-        }
-
-    def evaluate(self, state: dict) -> tuple:
-        retried = state["retried"]
-        ratio = retried / max(state["completed"], 1)
-        if state["fallback"]:
-            return (
-                LEVEL_CRITICAL, ratio, self.critical_ratio,
-                f"{state['fallback']} shards fell back to local "
-                f"re-derivation ({retried} retries)",
-            )
-        if retried >= self.min_retries and ratio >= self.critical_ratio:
-            return (
-                LEVEL_CRITICAL, ratio, self.critical_ratio,
-                f"retry ratio {ratio:.2f} >= {self.critical_ratio:g} "
-                f"({retried} retries / {state['completed']} completions)",
-            )
-        if retried >= self.min_retries and ratio >= self.warn_ratio:
-            return (
-                LEVEL_WARN, ratio, self.warn_ratio,
-                f"retry ratio {ratio:.2f} >= {self.warn_ratio:g} "
-                f"({retried} retries / {state['completed']} completions)",
-            )
-        return (
-            LEVEL_OK, ratio, self.warn_ratio,
-            f"{retried} retries / {state['completed']} completions",
         )
 
 
@@ -611,13 +485,6 @@ class ServeLatencyMonitor(HealthMonitor):
         state["latency_sum"] += float(latency_sum)
         state["latency_max"] = max(state["latency_max"], float(latency_max))
         return True
-
-    def merge(self, state: dict, other: dict) -> dict:
-        return {
-            "served": state["served"] + other["served"],
-            "latency_sum": state["latency_sum"] + other["latency_sum"],
-            "latency_max": max(state["latency_max"], other["latency_max"]),
-        }
 
     def evaluate(self, state: dict) -> tuple:
         if state["served"] <= 0:
@@ -663,13 +530,6 @@ class ServeErrorMonitor(HealthMonitor):
         state["dropped"] += int(dropped)
         return bool(served or errors or dropped)
 
-    def merge(self, state: dict, other: dict) -> dict:
-        return {
-            "served": state["served"] + other["served"],
-            "errors": state["errors"] + other["errors"],
-            "dropped": state["dropped"] + other["dropped"],
-        }
-
     def evaluate(self, state: dict) -> tuple:
         ratio = state["errors"] / max(state["served"], 1)
         if state["dropped"] > 0:
@@ -704,7 +564,6 @@ def default_monitors() -> list[HealthMonitor]:
         WeightTailMonitor(),
         QuarantineRateMonitor(),
         LedgerBreakMonitor(),
-        RetryStormMonitor(),
     ]
 
 
@@ -720,7 +579,7 @@ class MonitorSuite:
     validation layer feeds :meth:`observe_rejected` /
     :meth:`observe_rows`, the evaluation engine feeds
     :meth:`observe_weights` or :meth:`observe_weight_stats`, and the
-    shard coordinator feeds :meth:`observe_shards`.  Whenever a fold
+    decision service feeds :meth:`observe_serve`.  Whenever a fold
     changes a monitor's level, a :class:`HealthEvent` is appended and
     mirrored into the active metrics registry.
     """
@@ -806,16 +665,6 @@ class MonitorSuite:
             if monitor.fold_rows(self._states[monitor.name], count):
                 self._reevaluate(monitor)
 
-    def observe_shards(
-        self, completed: int = 0, retried: int = 0, fallback: int = 0
-    ) -> None:
-        """Fold shard completion/retry/fallback counts (coordinator)."""
-        for monitor in self.monitors:
-            if monitor.fold_shards(
-                self._states[monitor.name], completed, retried, fallback
-            ):
-                self._reevaluate(monitor)
-
     def observe_serve(
         self,
         served: int = 0,
@@ -832,24 +681,9 @@ class MonitorSuite:
             ):
                 self._reevaluate(monitor)
 
-    # -- worker merge ------------------------------------------------------
-
     def states(self) -> dict:
-        """Picklable/JSON-able per-monitor states (ship these home)."""
+        """JSON-able copies of the per-monitor states."""
         return {name: dict(state) for name, state in self._states.items()}
-
-    def absorb(self, states: Optional[dict]) -> None:
-        """Merge a worker suite's :meth:`states` into this one."""
-        if not states:
-            return
-        for monitor in self.monitors:
-            other = states.get(monitor.name)
-            if other is None:
-                continue
-            self._states[monitor.name] = monitor.merge(
-                self._states[monitor.name], other
-            )
-            self._reevaluate(monitor)
 
     # -- evaluation and export ---------------------------------------------
 
@@ -942,11 +776,6 @@ class NullMonitors:
     def observe_rows(self, count: int) -> None:
         """No-op (monitoring is off)."""
 
-    def observe_shards(
-        self, completed: int = 0, retried: int = 0, fallback: int = 0
-    ) -> None:
-        """No-op (monitoring is off)."""
-
     def observe_serve(
         self,
         served: int = 0,
@@ -960,9 +789,6 @@ class NullMonitors:
     def states(self) -> dict:
         """Always empty — nothing accumulates."""
         return {}
-
-    def absorb(self, states: Optional[dict]) -> None:
-        """No-op (monitoring is off)."""
 
     def overall_level(self) -> str:
         """Always ``OK`` — nothing is watched."""

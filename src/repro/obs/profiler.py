@@ -15,7 +15,7 @@ degrades to manual :meth:`~SpanProfiler.sample` calls (the tests use
 these for determinism) and reports ``supported=False``.
 
 **Merged like span trees.**  Worker processes run their own profiler
-when the parent asks (the coordinator/bootstrap payload carries a
+when the parent asks (a bootstrap shard payload carries a
 ``profiled`` flag), ship :meth:`~SpanProfiler.to_dict` home in the
 result payload, and the parent :meth:`~SpanProfiler.absorb`\\ s the
 tables — one flame table per run, regardless of process count.

@@ -2,9 +2,9 @@
 
 ``python -m repro report run_manifest.json`` lands here: given a
 manifest written by ``evaluate --manifest``, print the run header,
-the estimator results, the top spans by wall time, the metric totals,
-and the reliability-verdict tally — the "what happened in this run"
-one-pager.
+the estimator results, the reliability-verdict tally, the bootstrap
+intervals, the top spans by wall time and the metric totals — the
+"what happened in this run" one-pager.
 """
 
 from __future__ import annotations
@@ -150,6 +150,25 @@ def manifest_summary_text(
             + text_table(
                 ["verdict", "count"],
                 [[k, str(v)] for k, v in sorted(tally.items())],
+            )
+        )
+
+    intervals = data.get("bootstrap")
+    if intervals:
+        rows = [
+            [
+                policy,
+                f"[{entry['low']:.4f}, {entry['high']:.4f}]",
+                _fmt(entry.get("confidence"), "{:g}"),
+                str(entry.get("n_boot", "-")),
+                str(entry.get("seed", "-")),
+            ]
+            for policy, entry in intervals.items()
+        ]
+        sections.append(
+            "bootstrap intervals (ips terms)\n"
+            + text_table(
+                ["policy", "interval", "confidence", "n_boot", "seed"], rows
             )
         )
 

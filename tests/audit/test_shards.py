@@ -1,4 +1,4 @@
-"""Shard planning, digest re-chaining, splicing, sharded verification."""
+"""Shard planning, digest chaining, splicing, sharded verification."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.audit.shards import (
     ShardPlan,
     ShardSpec,
     SpliceError,
-    chain_digests,
     splice_payloads,
     verify_sharded_records,
 )
@@ -28,28 +27,26 @@ def serial_ledger(n, stream=STREAM):
     return ledger, contexts, actions, propensities
 
 
-def worker_payloads(plan, contexts, actions, propensities, stream=STREAM):
-    """What shard workers ship: provisionally genesis-anchored payloads."""
-    payloads = []
-    for spec in plan:
-        shas = [context_digest(c) for c in contexts[spec.start : spec.stop]]
-        payloads.append(
-            {
-                "start": spec.start,
-                "n": spec.n,
-                "actions": actions[spec.start : spec.stop],
-                "propensities": propensities[spec.start : spec.stop],
-                "context_shas": shas,
-                "head": chain_digests(
-                    stream,
-                    shas,
-                    actions[spec.start : spec.stop],
-                    propensities[spec.start : spec.stop],
-                    start_ordinal=spec.start,
-                ),
-            }
-        )
-    return payloads
+def shard_payloads(plan, contexts, actions, propensities):
+    """Each shard's decisions with its contexts digested."""
+    return [
+        {
+            "start": spec.start,
+            "actions": actions[spec.start : spec.stop],
+            "propensities": propensities[spec.start : spec.stop],
+            "context_shas": [
+                context_digest(c) for c in contexts[spec.start : spec.stop]
+            ],
+        }
+        for spec in plan
+    ]
+
+
+def chained_head(shas, actions, propensities, start_ordinal=0):
+    """The head a ledger reaches chaining pre-digested decisions."""
+    ledger = DecisionLedger(STREAM, start_ordinal=start_ordinal)
+    ledger.extend_digests(shas, actions, propensities)
+    return ledger.head
 
 
 def records_of(ledger, contexts):
@@ -105,41 +102,36 @@ class TestShardPlan:
 class TestChainDigests:
     def test_matches_ledger_head(self):
         ledger, contexts, actions, propensities = serial_ledger(10)
-        head = chain_digests(
-            STREAM,
-            [context_digest(c) for c in contexts],
-            actions,
-            propensities,
+        head = chained_head(
+            [context_digest(c) for c in contexts], actions, propensities
         )
         assert head == ledger.head
 
     def test_any_field_changes_head(self):
         _, contexts, actions, propensities = serial_ledger(6)
         shas = [context_digest(c) for c in contexts]
-        reference = chain_digests(STREAM, shas, actions, propensities)
+        reference = chained_head(shas, actions, propensities)
         tampered_action = list(actions)
         tampered_action[3] = (tampered_action[3] + 1) % 3
-        assert chain_digests(STREAM, shas, tampered_action, propensities) != reference
+        assert chained_head(shas, tampered_action, propensities) != reference
         tampered_propensity = list(propensities)
         tampered_propensity[0] += 1e-9
+        assert chained_head(shas, actions, tampered_propensity) != reference
         assert (
-            chain_digests(STREAM, shas, actions, tampered_propensity) != reference
-        )
-        assert (
-            chain_digests(STREAM, shas, actions, propensities, start_ordinal=1)
+            chained_head(shas, actions, propensities, start_ordinal=1)
             != reference
         )
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            chain_digests(STREAM, ["a" * 32], [0, 1], [0.5, 0.5])
+            chained_head(["a" * 32], [0, 1], [0.5, 0.5])
 
 
 class TestSplicePayloads:
     def test_splice_is_bit_identical_to_serial(self):
         ledger, contexts, actions, propensities = serial_ledger(40)
         plan = ShardPlan(40, S)
-        payloads = worker_payloads(plan, contexts, actions, propensities)
+        payloads = shard_payloads(plan, contexts, actions, propensities)
         spliced, shard_map = splice_payloads(STREAM, payloads, shard_size=S)
         assert spliced.head == ledger.head
         assert spliced.entries() == ledger.entries()
@@ -153,23 +145,16 @@ class TestSplicePayloads:
     def test_non_contiguous_payloads_rejected(self):
         _, contexts, actions, propensities = serial_ledger(40)
         plan = ShardPlan(40, S)
-        payloads = worker_payloads(plan, contexts, actions, propensities)
+        payloads = shard_payloads(plan, contexts, actions, propensities)
         with pytest.raises(SpliceError, match="contiguous"):
             splice_payloads(STREAM, [payloads[0], payloads[2]])
-
-    def test_records_retries(self):
-        _, contexts, actions, propensities = serial_ledger(S)
-        payloads = worker_payloads(ShardPlan(S, S), contexts, actions, propensities)
-        payloads[0]["retries"] = 2
-        _, shard_map = splice_payloads(STREAM, payloads)
-        assert shard_map[0]["retries"] == 2
 
 
 class TestVerifySharded:
     def sharded_log(self, n=40):
         ledger, contexts, actions, propensities = serial_ledger(n)
         plan = ShardPlan(n, S)
-        payloads = worker_payloads(plan, contexts, actions, propensities)
+        payloads = shard_payloads(plan, contexts, actions, propensities)
         spliced, shard_map = splice_payloads(STREAM, payloads, shard_size=S)
         return records_of(spliced, contexts), shard_map, spliced.head
 

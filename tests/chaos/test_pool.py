@@ -91,9 +91,3 @@ class TestPoolMechanics:
         worker_pool.reset_pool()
         worker_pool.reset_pool()
         assert worker_pool.pool_size() == 0
-
-    def test_job_keys_are_unique(self):
-        key_a, _ = worker_pool.new_job(("a",))
-        key_b, _ = worker_pool.new_job(("b",))
-        assert key_a != key_b
-        assert key_a.startswith(f"{os.getpid()}:")

@@ -1,21 +1,22 @@
-"""Sharded harvest ≡ serial harvest, per scenario and worker count.
+"""One-pass harvest ≡ its shards re-derived in isolation, per scenario.
 
-The tentpole invariant of the distributed-harvest refactor: for every
-scenario and any number of workers, the coordinator's rows AND its
-spliced ledger head are bit-identical to a monolithic serial harvest
-of the same job — shard boundaries, process boundaries, and retries
-must all be invisible in the output.
+Every harvest is one pass over one ledger, on the HKDF shard grid.
+The grid is the audit record: for every scenario, each shard of the
+one-pass log must re-derive in isolation — stream at the shard's start
+ordinal, ledger anchored at the shard map's recorded ``prev`` — to the
+same rows and to the recorded ``head``, and splicing the isolated
+shards' digests must rebuild the one-pass ledger entry for entry.
 """
 
 import numpy as np
 import pytest
 
-from repro.audit.ledger import DecisionLedger
-from repro.audit.streams import StreamRegistry, StreamRNG
-from repro.core import pool as worker_pool
+from repro.audit.ledger import GENESIS
+from repro.audit.shards import splice_payloads, verify_sharded_jsonl
+from repro.audit.streams import StreamRegistry
 from repro.core.coordinator import HarvestCoordinator, HarvestJob, build_inputs
-from repro.core.harvest import harvest_columns
 from repro.core.policies import UniformRandomPolicy
+from tests import oracles
 
 JOBS = {
     "machinehealth": dict(
@@ -26,13 +27,6 @@ JOBS = {
     ),
     "cache": dict(rows=2500, shard_size=64, config={"seed": 5}),
 }
-
-
-@pytest.fixture(autouse=True, scope="module")
-def fresh_pool():
-    worker_pool.reset_pool()
-    yield
-    worker_pool.reset_pool()
 
 
 def job_for(scenario):
@@ -49,66 +43,81 @@ def job_for(scenario):
 
 
 @pytest.fixture(scope="module", params=sorted(JOBS))
-def scenario_reference(request):
-    """(job, serial columns, serial ledger) — computed once per scenario."""
+def scenario_harvest(request):
+    """(job, one-pass result, isolated shards) — computed once per scenario.
+
+    The shards rebuild the scenario inputs themselves, so they share
+    nothing with the one pass but the job.
+    """
     job = job_for(request.param)
-    registry = StreamRegistry(job.master_seed)
-    inputs = build_inputs(job, registry)
-    key = job.stream_key()
-    rng = StreamRNG(registry, key, shard_size=job.shard_size)
-    ledger = DecisionLedger(
-        key,
-        shard_size=job.shard_size,
-        master_fingerprint=registry.master_fingerprint,
-    )
-    columns = harvest_columns(
-        job.policy,
-        inputs.contexts,
-        inputs.reward_fn,
-        rng,
-        eligible=inputs.eligible,
-        action_space=inputs.action_space,
-        batch_size=job.batch_size,
-        reward_range=inputs.reward_range,
-        scenario=job.scenario,
-        timestamps=inputs.timestamps,
-        ledger=ledger,
-    )
-    return job, columns, ledger
+    result = HarvestCoordinator(job).run()
+    inputs = build_inputs(job, StreamRegistry(job.master_seed))
+    shards = [
+        oracles.harvest_shard(job, inputs, spec, prev=entry["prev"])
+        for spec, entry in zip(result.plan, result.shard_map)
+    ]
+    return job, result, shards
 
 
 class TestShardedEqualsSerial:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_rows_and_head_bit_identical(self, scenario_reference, workers):
-        job, reference, reference_ledger = scenario_reference
-        result = HarvestCoordinator(job, workers=workers).run()
-        assert result.columns.n == reference.n
-        np.testing.assert_array_equal(result.columns.actions, reference.actions)
-        np.testing.assert_array_equal(result.columns.rewards, reference.rewards)
-        np.testing.assert_array_equal(
-            result.columns.propensities, reference.propensities
-        )
-        assert result.head == reference_ledger.head
-        assert result.ledger.entries() == reference_ledger.entries()
+    def test_rows_and_head_bit_identical(self, scenario_harvest):
+        job, result, shards = scenario_harvest
+        assert len(result.plan) > 1
         assert result.plan.shard_size == job.shard_size
-
-    def test_shard_map_matches_serial_boundary_hashes(self, scenario_reference):
-        job, _, reference_ledger = scenario_reference
-        result = HarvestCoordinator(job, workers=2).run()
-        entries = reference_ledger.entries()
-        for shard in result.shard_map:
-            start, n = shard["start"], shard["n"]
-            expected_prev = (
-                entries[start - 1].hash if start else reference_ledger.genesis
+        for spec, entry, (columns, ledger) in zip(
+            result.plan, result.shard_map, shards
+        ):
+            rows = slice(spec.start, spec.stop)
+            np.testing.assert_array_equal(
+                columns.actions, result.columns.actions[rows]
             )
-            assert shard["prev"] == expected_prev
-            assert shard["head"] == entries[start + n - 1].hash
+            np.testing.assert_array_equal(
+                columns.rewards, result.columns.rewards[rows]
+            )
+            np.testing.assert_array_equal(
+                columns.propensities, result.columns.propensities[rows]
+            )
+            assert ledger.head == entry["head"]
+        assert shards[-1][1].head == result.head
 
-    def test_dataset_round_trip_verifies(self, scenario_reference, tmp_path):
-        from repro.audit.shards import verify_sharded_jsonl
+    def test_shard_map_matches_serial_boundary_hashes(self, scenario_harvest):
+        _, result, _ = scenario_harvest
+        entries = result.entries()
+        assert result.shard_map[0]["prev"] == GENESIS
+        for spec, shard in zip(result.plan, result.shard_map):
+            assert shard == {
+                "index": spec.index,
+                "start": spec.start,
+                "n": spec.n,
+                "prev": entries[spec.start - 1].hash if spec.start else GENESIS,
+                "head": entries[spec.stop - 1].hash,
+            }
 
-        job, _, _ = scenario_reference
-        result = HarvestCoordinator(job, workers=2).run()
+    def test_splice_of_isolated_shards_equals_one_pass(self, scenario_harvest):
+        job, result, shards = scenario_harvest
+        payloads = []
+        for spec, (columns, ledger) in zip(result.plan, shards):
+            sealed = ledger.sealed()
+            payloads.append(
+                {
+                    "start": spec.start,
+                    "context_shas": sealed.context_shas,
+                    "actions": columns.actions,
+                    "propensities": columns.propensities,
+                }
+            )
+        spliced, shard_map = splice_payloads(
+            job.stream_key(),
+            payloads,
+            shard_size=job.shard_size,
+            master_fingerprint=result.registry.master_fingerprint,
+        )
+        assert spliced.entries() == result.entries()
+        assert spliced.manifest_entry() == result.ledger.manifest_entry()
+        assert shard_map == result.shard_map
+
+    def test_dataset_round_trip_verifies(self, scenario_harvest, tmp_path):
+        _, result, _ = scenario_harvest
         dataset = result.columns.to_dataset()
         result.annotate(dataset)
         path = tmp_path / "sharded.jsonl"

@@ -1,4 +1,4 @@
-"""Streaming health monitors: thresholds, transitions, merges, wiring."""
+"""Streaming health monitors: thresholds, transitions, wiring."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from repro.obs.monitors import (
     NULL_MONITORS,
     PropensityFloorMonitor,
     QuarantineRateMonitor,
-    RetryStormMonitor,
     WeightTailMonitor,
     default_monitors,
     get_monitors,
@@ -66,27 +65,6 @@ class TestEssMonitor:
         assert state["windows"] == 1
         assert evaluate(monitor, state) == LEVEL_CRITICAL
 
-    def test_merge_combines_partials_and_flushes(self):
-        # An over-full merged partial closes as ONE window (boundaries
-        # follow batch/shard edges, documented in the module).
-        monitor = EssMonitor(window=64)
-        a, b = monitor.init_state(), monitor.init_state()
-        monitor.fold_weights(a, np.ones(40))
-        monitor.fold_weights(b, np.ones(40))
-        merged = monitor.merge(a, b)
-        assert merged["windows"] == 1  # 80 rows >= one 64-row window
-        assert merged["n"] == 0
-
-    def test_worst_window_survives_merge(self):
-        monitor = EssMonitor(window=256)
-        a, b = monitor.init_state(), monitor.init_state()
-        bad = np.full(256, 1e-6)  # 1/256 < 0.005: critical window
-        bad[0] = 1e6
-        monitor.fold_weights(a, bad)
-        monitor.fold_weights(b, np.ones(256))
-        merged = monitor.merge(b, a)
-        assert evaluate(monitor, merged) == LEVEL_CRITICAL
-
 
 class TestPropensityFloorMonitor:
     def test_healthy_floor(self):
@@ -106,15 +84,6 @@ class TestPropensityFloorMonitor:
         state = monitor.init_state()
         monitor.fold_propensities(state, np.array([0.5, 0.0]))
         assert evaluate(monitor, state) == LEVEL_CRITICAL
-
-    def test_merge_keeps_minimum(self):
-        monitor = PropensityFloorMonitor()
-        a, b = monitor.init_state(), monitor.init_state()
-        monitor.fold_propensities(a, np.array([0.5]))
-        monitor.fold_propensities(b, np.array([1e-5]))
-        merged = monitor.merge(a, b)
-        assert merged["min"] == pytest.approx(1e-5)
-        assert evaluate(monitor, merged) == LEVEL_WARN
 
 
 class TestWeightTailMonitor:
@@ -174,28 +143,6 @@ class TestLedgerBreakMonitor:
         assert evaluate(monitor, state) == LEVEL_OK
 
 
-class TestRetryStormMonitor:
-    def test_occasional_retry_is_ok(self):
-        monitor = RetryStormMonitor()
-        state = monitor.init_state()
-        monitor.fold_shards(state, completed=20, retried=1, fallback=0)
-        assert evaluate(monitor, state) == LEVEL_OK
-
-    def test_storm_warns_then_goes_critical(self):
-        monitor = RetryStormMonitor()
-        state = monitor.init_state()
-        monitor.fold_shards(state, completed=10, retried=4, fallback=0)
-        assert evaluate(monitor, state) == LEVEL_WARN
-        monitor.fold_shards(state, completed=0, retried=8, fallback=0)
-        assert evaluate(monitor, state) == LEVEL_CRITICAL
-
-    def test_any_fallback_is_critical(self):
-        monitor = RetryStormMonitor()
-        state = monitor.init_state()
-        monitor.fold_shards(state, completed=100, retried=0, fallback=1)
-        assert evaluate(monitor, state) == LEVEL_CRITICAL
-
-
 class TestMonitorSuite:
     def test_default_suite_names_are_unique(self):
         names = [m.name for m in default_monitors()]
@@ -248,37 +195,16 @@ class TestMonitorSuite:
         assert suite.level("quarantine_rate") == LEVEL_OK
         assert [e.level for e in suite.events] == [LEVEL_CRITICAL, LEVEL_OK]
 
-    def test_states_absorb_matches_single_suite(self):
-        probs_a = np.array([0.5, 0.25, 1e-5])
-        probs_b = np.array([0.9, 0.0])
-        single = MonitorSuite()
-        single.observe_propensities(probs_a)
-        single.observe_propensities(probs_b)
-        worker_a, worker_b = MonitorSuite(), MonitorSuite()
-        worker_a.observe_propensities(probs_a)
-        worker_b.observe_propensities(probs_b)
-        parent = MonitorSuite()
-        parent.absorb(worker_a.states())
-        parent.absorb(worker_b.states())
-        for name in ("propensity_floor", "weight_tail", "ess"):
-            assert parent.level(name) == single.level(name)
-
     def test_states_round_trip_is_jsonable(self):
         import json
 
         suite = MonitorSuite()
         suite.observe_propensities(np.array([0.5, 0.25]))
-        suite.observe_shards(completed=2, retried=1)
-        states = json.loads(json.dumps(suite.states()))
-        parent = MonitorSuite()
-        parent.absorb(states)
-        assert parent.level("retry_storm") == LEVEL_OK
-
-    def test_absorb_none_is_noop(self):
-        suite = MonitorSuite()
-        suite.absorb(None)
-        suite.absorb({})
-        assert suite.overall_level() == LEVEL_OK
+        suite.observe_rejected("propensity", 1)
+        states = suite.states()
+        assert json.loads(json.dumps(states)) == states
+        assert states["propensity_floor"]["n"] == 2
+        assert states["quarantine_rate"]["rejected"] == 1
 
     def test_snapshot_shape(self):
         suite = MonitorSuite()
@@ -315,8 +241,6 @@ class TestInstallation:
     def test_null_monitors_accept_everything(self):
         NULL_MONITORS.observe_propensities(np.array([0.5]))
         NULL_MONITORS.observe_rows(5)
-        NULL_MONITORS.observe_shards(completed=1)
-        NULL_MONITORS.absorb({"ess": {}})
         assert NULL_MONITORS.states() == {}
         assert NULL_MONITORS.snapshot() == {}
 

@@ -16,6 +16,11 @@ Used by the equivalence suites and by the perf bench's scalar rows.
 :func:`ratio_shard`) for the bootstrap: each policy drawing its own
 whole index matrix, which the shared, row-blocked draw must match.
 
+:func:`harvest_shard` re-derives one shard of a harvest in isolation,
+from ``(master seed, stream key, start ordinal)`` and the shard map's
+recorded ``prev`` — the fork-equivalence reference the one-pass
+coordinator's rows and chain must match shard by shard.
+
 The machine-health references (:func:`machinehealth_rows` and the
 builder :func:`machinehealth_shard_inputs`) build the scenario one
 machine and one incident at a time, with one
@@ -34,8 +39,14 @@ import math
 
 import numpy as np
 
-from repro.audit.ledger import ChainFollower, verify_records
+from repro.audit.ledger import (
+    GENESIS,
+    ChainFollower,
+    DecisionLedger,
+    verify_records,
+)
 from repro.audit.shards import ShardedVerification, _splice_geometry_issues
+from repro.audit.streams import StreamRegistry, StreamRNG
 from repro.core.bootstrap import BOOTSTRAP_SHARD
 from repro.core.coordinator import HarvestInputs
 from repro.core.estimators.base import EstimatorResult, eligible_actions_fn
@@ -51,6 +62,7 @@ from repro.core.estimators.reductions import (
     SwitchReduction,
 )
 from repro.core.features import FeatureEncoder
+from repro.core.harvest import harvest_columns
 from repro.core.types import ActionSpace, Dataset, RewardRange
 from repro.machinehealth.dataset import DOWNTIME_CAP
 from repro.machinehealth.failures import NEVER, WAIT_TIMES, DowntimeModel, FailureEvent
@@ -415,6 +427,48 @@ def machinehealth_shard_inputs(job, registry) -> HarvestInputs:
         reward_range=RewardRange(0.0, DOWNTIME_CAP, maximize=False),
         timestamps=rows["timestamps"],
     )
+
+
+# -- isolated shard harvest ---------------------------------------------------
+
+
+def harvest_shard(job, inputs, spec, prev: str = GENESIS):
+    """Re-derive shard ``spec`` of ``job`` in isolation: ``(columns, ledger)``.
+
+    The decision stream derives at the shard's start ordinal, the
+    shard sees only its own contexts, eligibility and (global-row)
+    rewards, and its ledger is anchored at ``prev`` — the predecessor
+    head the shard map records.  Nothing but ``inputs`` and the job's
+    master seed is shared with the harvest being checked.
+    """
+    registry = StreamRegistry(job.master_seed)
+    key = job.stream_key()
+    ledger = DecisionLedger(
+        key,
+        shard_size=job.shard_size,
+        genesis=prev,
+        start_ordinal=spec.start,
+        master_fingerprint=registry.master_fingerprint,
+    )
+
+    def shard_rewards(indices: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        return inputs.reward_fn(indices + spec.start, actions)
+
+    columns = harvest_columns(
+        job.policy,
+        inputs.contexts[spec.start : spec.stop],
+        shard_rewards,
+        StreamRNG(
+            registry, key, shard_size=job.shard_size, start_ordinal=spec.start
+        ),
+        eligible=inputs.eligible_slice(spec.start, spec.stop),
+        action_space=inputs.action_space,
+        batch_size=job.batch_size,
+        reward_range=inputs.reward_range,
+        scenario=job.scenario,
+        ledger=ledger,
+    )
+    return columns, ledger
 
 
 # -- sharded ledger verification ----------------------------------------------

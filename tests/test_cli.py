@@ -379,6 +379,35 @@ class TestObservabilityFlags:
             for policy, interval in section.items()
         }
 
+    @pytest.mark.parametrize("estimator", ["ips", "dr"])
+    def test_dashboard_and_report_show_the_printed_interval(
+        self, tmp_path, capsys, estimator
+    ):
+        # With dr the interval lives only in the manifest's bootstrap
+        # section; both renderings must still show it as printed.
+        log = tmp_path / "lb.jsonl"
+        assert main(["harvest", "loadbalance", str(log), "--rows", "2000",
+                     "--seed", "3"]) == 0
+        capsys.readouterr()
+        manifest_path = tmp_path / "m.json"
+        code, out, _ = self._run(
+            [str(log), "--policy", "uniform", "--estimator", estimator,
+             "--bootstrap", "50", "--seed", "3",
+             "--manifest", str(manifest_path)],
+            capsys,
+        )
+        assert code == 0
+        (line,) = [l for l in out.splitlines() if l.startswith("bootstrap[")]
+        printed = line[line.rindex(": [") + 2:]
+        assert printed.startswith("[") and printed.endswith("]")
+
+        page = tmp_path / "page.html"
+        assert main(["dashboard", str(manifest_path), "-o", str(page)]) == 0
+        assert main(["report", str(manifest_path)]) == 0
+        report = capsys.readouterr().out
+        assert printed in page.read_text()
+        assert printed in report
+
     def test_report_missing_file_errors(self, tmp_path, capsys):
         code = main(["report", str(tmp_path / "absent.json")])
         assert code == 1
@@ -497,7 +526,7 @@ class TestHarvestSubcommand:
     @pytest.mark.parametrize(
         "ledger", [(), ("--ledger",)], ids=["plain", "ledger"]
     )
-    @pytest.mark.parametrize("flag", ["--shard-size", "--workers"])
+    @pytest.mark.parametrize("flag", ["--shard-size"])
     def test_out_of_range_knob_rejected(self, tmp_path, capsys, flag, ledger):
         out = tmp_path / "x.jsonl"
         code = main(
@@ -507,6 +536,22 @@ class TestHarvestSubcommand:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"error: {flag} must be >= 1\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "ledger", [(), ("--ledger",)], ids=["plain", "ledger"]
+    )
+    def test_workers_flag_is_unrecognized(self, tmp_path, capsys, ledger):
+        out = tmp_path / "x.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["harvest", "loadbalance", str(out), "--rows", "50",
+                 "--workers", "2", *ledger]
+            )
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers 2" in captured.err
         assert captured.out == ""
         assert not out.exists()
 

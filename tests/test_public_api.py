@@ -101,6 +101,14 @@ REMOVED = {
     "repro.loadbalance.harvest": ("batch_exploration_columns",),
     "repro.cache": ("resample_eviction_columns",),
     "repro.cache.harvest": ("resample_eviction_columns",),
+    "repro.core.coordinator": (
+        "ShardPayloadError", "_shard_worker", "_worker_inputs",
+        "_INPUTS_CACHE", "_harvest_shard_impl",
+    ),
+    "repro.core.pool": ("new_job", "job_payload"),
+    "repro.audit": ("chain_digests",),
+    "repro.audit.shards": ("chain_digests",),
+    "repro.obs.monitors": ("RetryStormMonitor",),
 }
 
 
@@ -118,6 +126,32 @@ def test_shared_memory_transport_is_gone():
         importlib.import_module("repro.core.shm")
     assert not hasattr(DatasetColumns, "shared_block")
     assert not hasattr(DatasetColumns, "release_shared_block")
+
+
+def test_harvest_coordinator_takes_no_workers():
+    import inspect
+
+    from repro.core.coordinator import HarvestCoordinator
+
+    parameters = inspect.signature(HarvestCoordinator).parameters
+    assert list(parameters) == ["job", "inputs"]
+    for name in ("_run_in_process", "_run_pool", "_harvest_local",
+                 "_validate_payload", "_receive", "_accept", "_assemble"):
+        assert not hasattr(HarvestCoordinator, name), name
+
+
+def test_harvest_worker_merge_is_gone():
+    from repro.audit.ledger import DecisionLedger
+    from repro.audit.streams import StreamRegistry
+    from repro.obs.monitors import HealthMonitor, MonitorSuite, NullMonitors
+
+    assert not hasattr(DecisionLedger, "adopt")
+    assert not hasattr(StreamRegistry, "absorb")
+    for owner in (MonitorSuite, NullMonitors):
+        assert not hasattr(owner, "absorb")
+        assert not hasattr(owner, "observe_shards")
+    assert not hasattr(HealthMonitor, "fold_shards")
+    assert not hasattr(HealthMonitor, "merge")
 
 
 def test_evaluation_folds_take_no_workers():
