@@ -689,20 +689,21 @@ class TestLedgerOverhead:
     reported per row (informational — paid once, at rest).
 
     Because the floor is absolute, this measurement needs more care
-    than the baseline-relative ratios: plain and ledgered rounds are
-    *interleaved* (so clock-frequency drift hits both sides equally)
-    and the smoke row count stays large enough (20k rows) that the
-    per-shard derivation cost is measured, not setup jitter.
+    than the baseline-relative ratios: the arms are timed warm and
+    interleaved, in samples of at least 50 ms
+    (:func:`_paired_seconds`), so clock-frequency drift hits both sides
+    equally and no sample is one call's scheduler noise, and the smoke
+    row count stays large enough (20k rows) that the per-shard
+    derivation cost is measured, not setup jitter.
     """
 
-    def test_bench_ledger_overhead(self, benchmark):
+    def test_bench_ledger_overhead(self):
         from repro.audit.ledger import DecisionLedger
         from repro.audit.streams import StreamKey, StreamRegistry
         from repro.core.harvest import harvest_columns
         from repro.core.policies import UniformRandomPolicy
 
         n = max(N_HARVEST, 20_000)
-        rounds = max(ROUNDS, 9)
         contexts = [
             {"x": float(v)}
             for v in np.random.default_rng(5).normal(size=n)
@@ -717,7 +718,7 @@ class TestLedgerOverhead:
                 eligible=eligible, batch_size=8_192,
             )
 
-        ledgers: list[DecisionLedger] = []
+        last: list[DecisionLedger] = []
 
         def ledgered():
             # StreamRNG is forward-only and the chain grows, so each
@@ -734,25 +735,12 @@ class TestLedgerOverhead:
                 policy, contexts, reward, stream,
                 eligible=eligible, batch_size=8_192, ledger=ledger,
             )
-            ledgers.append(ledger)
+            last[:] = [ledger]
 
-        plain()  # warm caches on both paths before any timed round
-        benchmark.pedantic(ledgered, rounds=1, iterations=1, warmup_rounds=0)
-
-        plain_durations: list[float] = []
-        ledgered_durations: list[float] = []
-        for _ in range(rounds):
-            start = time.perf_counter()
-            plain()
-            plain_durations.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            ledgered()
-            ledgered_durations.append(time.perf_counter() - start)
-        plain_seconds = min(plain_durations)
-        ledgered_seconds = min(ledgered_durations)
+        plain_seconds, ledgered_seconds = _paired_seconds(plain, ledgered)
 
         start = time.perf_counter()
-        head = ledgers[-1].head
+        head = last[0].head
         seal_seconds = time.perf_counter() - start
         assert len(head) == 64
 

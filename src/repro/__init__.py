@@ -23,10 +23,18 @@ package is organized as:
 - :mod:`repro.serve` — the online policy server closing the
   harvest → evaluate → deploy loop (ADR-0003): live decisions,
   shadow/canary candidates, OPE-gated hot swaps.
+
+Every package's exports resolve on first access
+(:func:`repro._lazy.lazy_exports`): importing ``repro`` or any
+subpackage runs none of its submodules, so a CLI subcommand imports
+only the modules it runs.
 """
 
 __version__ = "1.0.0"
 
-from repro import core
+from repro import _lazy
 
-__all__ = ["core", "__version__"]
+__getattr__, __dir__, __all__ = _lazy.lazy_exports(
+    __name__, {"repro.core": ("core",)}
+)
+__all__.append("__version__")

@@ -32,80 +32,23 @@ ordering, no ambient RNG in the executor path); see
 CRC32 seed mix.
 """
 
-from repro.audit.ledger import (
-    GENESIS,
-    LEDGER_SCHEMA_VERSION,
-    ChainFollower,
-    ChainIssue,
-    ChainVerification,
-    DecisionLedger,
-    LedgerEntry,
-    context_digest,
-    entry_hash,
-    rechain,
-    verify_jsonl,
-    verify_records,
-)
-from repro.audit.lint import (
-    LintFinding,
-    scan_file,
-    scan_package,
-    scan_source,
-)
-from repro.audit.shards import (
-    ShardPlan,
-    ShardSpec,
-    ShardedVerification,
-    SpliceError,
-    splice_payloads,
-    verify_sharded_jsonl,
-    verify_sharded_records,
-)
-from repro.audit.streams import (
-    ShardedNormal,
-    StreamKey,
-    StreamRegistry,
-    StreamRNG,
-    derive_generator,
-    derive_key_bytes,
-    derive_seed,
-    hkdf_sha256,
-)
+from repro import _lazy
 
-__all__ = [
-    # streams
-    "ShardedNormal",
-    "StreamKey",
-    "StreamRegistry",
-    "StreamRNG",
-    "derive_generator",
-    "derive_key_bytes",
-    "derive_seed",
-    "hkdf_sha256",
-    # shards
-    "ShardPlan",
-    "ShardSpec",
-    "ShardedVerification",
-    "SpliceError",
-    "splice_payloads",
-    "verify_sharded_jsonl",
-    "verify_sharded_records",
-    # ledger
-    "GENESIS",
-    "LEDGER_SCHEMA_VERSION",
-    "ChainFollower",
-    "ChainIssue",
-    "ChainVerification",
-    "DecisionLedger",
-    "LedgerEntry",
-    "context_digest",
-    "entry_hash",
-    "rechain",
-    "verify_jsonl",
-    "verify_records",
-    # lint
-    "LintFinding",
-    "scan_file",
-    "scan_package",
-    "scan_source",
-]
+__getattr__, __dir__, __all__ = _lazy.lazy_exports(__name__, {
+    "repro.audit.ledger": (
+        "GENESIS", "LEDGER_SCHEMA_VERSION", "ChainFollower", "ChainIssue",
+        "ChainVerification", "DecisionLedger", "LedgerEntry", "context_digest",
+        "entry_hash", "rechain", "verify_jsonl", "verify_records",
+    ),
+    "repro.audit.lint": (
+        "LintFinding", "scan_file", "scan_package", "scan_source",
+    ),
+    "repro.audit.shards": (
+        "ShardPlan", "ShardSpec", "ShardedVerification", "SpliceError",
+        "splice_payloads", "verify_sharded_jsonl", "verify_sharded_records",
+    ),
+    "repro.audit.streams": (
+        "ShardedNormal", "StreamKey", "StreamRegistry", "StreamRNG",
+        "derive_generator", "derive_key_bytes", "derive_seed", "hkdf_sha256",
+    ),
+})

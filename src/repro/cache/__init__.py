@@ -19,72 +19,31 @@ frequency/size policy — long-term opportunity cost is invisible to the
 greedy reward.
 """
 
-from repro.cache.store import CacheItem, KeyValueStore
-from repro.cache.eviction import (
-    EvictionEvent,
-    SampledEvictionEngine,
-    candidate_features,
-    cb_eviction_policy,
-    freq_size_policy,
-    lfu_policy,
-    lru_policy,
-    naive_freq_size_policy,
-    random_eviction_policy,
-    ttl_policy,
-    volatile_ttl_policy,
-)
-from repro.cache.workload import BigSmallWorkload, CacheRequest, ZipfWorkload
-from repro.cache.sim import CacheSim, CacheSimResult
-from repro.cache.keyspace_log import (
-    KeyspaceEvent,
-    format_keyspace_line,
-    parse_keyspace_line,
-)
-from repro.cache.harvest import (
-    candidate_reward_matrix,
-    eviction_dataset_from_log,
-    reconstruct_rewards,
-    train_cb_eviction,
-)
-from repro.cache.replay import replay_evaluate, replay_rank, requests_from_log
-from repro.cache.trace import (
-    TraceStats,
-    read_trace,
-    working_set_bytes,
-    write_trace,
-)
+from repro import _lazy
 
-__all__ = [
-    "CacheItem",
-    "KeyValueStore",
-    "EvictionEvent",
-    "SampledEvictionEngine",
-    "candidate_features",
-    "random_eviction_policy",
-    "lru_policy",
-    "lfu_policy",
-    "ttl_policy",
-    "volatile_ttl_policy",
-    "freq_size_policy",
-    "naive_freq_size_policy",
-    "cb_eviction_policy",
-    "BigSmallWorkload",
-    "ZipfWorkload",
-    "CacheRequest",
-    "CacheSim",
-    "CacheSimResult",
-    "KeyspaceEvent",
-    "format_keyspace_line",
-    "parse_keyspace_line",
-    "candidate_reward_matrix",
-    "eviction_dataset_from_log",
-    "reconstruct_rewards",
-    "train_cb_eviction",
-    "replay_evaluate",
-    "replay_rank",
-    "requests_from_log",
-    "TraceStats",
-    "read_trace",
-    "write_trace",
-    "working_set_bytes",
-]
+__getattr__, __dir__, __all__ = _lazy.lazy_exports(__name__, {
+    "repro.cache.store": ("CacheItem", "KeyValueStore"),
+    "repro.cache.eviction": (
+        "EvictionEvent", "SampledEvictionEngine", "candidate_features",
+        "cb_eviction_policy", "freq_size_policy", "lfu_policy", "lru_policy",
+        "naive_freq_size_policy", "random_eviction_policy", "ttl_policy",
+        "volatile_ttl_policy",
+    ),
+    "repro.cache.workload": (
+        "BigSmallWorkload", "CacheRequest", "ZipfWorkload",
+    ),
+    "repro.cache.sim": ("CacheSim", "CacheSimResult"),
+    "repro.cache.keyspace_log": (
+        "KeyspaceEvent", "format_keyspace_line", "parse_keyspace_line",
+    ),
+    "repro.cache.harvest": (
+        "candidate_reward_matrix", "eviction_dataset_from_log",
+        "reconstruct_rewards", "train_cb_eviction",
+    ),
+    "repro.cache.replay": (
+        "replay_evaluate", "replay_rank", "requests_from_log",
+    ),
+    "repro.cache.trace": (
+        "TraceStats", "read_trace", "working_set_bytes", "write_trace",
+    ),
+})

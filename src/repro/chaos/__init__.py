@@ -17,15 +17,10 @@ quarantine layer (:mod:`repro.core.validation`) can be tested end to
 end against realistic damage.
 """
 
-from repro.chaos.corruption import LogCorruptor
-from repro.chaos.drift import ChainedHooks, EnvironmentDrift
-from repro.chaos.monkey import ChaosMonkey, FaultSpec, InjectedFault
+from repro import _lazy
 
-__all__ = [
-    "ChainedHooks",
-    "ChaosMonkey",
-    "EnvironmentDrift",
-    "FaultSpec",
-    "InjectedFault",
-    "LogCorruptor",
-]
+__getattr__, __dir__, __all__ = _lazy.lazy_exports(__name__, {
+    "repro.chaos.corruption": ("LogCorruptor",),
+    "repro.chaos.drift": ("ChainedHooks", "EnvironmentDrift"),
+    "repro.chaos.monkey": ("ChaosMonkey", "FaultSpec", "InjectedFault"),
+})

@@ -15,192 +15,70 @@ The public API re-exported here is everything an application needs to
 harvest its own logs.
 """
 
-from repro.core.types import (
-    ActionSpace,
-    Dataset,
-    Interaction,
-    RewardRange,
-)
-from repro.core.columns import ContextColumns, DatasetColumns, DecisionBatch
-from repro.core.engine import use_engine
-from repro.core.features import FeatureEncoder, Featurizer
-from repro.core.policies import (
-    ConstantPolicy,
-    DeterministicFunctionPolicy,
-    EpsilonGreedyPolicy,
-    GreedyRegressorPolicy,
-    HashPolicy,
-    LinearThresholdPolicy,
-    MixturePolicy,
-    Policy,
-    PolicyClass,
-    SoftmaxPolicy,
-    UniformRandomPolicy,
-    sample_from_probabilities,
-)
-from repro.core.estimators import (
-    ClippedIPSEstimator,
-    ConfidenceInterval,
-    DirectMethodEstimator,
-    DoublyRobustEstimator,
-    EstimatorResult,
-    FallbackEstimator,
-    IPSEstimator,
-    PerDecisionISEstimator,
-    SNIPSEstimator,
-    TrajectoryISEstimator,
-    ab_testing_error_bound,
-    ab_testing_sample_size,
-    ips_error_bound,
-    ips_sample_size,
-)
-from repro.core.diagnostics import (
-    DiagnosticThresholds,
-    ReliabilityDiagnostics,
-    diagnose,
-    effective_sample_size,
-)
-from repro.core.validation import (
-    Quarantine,
-    RecordValidator,
-    RejectedRecord,
-    validated_interactions,
-)
-from repro.core.learners import (
-    CBLearner,
-    EpochGreedyLearner,
-    EpsilonGreedyLearner,
-    PolicyClassOptimizer,
-    RidgeRegressor,
-    SGDRegressor,
-    SupervisedTrainer,
-)
-from repro.core.propensity import (
-    DeclaredPropensityModel,
-    EmpiricalPropensityModel,
-    PropensityModel,
-    RegressionPropensityModel,
-)
-from repro.core.harvest import (
-    HarvestPipeline,
-    LogScavenger,
-    harvest_columns,
-    harvest_dataset,
-)
-from repro.core.ab_testing import ABTest, ABTestReport
-from repro.core.comparison import (
-    BoundedEstimate,
-    PairedComparison,
-    compare_policies,
-    evaluate_with_bound,
-    sufficient_log_size,
-)
-from repro.core.streaming import (
-    StreamingEvaluationBoard,
-    StreamingIPS,
-    StreamingSnapshot,
-    ValidatedInteractionStream,
-)
-from repro.core.design import (
-    ExplorationPlan,
-    epsilon_for_deadline,
-    exploration_plan,
-    wasted_potential,
-)
-from repro.core.reporting import (
-    dataset_summary,
-    diagnostics_table,
-    estimator_table,
-    offline_online_table,
-    quarantine_table,
-)
-from repro.core.bootstrap import (
-    bootstrap_interval_from_terms,
-    bootstrap_ips_interval,
-    bootstrap_snips_interval,
-)
+from repro import _lazy
 
-__all__ = [
-    "ActionSpace",
-    "ContextColumns",
-    "Dataset",
-    "DatasetColumns",
-    "DecisionBatch",
-    "Interaction",
-    "RewardRange",
-    "use_engine",
-    "FeatureEncoder",
-    "Featurizer",
-    "Policy",
-    "ConstantPolicy",
-    "DeterministicFunctionPolicy",
-    "UniformRandomPolicy",
-    "EpsilonGreedyPolicy",
-    "SoftmaxPolicy",
-    "GreedyRegressorPolicy",
-    "HashPolicy",
-    "LinearThresholdPolicy",
-    "MixturePolicy",
-    "PolicyClass",
-    "sample_from_probabilities",
-    "IPSEstimator",
-    "ClippedIPSEstimator",
-    "SNIPSEstimator",
-    "TrajectoryISEstimator",
-    "PerDecisionISEstimator",
-    "DirectMethodEstimator",
-    "DoublyRobustEstimator",
-    "EstimatorResult",
-    "FallbackEstimator",
-    "ReliabilityDiagnostics",
-    "DiagnosticThresholds",
-    "diagnose",
-    "effective_sample_size",
-    "Quarantine",
-    "RecordValidator",
-    "RejectedRecord",
-    "validated_interactions",
-    "ConfidenceInterval",
-    "ips_error_bound",
-    "ips_sample_size",
-    "ab_testing_error_bound",
-    "ab_testing_sample_size",
-    "CBLearner",
-    "EpsilonGreedyLearner",
-    "EpochGreedyLearner",
-    "PolicyClassOptimizer",
-    "RidgeRegressor",
-    "SGDRegressor",
-    "SupervisedTrainer",
-    "PropensityModel",
-    "DeclaredPropensityModel",
-    "EmpiricalPropensityModel",
-    "RegressionPropensityModel",
-    "HarvestPipeline",
-    "LogScavenger",
-    "harvest_columns",
-    "harvest_dataset",
-    "ABTest",
-    "ABTestReport",
-    "BoundedEstimate",
-    "PairedComparison",
-    "compare_policies",
-    "evaluate_with_bound",
-    "sufficient_log_size",
-    "StreamingIPS",
-    "StreamingEvaluationBoard",
-    "StreamingSnapshot",
-    "ValidatedInteractionStream",
-    "ExplorationPlan",
-    "exploration_plan",
-    "epsilon_for_deadline",
-    "wasted_potential",
-    "dataset_summary",
-    "diagnostics_table",
-    "estimator_table",
-    "offline_online_table",
-    "quarantine_table",
-    "bootstrap_interval_from_terms",
-    "bootstrap_ips_interval",
-    "bootstrap_snips_interval",
-]
+__getattr__, __dir__, __all__ = _lazy.lazy_exports(__name__, {
+    "repro.core.types": (
+        "ActionSpace", "Dataset", "Interaction", "RewardRange",
+    ),
+    "repro.core.columns": (
+        "ContextColumns", "DatasetColumns", "DecisionBatch",
+    ),
+    "repro.core.engine": ("use_engine",),
+    "repro.core.features": ("FeatureEncoder", "Featurizer"),
+    "repro.core.policies": (
+        "ConstantPolicy", "DeterministicFunctionPolicy", "EpsilonGreedyPolicy",
+        "GreedyRegressorPolicy", "HashPolicy", "LinearThresholdPolicy",
+        "MixturePolicy", "Policy", "PolicyClass", "SoftmaxPolicy",
+        "UniformRandomPolicy", "sample_from_probabilities",
+    ),
+    "repro.core.estimators": (
+        "ClippedIPSEstimator", "ConfidenceInterval", "DirectMethodEstimator",
+        "DoublyRobustEstimator", "EstimatorResult", "FallbackEstimator",
+        "IPSEstimator", "PerDecisionISEstimator", "SNIPSEstimator",
+        "TrajectoryISEstimator", "ab_testing_error_bound",
+        "ab_testing_sample_size", "ips_error_bound", "ips_sample_size",
+    ),
+    "repro.core.diagnostics": (
+        "DiagnosticThresholds", "ReliabilityDiagnostics", "diagnose",
+        "effective_sample_size",
+    ),
+    "repro.core.validation": (
+        "Quarantine", "RecordValidator", "RejectedRecord",
+        "validated_interactions",
+    ),
+    "repro.core.learners": (
+        "CBLearner", "EpochGreedyLearner", "EpsilonGreedyLearner",
+        "PolicyClassOptimizer", "RidgeRegressor", "SGDRegressor",
+        "SupervisedTrainer",
+    ),
+    "repro.core.propensity": (
+        "DeclaredPropensityModel", "EmpiricalPropensityModel",
+        "PropensityModel", "RegressionPropensityModel",
+    ),
+    "repro.core.harvest": (
+        "HarvestPipeline", "LogScavenger", "harvest_columns",
+        "harvest_dataset",
+    ),
+    "repro.core.ab_testing": ("ABTest", "ABTestReport"),
+    "repro.core.comparison": (
+        "BoundedEstimate", "PairedComparison", "compare_policies",
+        "evaluate_with_bound", "sufficient_log_size",
+    ),
+    "repro.core.streaming": (
+        "StreamingEvaluationBoard", "StreamingIPS", "StreamingSnapshot",
+        "ValidatedInteractionStream",
+    ),
+    "repro.core.design": (
+        "ExplorationPlan", "epsilon_for_deadline", "exploration_plan",
+        "wasted_potential",
+    ),
+    "repro.core.reporting": (
+        "dataset_summary", "diagnostics_table", "estimator_table",
+        "offline_online_table", "quarantine_table",
+    ),
+    "repro.core.bootstrap": (
+        "bootstrap_interval_from_terms", "bootstrap_ips_interval",
+        "bootstrap_snips_interval",
+    ),
+})

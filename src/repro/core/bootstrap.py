@@ -46,14 +46,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.core import pool as worker_pool
 from repro.core.estimators.bounds import ConfidenceInterval
 from repro.core.estimators.ips import IPSEstimator, SNIPSEstimator
 from repro.core.policies import Policy
-from repro.core.pool import BrokenProcessPool
 from repro.core.types import Dataset
 from repro.obs.metrics import get_metrics
-from repro.obs.profiler import get_profiler
 from repro.obs.tracing import get_tracer
 
 #: Replicates per shard.  Small enough that n_boot=1000 splits across a
@@ -145,24 +142,31 @@ def _traced_shard(item):
     return sums, time.perf_counter() - start, span_dict, profile_dict
 
 
-def _parallel_shard_outcomes(columns, payloads, workers, traced, profiled):
+def _parallel_shard_outcomes(columns, payloads, workers, traced):
     """Fan the seeded shards across the persistent pool; ``None`` on failure.
 
     Each shard task pickles the term matrix once with its own
-    counters.  A broken pool (killed worker) resets the pool and
-    returns ``None`` — the caller recomputes serially, which is
-    bit-identical by construction.
+    counters.  Returns ``(sums, seconds, span_dict)`` per shard, after
+    absorbing the shards' profiles into the ambient profiler.  A broken
+    pool (killed worker) resets the pool and returns ``None`` — the
+    caller recomputes serially, which is bit-identical by construction.
+    This is the only path that needs the pool and the profiler, so it
+    imports them itself.
     """
+    from repro.core import pool as worker_pool
+    from repro.obs.profiler import get_profiler
+
+    profiler = get_profiler()
     try:
         executor = worker_pool.get_pool(workers)
         futures = [
             executor.submit(
-                _traced_shard, ((columns,) + tail, traced, profiled)
+                _traced_shard, ((columns,) + tail, traced, profiler.enabled)
             )
             for tail in payloads
         ]
-        return [future.result() for future in futures]
-    except BrokenProcessPool:
+        outcomes = [future.result() for future in futures]
+    except worker_pool.BrokenProcessPool:
         worker_pool.reset_pool()
         warnings.warn(
             "bootstrap worker pool died; recomputing shards serially "
@@ -171,6 +175,10 @@ def _parallel_shard_outcomes(columns, payloads, workers, traced, profiled):
             stacklevel=3,
         )
         return None
+    for _sums, _seconds, _span_dict, profile_dict in outcomes:
+        if profile_dict is not None:
+            profiler.absorb(profile_dict)
+    return [outcome[:3] for outcome in outcomes]
 
 
 def _replicate_sums(
@@ -216,11 +224,7 @@ def _replicate_sums(
         outcomes = None
         if workers > 1 and len(payloads) > 1:
             outcomes = _parallel_shard_outcomes(
-                columns,
-                payloads,
-                workers,
-                tracer.enabled,
-                get_profiler().enabled,
+                columns, payloads, workers, tracer.enabled
             )
         if outcomes is None:
             outcomes = []
@@ -236,18 +240,13 @@ def _replicate_sums(
                         sums = _block_sums(columns, count, rng)
                     else:
                         sums = _seeded_shard((columns,) + tail)
-                outcomes.append(
-                    (sums, time.perf_counter() - start, None, None)
-                )
-        profiler = get_profiler()
+                outcomes.append((sums, time.perf_counter() - start, None))
         shards = []
-        for sums, seconds, span_dict, profile_dict in outcomes:
+        for sums, seconds, span_dict in outcomes:
             shard_seconds.observe(seconds)
             shard_count.inc()
             if span_dict is not None:
                 tracer.attach(span_dict)
-            if profile_dict is not None:
-                profiler.absorb(profile_dict)
             shards.append(sums)
     metrics.counter("bootstrap.replicates").inc(n_boot)
     return np.concatenate(shards, axis=1)

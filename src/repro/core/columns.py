@@ -554,15 +554,28 @@ class DatasetColumns(ContextColumns):
         identity; a small cap keeps class searches over many candidates
         from pinning every weight vector at once.
         """
-        key = id(policy)
-        entry = self._ips_weight_cache.get(key)
+        entry = self._ips_weight_cache.get(id(policy))
         if entry is None or entry[0] is not policy:
-            if len(self._ips_weight_cache) >= 16:
-                self._ips_weight_cache.clear()
-            weights = self.logged_probabilities(policy) / self.propensities
-            self._ips_weight_cache[key] = (policy, weights)
-            return weights
+            return self.memo_ips_weights(
+                policy, policy.probabilities_batch(self)
+            )
         return entry[1]
+
+    def memo_ips_weights(
+        self, policy: "Policy", matrix: np.ndarray
+    ) -> np.ndarray:
+        """Importance weights from a probability ``matrix``, memoized.
+
+        The one place the weight expression lives: :meth:`ips_weights`
+        calls it on a cold memo, and the IPS reductions call it with the
+        matrix their fold already computed, so a whole-log fold leaves
+        the memo warm for a bootstrap of the same (policy, log).
+        """
+        if len(self._ips_weight_cache) >= 16:
+            self._ips_weight_cache.clear()
+        weights = self.probability_of_logged(matrix) / self.propensities
+        self._ips_weight_cache[id(policy)] = (policy, weights)
+        return weights
 
 
 class FixedEligibility:

@@ -20,49 +20,24 @@ any *other* policy would have obtained.
   diagnostics flag an estimate as untrustworthy.
 """
 
-from repro.core.estimators.base import EstimatorResult, OffPolicyEstimator
-from repro.core.estimators.ips import ClippedIPSEstimator, IPSEstimator, SNIPSEstimator
-from repro.core.estimators.direct import DirectMethodEstimator, RewardModel
-from repro.core.estimators.doubly_robust import DoublyRobustEstimator
-from repro.core.estimators.fallback import FallbackEstimator, default_ladder
-from repro.core.estimators.switch import SwitchEstimator
-from repro.core.estimators.trajectory import (
-    PerDecisionISEstimator,
-    Trajectory,
-    TrajectoryISEstimator,
-    split_into_trajectories,
-)
-from repro.core.estimators.bounds import (
-    ConfidenceInterval,
-    ab_testing_error_bound,
-    ab_testing_sample_size,
-    empirical_bernstein_interval,
-    hoeffding_interval,
-    ips_error_bound,
-    ips_sample_size,
-)
+from repro import _lazy
 
-__all__ = [
-    "EstimatorResult",
-    "OffPolicyEstimator",
-    "IPSEstimator",
-    "ClippedIPSEstimator",
-    "SNIPSEstimator",
-    "DirectMethodEstimator",
-    "RewardModel",
-    "DoublyRobustEstimator",
-    "FallbackEstimator",
-    "default_ladder",
-    "SwitchEstimator",
-    "Trajectory",
-    "TrajectoryISEstimator",
-    "PerDecisionISEstimator",
-    "split_into_trajectories",
-    "ConfidenceInterval",
-    "hoeffding_interval",
-    "empirical_bernstein_interval",
-    "ips_error_bound",
-    "ips_sample_size",
-    "ab_testing_error_bound",
-    "ab_testing_sample_size",
-]
+__getattr__, __dir__, __all__ = _lazy.lazy_exports(__name__, {
+    "repro.core.estimators.base": ("EstimatorResult", "OffPolicyEstimator"),
+    "repro.core.estimators.ips": (
+        "ClippedIPSEstimator", "IPSEstimator", "SNIPSEstimator",
+    ),
+    "repro.core.estimators.direct": ("DirectMethodEstimator", "RewardModel"),
+    "repro.core.estimators.doubly_robust": ("DoublyRobustEstimator",),
+    "repro.core.estimators.fallback": ("FallbackEstimator", "default_ladder"),
+    "repro.core.estimators.switch": ("SwitchEstimator",),
+    "repro.core.estimators.trajectory": (
+        "PerDecisionISEstimator", "Trajectory", "TrajectoryISEstimator",
+        "split_into_trajectories",
+    ),
+    "repro.core.estimators.bounds": (
+        "ConfidenceInterval", "ab_testing_error_bound",
+        "ab_testing_sample_size", "empirical_bernstein_interval",
+        "hoeffding_interval", "ips_error_bound", "ips_sample_size",
+    ),
+})

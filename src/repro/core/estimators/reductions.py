@@ -508,9 +508,14 @@ def _batch_weights_and_coverage(
     columns: DatasetColumns,
     observed: np.ndarray,
 ) -> tuple[np.ndarray, float]:
-    """One probability pass: importance weights + summed coverage mass."""
+    """One probability pass: importance weights + summed coverage mass.
+
+    The weights also seed the columns' memo
+    (:meth:`~repro.core.columns.DatasetColumns.memo_ips_weights`), so a
+    bootstrap after a whole-log fold reuses them.
+    """
     matrix = policy.probabilities_batch(columns)
-    weights = columns.probability_of_logged(matrix) / columns.propensities
+    weights = columns.memo_ips_weights(policy, matrix)
     coverage_sum = float(matrix[:, observed].sum(axis=1).sum())
     return weights, coverage_sum
 

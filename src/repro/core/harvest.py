@@ -23,7 +23,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -35,11 +44,7 @@ from repro.core.columns import (
     EligibleSpec,
     is_per_row_eligibility,
 )
-from repro.core.estimators.base import EstimatorResult, OffPolicyEstimator
-from repro.core.estimators.ips import IPSEstimator
-from repro.core.learners.cb import PolicyClassOptimizer
 from repro.core.policies import Policy, PolicyClass
-from repro.core.propensity import PropensityModel
 from repro.core.types import ActionSpace, Context, Dataset, Interaction, RewardRange
 from repro.core.validation import (
     PROPENSITY,
@@ -51,6 +56,10 @@ from repro.core.validation import (
 from repro.obs.metrics import get_metrics
 from repro.obs.monitors import get_monitors
 from repro.obs.tracing import get_tracer
+
+if TYPE_CHECKING:
+    from repro.core.estimators.base import EstimatorResult, OffPolicyEstimator
+    from repro.core.propensity import PropensityModel
 
 #: Default number of decisions sampled per ``act_batch`` call.
 DEFAULT_BATCH_SIZE = 8192
@@ -360,6 +369,8 @@ class HarvestPipeline:
         mode: str = "strict",
         repair_propensity_floor: float = 1e-3,
     ) -> None:
+        from repro.core.estimators.ips import IPSEstimator
+
         self.scavenger = scavenger
         self.propensity_model = propensity_model
         self.action_space = action_space
@@ -489,6 +500,8 @@ class HarvestPipeline:
         maximize: bool = True,
     ) -> tuple[Policy, float]:
         """Step 3b: offline optimization over a policy class."""
+        from repro.core.learners.cb import PolicyClassOptimizer
+
         optimizer = PolicyClassOptimizer(self.estimator, maximize=maximize)
         return optimizer.optimize(policy_class, dataset)
 

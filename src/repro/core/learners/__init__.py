@@ -10,25 +10,14 @@
   (supervised) baseline used as ground truth in Figs. 3–4.
 """
 
-from repro.core.learners.regression import RidgeRegressor, SGDRegressor
-from repro.core.learners.cb import (
-    BaggingLearner,
-    CBLearner,
-    EpochGreedyLearner,
-    EpsilonGreedyLearner,
-    PerActionFeaturesLearner,
-    PolicyClassOptimizer,
-)
-from repro.core.learners.supervised import SupervisedTrainer
+from repro import _lazy
 
-__all__ = [
-    "RidgeRegressor",
-    "SGDRegressor",
-    "BaggingLearner",
-    "CBLearner",
-    "EpsilonGreedyLearner",
-    "EpochGreedyLearner",
-    "PerActionFeaturesLearner",
-    "PolicyClassOptimizer",
-    "SupervisedTrainer",
-]
+__getattr__, __dir__, __all__ = _lazy.lazy_exports(__name__, {
+    "repro.core.learners.regression": ("RidgeRegressor", "SGDRegressor"),
+    "repro.core.learners.cb": (
+        "BaggingLearner", "CBLearner", "EpochGreedyLearner",
+        "EpsilonGreedyLearner", "PerActionFeaturesLearner",
+        "PolicyClassOptimizer",
+    ),
+    "repro.core.learners.supervised": ("SupervisedTrainer",),
+})

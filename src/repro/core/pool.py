@@ -9,6 +9,8 @@ executor for the whole process:
 - :func:`reset_pool` discards a broken executor (a killed worker
   poisons the whole pool — ``BrokenProcessPool``); callers then fall
   back to bit-identical serial recomputation.
+- Discarding a pool, by either route, joins its workers before it
+  returns, so no worker of an old pool outlives the call.
 - An ``atexit`` hook shuts the pool down so worker processes never
   outlive the parent.
 
@@ -54,7 +56,7 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if _pool is not None and _pool_workers < workers:
-        _shutdown(wait=False)
+        _shutdown()
     if _pool is None:
         _pool = ProcessPoolExecutor(max_workers=workers)
         _pool_workers = workers
@@ -67,12 +69,18 @@ def pool_size() -> int:
     return _pool_workers if _pool is not None else 0
 
 
-def _shutdown(wait: bool) -> None:
+def _shutdown() -> None:
+    """Discard the pool and join its workers.
+
+    A broken pool's manager thread has already terminated and joined
+    its workers, so the wait returns at once; a healthy pool's workers
+    are idle between calls and exit on their shutdown sentinel.
+    """
     global _pool, _pool_workers
     pool, _pool, _pool_workers = _pool, None, 0
     if pool is not None:
         try:
-            pool.shutdown(wait=wait, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=True)
         except Exception:  # pragma: no cover - already-broken executors
             pass
 
@@ -82,13 +90,13 @@ def reset_pool() -> None:
 
     Safe to call when no pool exists.
     """
-    _shutdown(wait=False)
+    _shutdown()
     get_metrics().counter("pool.resets").inc()
 
 
 def shutdown_pool() -> None:
     """Shut the pool down cleanly (process exit, or tests)."""
-    _shutdown(wait=True)
+    _shutdown()
 
 
 atexit.register(shutdown_pool)

@@ -15,50 +15,20 @@ wait — full feedback.  We reproduce that structure synthetically:
   partial-feedback exploration simulation used in Figs. 3–4.
 """
 
-from repro.machinehealth.fleet import FleetConfig, Machine, generate_fleet
-from repro.machinehealth.failures import (
-    DowntimeModel,
-    FailureColumns,
-    FailureEvent,
-    WAIT_TIMES,
-    failure_columns,
-    generate_failures,
-)
-from repro.machinehealth.dataset import (
-    MachineHealthDataset,
-    build_full_feedback_dataset,
-    default_policy_reward,
-    ground_truth_value,
-    simulate_exploration,
-)
-from repro.machinehealth.eventlog import (
-    IncidentRecord,
-    dataset_from_incident_log,
-    format_incident_line,
-    parse_incident_line,
-    read_incident_log,
-    write_incident_log,
-)
+from repro import _lazy
 
-__all__ = [
-    "FleetConfig",
-    "Machine",
-    "generate_fleet",
-    "DowntimeModel",
-    "FailureColumns",
-    "FailureEvent",
-    "WAIT_TIMES",
-    "failure_columns",
-    "generate_failures",
-    "MachineHealthDataset",
-    "build_full_feedback_dataset",
-    "simulate_exploration",
-    "ground_truth_value",
-    "default_policy_reward",
-    "IncidentRecord",
-    "format_incident_line",
-    "parse_incident_line",
-    "write_incident_log",
-    "read_incident_log",
-    "dataset_from_incident_log",
-]
+__getattr__, __dir__, __all__ = _lazy.lazy_exports(__name__, {
+    "repro.machinehealth.fleet": ("FleetConfig", "Machine", "generate_fleet"),
+    "repro.machinehealth.failures": (
+        "DowntimeModel", "FailureColumns", "FailureEvent", "WAIT_TIMES",
+        "failure_columns", "generate_failures",
+    ),
+    "repro.machinehealth.dataset": (
+        "MachineHealthDataset", "build_full_feedback_dataset",
+        "default_policy_reward", "ground_truth_value", "simulate_exploration",
+    ),
+    "repro.machinehealth.eventlog": (
+        "IncidentRecord", "dataset_from_incident_log", "format_incident_line",
+        "parse_incident_line", "read_incident_log", "write_incident_log",
+    ),
+})

@@ -36,128 +36,38 @@ nothing until a run opts in (:func:`use_tracer` / :func:`use_metrics`
 ``--profile`` flags).
 """
 
-from repro.obs.dashboard import render_dashboard
-from repro.obs.history import (
-    RunHistory,
-    bench_record,
-    git_sha,
-    manifest_record,
-    monotone_regressions,
-)
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA_VERSION,
-    RunManifest,
-    file_digest,
-    result_entry,
-)
-from repro.obs.metrics import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetrics,
-    get_metrics,
-    set_metrics,
-    use_metrics,
-)
-from repro.obs.monitors import (
-    LEVEL_CRITICAL,
-    LEVEL_OK,
-    LEVEL_WARN,
-    NULL_MONITORS,
-    HealthEvent,
-    HealthMonitor,
-    MonitorSuite,
-    NullMonitors,
-    default_monitors,
-    get_monitors,
-    serving_monitors,
-    set_monitors,
-    use_monitors,
-)
-from repro.obs.profiler import (
-    NULL_PROFILER,
-    NullProfiler,
-    SpanProfiler,
-    get_profiler,
-    set_profiler,
-    use_profiler,
-)
-from repro.obs.report import (
-    aggregate_spans,
-    flatten_spans,
-    manifest_summary_text,
-    metric_totals,
-    verdict_tally,
-)
-from repro.obs.tracing import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    use_tracer,
-)
+from repro import _lazy
 
-__all__ = [
-    # tracing
-    "Span",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "get_tracer",
-    "set_tracer",
-    "use_tracer",
-    # metrics
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullMetrics",
-    "NULL_METRICS",
-    "get_metrics",
-    "set_metrics",
-    "use_metrics",
-    # monitors
-    "LEVEL_OK",
-    "LEVEL_WARN",
-    "LEVEL_CRITICAL",
-    "HealthEvent",
-    "HealthMonitor",
-    "MonitorSuite",
-    "NullMonitors",
-    "NULL_MONITORS",
-    "default_monitors",
-    "serving_monitors",
-    "get_monitors",
-    "set_monitors",
-    "use_monitors",
-    # profiler
-    "SpanProfiler",
-    "NullProfiler",
-    "NULL_PROFILER",
-    "get_profiler",
-    "set_profiler",
-    "use_profiler",
-    # manifest
-    "MANIFEST_SCHEMA_VERSION",
-    "RunManifest",
-    "file_digest",
-    "result_entry",
-    # history
-    "RunHistory",
-    "git_sha",
-    "bench_record",
-    "manifest_record",
-    "monotone_regressions",
-    # dashboard
-    "render_dashboard",
-    # report
-    "flatten_spans",
-    "aggregate_spans",
-    "verdict_tally",
-    "metric_totals",
-    "manifest_summary_text",
-]
+__getattr__, __dir__, __all__ = _lazy.lazy_exports(__name__, {
+    "repro.obs.dashboard": ("render_dashboard",),
+    "repro.obs.history": (
+        "RunHistory", "bench_record", "git_sha", "manifest_record",
+        "monotone_regressions",
+    ),
+    "repro.obs.manifest": (
+        "MANIFEST_SCHEMA_VERSION", "RunManifest", "file_digest",
+        "result_entry",
+    ),
+    "repro.obs.metrics": (
+        "NULL_METRICS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "NullMetrics", "get_metrics", "set_metrics", "use_metrics",
+    ),
+    "repro.obs.monitors": (
+        "LEVEL_CRITICAL", "LEVEL_OK", "LEVEL_WARN", "NULL_MONITORS",
+        "HealthEvent", "HealthMonitor", "MonitorSuite", "NullMonitors",
+        "default_monitors", "get_monitors", "serving_monitors", "set_monitors",
+        "use_monitors",
+    ),
+    "repro.obs.profiler": (
+        "NULL_PROFILER", "NullProfiler", "SpanProfiler", "get_profiler",
+        "set_profiler", "use_profiler",
+    ),
+    "repro.obs.report": (
+        "aggregate_spans", "flatten_spans", "manifest_summary_text",
+        "metric_totals", "verdict_tally",
+    ),
+    "repro.obs.tracing": (
+        "NULL_TRACER", "NullTracer", "Span", "Tracer", "get_tracer",
+        "set_tracer", "use_tracer",
+    ),
+})

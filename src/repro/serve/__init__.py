@@ -25,22 +25,16 @@ See ``docs/serving.md`` for the operator's guide and
 ``docs/adr-0003-online-serving.md`` for the swap-safety design.
 """
 
-from repro.serve.batcher import RequestBatcher
-from repro.serve.gate import GateConfig, GateDecision, GateRunner, evaluate_candidate
-from repro.serve.registry import PolicyRegistry, PolicyVersion
-from repro.serve.server import PolicyServer
-from repro.serve.service import DecisionService, DecisionSlice, ShadowReport
+from repro import _lazy
 
-__all__ = [
-    "DecisionService",
-    "DecisionSlice",
-    "GateConfig",
-    "GateDecision",
-    "GateRunner",
-    "PolicyRegistry",
-    "PolicyServer",
-    "PolicyVersion",
-    "RequestBatcher",
-    "ShadowReport",
-    "evaluate_candidate",
-]
+__getattr__, __dir__, __all__ = _lazy.lazy_exports(__name__, {
+    "repro.serve.batcher": ("RequestBatcher",),
+    "repro.serve.gate": (
+        "GateConfig", "GateDecision", "GateRunner", "evaluate_candidate",
+    ),
+    "repro.serve.registry": ("PolicyRegistry", "PolicyVersion"),
+    "repro.serve.server": ("PolicyServer",),
+    "repro.serve.service": (
+        "DecisionService", "DecisionSlice", "ShadowReport",
+    ),
+})

@@ -35,6 +35,11 @@ from repro.core.engine import evaluate_jsonl_chunked
 from repro.core.estimators.doubly_robust import DoublyRobustEstimator
 from repro.core.policies import Policy
 
+# The folds import their reductions on first use.  Importing them here,
+# at server boot, leaves a forked gate child nothing to import, so its
+# time is all evaluation.
+import repro.core.estimators.reductions  # noqa: F401
+
 __all__ = ["GateConfig", "GateDecision", "GateRunner", "evaluate_candidate"]
 
 

@@ -14,24 +14,13 @@ and caching (Redis-like) prototypes are built.  It provides:
   percentiles).
 """
 
-from repro.simsys.events import Event, EventQueue, Simulator
-from repro.simsys.metrics import (
-    Counter,
-    MetricRegistry,
-    PercentileTracker,
-    TimeSeries,
-    WindowedRate,
-)
-from repro.simsys.random_source import RandomSource
+from repro import _lazy
 
-__all__ = [
-    "Event",
-    "EventQueue",
-    "Simulator",
-    "Counter",
-    "MetricRegistry",
-    "PercentileTracker",
-    "TimeSeries",
-    "WindowedRate",
-    "RandomSource",
-]
+__getattr__, __dir__, __all__ = _lazy.lazy_exports(__name__, {
+    "repro.simsys.events": ("Event", "EventQueue", "Simulator"),
+    "repro.simsys.metrics": (
+        "Counter", "MetricRegistry", "PercentileTracker", "TimeSeries",
+        "WindowedRate",
+    ),
+    "repro.simsys.random_source": ("RandomSource",),
+})

@@ -7,8 +7,10 @@ serially with *bit-identical* results — a crash costs wall time, never
 correctness — and that the next parallel call runs in a fresh pool.
 """
 
+import multiprocessing
 import os
 import signal
+import time
 import warnings
 
 import numpy as np
@@ -75,6 +77,46 @@ class TestKilledWorker:
         assert metrics.total("pool.created") == 1
         assert metrics.total("pool.resets") == 0
         assert worker_pool.pool_size() == 2
+
+
+def started_workers(start):
+    """Run ``start()`` and return the child processes it started."""
+    before = set(multiprocessing.active_children())
+    start()
+    return set(multiprocessing.active_children()) - before
+
+
+class TestDiscardedWorkers:
+    """Discarding a pool joins its workers before the call returns."""
+
+    def test_reset_joins_a_healthy_pools_workers(self, terms):
+        workers = started_workers(lambda: interval(terms, workers=2))
+        assert workers
+        worker_pool.reset_pool()
+        assert not [p for p in workers if p.is_alive()]
+
+    def test_growing_joins_the_smaller_pools_workers(self):
+        workers = started_workers(
+            lambda: worker_pool.get_pool(1).submit(os.getpid).result(60)
+        )
+        assert workers
+        worker_pool.get_pool(2)
+        assert not [p for p in workers if p.is_alive()]
+
+    def test_reset_after_a_kill_returns_promptly(self):
+        # Snapshot the workers while they are healthy: a killed one is
+        # reaped at once, and the manager may already be ending the rest.
+        workers = started_workers(
+            lambda: worker_pool.get_pool(2).submit(os.getpid).result(60)
+        )
+        assert workers
+        poison_pool(workers=2)
+        began = time.perf_counter()
+        worker_pool.reset_pool()
+        # The broken pool's manager already ended its workers, so the
+        # join has nothing to wait for.
+        assert time.perf_counter() - began < 5.0
+        assert not [p for p in workers if p.is_alive()]
 
 
 class TestPoolMechanics:

@@ -202,6 +202,29 @@ class TestBootstrapFlag:
         assert len(lines) == 2
         assert all("[" in line and "]" in line for line in lines)
 
+    def test_bootstrap_reuses_the_folds_weights(
+        self, log_path, capsys, monkeypatch
+    ):
+        # The whole-log IPS fold seeds the columns' weight memo, so the
+        # bootstrap's terms cost no second probability pass per policy.
+        from repro.core.policies import ConstantPolicy, UniformRandomPolicy
+
+        passes = []
+        for cls in (ConstantPolicy, UniformRandomPolicy):
+            def counted(policy, columns, _original=cls.probabilities_batch):
+                passes.append(policy.name)
+                return _original(policy, columns)
+
+            monkeypatch.setattr(cls, "probabilities_batch", counted)
+        code, out = self._run(
+            [log_path, "--policy", "constant:1", "--policy", "uniform",
+             "--estimator", "ips", "--bootstrap", "200"],
+            capsys,
+        )
+        assert code == 0
+        assert len(self._bootstrap_lines(out)) == 2
+        assert len(passes) == len(set(passes)) == 2
+
     def test_seeded_bootstrap_reproduces_bit_for_bit(self, log_path, capsys):
         args = [log_path, "--policy", "constant:1",
                 "--bootstrap", "300", "--seed", "9"]

@@ -173,11 +173,14 @@ def test_no_public_signature_takes_a_backend():
     from repro.core import bootstrap, comparison, estimators
     from repro.core.harvest import HarvestPipeline
 
+    # dir(), not vars(): a package's exports enter its namespace only
+    # when first read, and dir() lists them all.
     public = [HarvestPipeline] + [
         obj
         for module in (estimators, bootstrap, comparison)
-        for name, obj in vars(module).items()
-        if not name.startswith("_") and callable(obj)
+        for name in dir(module)
+        if not name.startswith("_")
+        and callable(obj := getattr(module, name))
     ]
     for obj in public:
         methods = inspect.getmembers(obj, callable) if inspect.isclass(obj) else []
