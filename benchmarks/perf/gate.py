@@ -52,7 +52,6 @@ GATED_METRICS = (
     ("single-policy IPS speedup", ("single_policy_ips", "speedup")),
     ("class-search speedup", ("class_search", "speedup")),
     ("chunked relative throughput", ("chunked", "relative_throughput")),
-    ("parallel bootstrap speedup", ("bootstrap", "parallel_speedup")),
     ("class bootstrap speedup", ("class_bootstrap", "speedup")),
     (
         "instrumentation relative throughput",

@@ -32,10 +32,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.bootstrap import (
-    BOOTSTRAP_SHARD,
-    bootstrap_interval_from_terms,
-)
+from repro.core.bootstrap import bootstrap_interval_from_terms
 from repro.core.learners.cb import PolicyClassOptimizer
 from repro.core.estimators.ips import IPSEstimator
 from repro.core.policies import (
@@ -62,11 +59,8 @@ N_CLASS = 8 if SMOKE else 64
 N_SCALAR_SLICE = 500 if SMOKE else 5_000
 N_CLASS_SCALAR = 4 if SMOKE else 8
 ROUNDS = 1 if SMOKE else 3
-#: Chunk size for the out-of-core fold and replicate count for the
-#: sharded bootstrap benchmarks.
+#: Chunk size for the out-of-core fold benchmark.
 CHUNK_SIZE = 512 if SMOKE else 8_192
-N_BOOT = 400 if SMOKE else 4_000
-BOOT_WORKERS = 4
 #: Replicates of the class-bootstrap row: lb-search's ``--bootstrap``.
 N_BOOT_CLASS = 200
 #: Shortest wall time one timed sample of a paired comparison may last:
@@ -289,73 +283,6 @@ class TestChunkedBackend:
         }
 
 
-class TestShardedBootstrap:
-    """Seeded sharded bootstrap: serial vs process-parallel replicates.
-
-    Shard RNGs are keyed ``(seed, shard)`` so both paths produce
-    bit-identical intervals; the artifact records the wall-clock ratio
-    plus ``cpu_count`` (on single-core runners the "speedup" is ≤1 —
-    process overhead with no parallelism to buy).  The artifact also
-    records the per-shard pickle payload: every shard task ships its
-    own copy of the term matrix (here one row) with its counters.
-    """
-
-    def test_bench_bootstrap_serial_vs_parallel(self, workload, benchmark):
-        import pickle
-
-        from repro.core import pool as worker_pool
-
-        log, _, _, _, policy = workload
-        terms = IPSEstimator().weighted_rewards(policy, log)
-
-        serial_seconds = _timed(
-            benchmark,
-            lambda: bootstrap_interval_from_terms(
-                terms, n_boot=N_BOOT, seed=13, workers=1
-            ),
-        )
-        # Worker spin-up out of the timed region (one shard per worker:
-        # a single shard never reaches the pool), then take the best
-        # of ROUNDS — symmetric with the serial measurement.
-        worker_pool.get_pool(BOOT_WORKERS)
-        bootstrap_interval_from_terms(
-            terms,
-            n_boot=BOOT_WORKERS * BOOTSTRAP_SHARD,
-            seed=13,
-            workers=BOOT_WORKERS,
-        )
-        parallel_durations: list[float] = []
-        for _ in range(ROUNDS):
-            start = time.perf_counter()
-            parallel_interval = bootstrap_interval_from_terms(
-                terms, n_boot=N_BOOT, seed=13, workers=BOOT_WORKERS
-            )
-            parallel_durations.append(time.perf_counter() - start)
-        parallel_seconds = min(parallel_durations)
-        serial_interval = bootstrap_interval_from_terms(
-            terms, n_boot=N_BOOT, seed=13, workers=1
-        )
-        assert parallel_interval == serial_interval, (
-            "parallel bootstrap must be bit-identical to serial"
-        )
-
-        # Per-shard payload: what one shard task pickles through the
-        # pool (the term matrix, its counters and the tracing flags).
-        shard_bytes = len(pickle.dumps(
-            ((np.atleast_2d(terms), BOOTSTRAP_SHARD, 13, 0), False, False)
-        ))
-        RESULTS["bootstrap"] = {
-            "n": len(terms),
-            "n_boot": N_BOOT,
-            "workers": BOOT_WORKERS,
-            "cpu_count": os.cpu_count(),
-            "serial_seconds": serial_seconds,
-            "parallel_seconds": parallel_seconds,
-            "parallel_speedup": serial_seconds / parallel_seconds,
-            "per_shard_pickle_bytes": shard_bytes,
-        }
-
-
 def lb_search_class() -> list:
     """The pipeline benchmark's lb-search class: uniform, both
     constants, and four ε-greedy mixes of each constant."""
@@ -370,9 +297,9 @@ class TestClassBootstrap:
     """One shared replicate draw for a policy class vs one per policy.
 
     ``evaluate --bootstrap`` stacks its policies' IPS terms into one
-    ``(P, n)`` call, which draws the replicate indices once and gathers
-    every row from them.  The per-policy arm makes P one-vector calls,
-    each drawing the same indices again.  lb-search's 11 policies at
+    ``(P, n)`` call, which draws the replicate indices and counts each
+    replicate's draws once for every row.  The per-policy arm makes P
+    one-vector calls, each drawing and counting the same indices again.  lb-search's 11 policies at
     its 200 replicates, serial, timed interleaved
     (:func:`_paired_seconds`); both arms must give equal intervals.
     """
@@ -872,7 +799,6 @@ class TestThroughputArtifact:
             "class_vectorized",
             "class_scalar",
             "single_chunked",
-            "bootstrap",
             "class_bootstrap",
             "instrumentation",
             "obs_monitor",
@@ -915,7 +841,6 @@ class TestThroughputArtifact:
                 "single": RESULTS["single_chunked"],
                 "relative_throughput": chunked_relative,
             },
-            "bootstrap": RESULTS["bootstrap"],
             "class_bootstrap": RESULTS["class_bootstrap"],
             "instrumentation": RESULTS["instrumentation"],
             "obs": {"monitor_overhead": RESULTS["obs_monitor"]},
@@ -952,21 +877,6 @@ class TestThroughputArtifact:
                     f"{RESULTS['single_chunked']['whole_seconds']:.4f}s",
                     f"{RESULTS['single_chunked']['seconds']:.4f}s",
                     f"{chunked_relative:.2f}x",
-                ],
-                [
-                    (
-                        f"bootstrap x{RESULTS['bootstrap']['workers']}"
-                        f" workers ({RESULTS['bootstrap']['cpu_count']} cpu)"
-                    ),
-                    f"{RESULTS['bootstrap']['serial_seconds']:.3f}s",
-                    f"{RESULTS['bootstrap']['parallel_seconds']:.3f}s",
-                    f"{RESULTS['bootstrap']['parallel_speedup']:.2f}x",
-                ],
-                [
-                    "bootstrap per-shard pickle bytes",
-                    "-",
-                    str(RESULTS["bootstrap"]["per_shard_pickle_bytes"]),
-                    "-",
                 ],
                 [
                     (

@@ -21,11 +21,10 @@ policy type.
 
 ``--bootstrap N`` adds a percentile-bootstrap confidence interval on
 the IPS terms of every policy, all resampled by one draw of replicate
-indices; with ``--seed`` the replicates are generated by the sharded
-deterministic scheme, and ``--workers W`` sets the worker processes
-for seeded bootstrap shards (256 replicates each, so it only matters
-above 256), so reruns — serial or parallel — reproduce the same
-interval bit-for-bit.
+indices, in this process; with ``--seed`` the replicates are generated
+by the sharded deterministic scheme, so reruns reproduce the same
+interval bit-for-bit.  ``--workers`` is still parsed and range-checked
+so existing command lines keep working, and it changes nothing.
 
 Observability (see :mod:`repro.obs`): ``--trace`` records a span tree
 over the run and prints the top spans by wall time; ``--metrics-out
@@ -59,8 +58,9 @@ that run it, and every package's exports resolve on first access
 (:mod:`repro._lazy`).  Importing this module loads three ``repro``
 modules and no numpy, and each stage of a harvest → verify-ledger →
 evaluate pipeline, a fresh process apiece, loads only its own modules:
-15 for ``verify-ledger``, 26–31 for a harvest or an ``evaluate``
-(``tests/test_cli_imports.py`` pins what each must leave unloaded).
+15 for ``verify-ledger``, 26–31 for a harvest or an ``evaluate``;
+``report`` and ``dashboard`` load no numpy (``tests/test_cli_imports.py``
+pins what each must leave unloaded).
 """
 
 from __future__ import annotations
@@ -99,6 +99,10 @@ EXAMPLES = [
 ]
 
 ESTIMATOR_NAMES = ("ips", "snips", "clipped-ips", "dm", "dr", "switch", "auto")
+
+#: ``repro.core.validation.MODES``, spelled out so that parsing arguments
+#: imports no numpy (``tests/test_cli_imports.py`` ties the two).
+VALIDATION_MODES = ("strict", "quarantine", "repair")
 
 
 def print_catalog() -> None:
@@ -224,10 +228,9 @@ def _print_bootstraps(policies, terms, args: argparse.Namespace) -> dict:
     """
     from repro.core.bootstrap import bootstrap_interval_from_terms
 
-    workers = args.workers if args.seed is not None else 1
     try:
         intervals = bootstrap_interval_from_terms(
-            terms, n_boot=args.bootstrap, seed=args.seed, workers=workers
+            terms, n_boot=args.bootstrap, seed=args.seed
         )
     except ValueError as error:
         for policy in policies:
@@ -474,7 +477,6 @@ def _emit_observability(
                 "policies": args.policy or ["uniform"],
                 "estimators": list(args.estimator) or ["ips"],
                 "chunk_size": args.chunk_size,
-                "workers": args.workers,
                 "seed": args.seed,
                 "bootstrap": args.bootstrap,
             },
@@ -1093,8 +1095,6 @@ def _add_watchtower_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.core.validation import MODES
-
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Harvesting-randomness reproduction CLI",
@@ -1133,9 +1133,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="W",
-        help="worker processes for seeded bootstrap shards (default 1 = "
-        "serial; results are identical either way). Shards hold 256 "
-        "replicates, so W only matters above --bootstrap 256 with --seed",
+        help="ignored: every bootstrap shard runs in this process (still "
+        "accepted, and must be >= 1, so existing command lines parse)",
     )
     evaluate.add_argument(
         "--seed",
@@ -1143,7 +1142,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="S",
         help="seed for bootstrap resampling; makes intervals reproducible "
-        "bit-for-bit across runs and across --workers settings",
+        "bit-for-bit across runs",
     )
     evaluate.add_argument(
         "--bootstrap",
@@ -1156,7 +1155,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument(
         "--mode",
-        choices=MODES,
+        choices=VALIDATION_MODES,
         default="strict",
         help="log validation mode: strict (default) raises on the first "
         "bad record; quarantine sets bad records aside with a per-reason "

@@ -516,7 +516,7 @@ class DatasetColumns(ContextColumns):
         :mod:`repro.core.diagnostics`).
         """
         if self._observed_actions is None:
-            self._observed_actions = np.unique(self.actions)
+            self._observed_actions = distinct_actions(self.actions)
         return self._observed_actions
 
     def propensity_identity_error(self) -> float:
@@ -591,6 +591,19 @@ class FixedEligibility:
     def __call__(self, context: Context) -> tuple[int, ...]:
         """Return the pinned eligible-action tuple (context ignored)."""
         return self.actions
+
+
+def distinct_actions(actions: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``actions``, as ``np.unique`` gives.
+
+    Spelled out because numpy 2's ``np.unique`` imports ``numpy.ma`` on
+    its first call (about 15 ms), which a serving process never loads,
+    so every forked OPE gate child would pay it again.
+    """
+    ordered = np.sort(np.asarray(actions), axis=None)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
 
 
 def pinned_action_space(

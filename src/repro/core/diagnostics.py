@@ -39,6 +39,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.columns import distinct_actions
 from repro.obs.metrics import get_metrics
 from repro.obs.monitors import get_monitors
 
@@ -158,7 +159,7 @@ def propensity_identity_error(
         return 0.0
     inverse = 1.0 / propensities
     worst = 0.0
-    for action in np.unique(actions):
+    for action in distinct_actions(actions):
         mean = float(inverse[actions == action].sum()) / n
         worst = max(worst, abs(mean - 1.0))
     return worst

@@ -325,7 +325,7 @@ def _evaluate_jsonl_chunked(
     prefix_bytes: Optional[int],
 ) -> ChunkedEvaluation:
     from repro.core.codec import ContextTable
-    from repro.core.columns import pinned_action_space
+    from repro.core.columns import distinct_actions, pinned_action_space
     from repro.core.estimators.direct import RewardModelFolder
     from repro.core.estimators.reductions import (
         FoldState,
@@ -377,7 +377,7 @@ def _evaluate_jsonl_chunked(
             path, mode, validator, discovery, chunk_size, memo, prefix_bytes
         ):
             stats.fold(block.actions, block.propensities)
-            observed.update(int(a) for a in np.unique(block.actions))
+            observed.update(int(a) for a in distinct_actions(block.actions))
             total_rows += block.n
             if folder is not None:
                 folder.fold_rows(block.contexts, block.actions, block.rewards)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.columns import DatasetColumns
+from repro.core.columns import DatasetColumns, distinct_actions
 from repro.core.estimators.base import OffPolicyEstimator
 from repro.core.features import Featurizer
 from repro.core.policies import Policy
@@ -153,7 +153,7 @@ class RewardModelFolder:
         rewards = np.asarray(rewards, dtype=float)
         if actions.size == 0:
             return
-        for action in np.unique(actions):
+        for action in distinct_actions(actions):
             mask = actions == action
             X = phi[mask]
             y = rewards[mask]

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.columns import DatasetColumns
+from repro.core.columns import DatasetColumns, distinct_actions
 from repro.core.diagnostics import (
     ReliabilityDiagnostics,
     WeightSummary,
@@ -280,7 +280,7 @@ class LogStats:
             self.min_propensity, float(propensities.min())
         )
         inverse = 1.0 / propensities
-        for action in np.unique(actions):
+        for action in distinct_actions(actions):
             key = int(action)
             self.inverse_sums[key] = self.inverse_sums.get(key, 0.0) + float(
                 inverse[actions == action].sum()

@@ -9,12 +9,11 @@ summary of an exploration dataset's vital signs.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-import numpy as np
-
-from repro.core.estimators.base import EstimatorResult
-from repro.core.types import Dataset
+if TYPE_CHECKING:
+    from repro.core.estimators.base import EstimatorResult
+    from repro.core.types import Dataset
 
 
 def text_table(headers: Sequence, rows: Sequence[Sequence]) -> str:
@@ -48,6 +47,10 @@ def dataset_summary(dataset: Dataset) -> dict:
     volume, action coverage, the propensity floor (ε of Eq. 1), and
     the reward distribution.
     """
+    # Imported here: ``repro report`` renders with :func:`text_table`,
+    # and this module loads no numpy until a dataset needs it.
+    import numpy as np
+
     if len(dataset) == 0:
         raise ValueError("empty dataset has no summary")
     actions = dataset.actions()

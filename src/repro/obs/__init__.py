@@ -3,8 +3,8 @@
 A dependency-free observability layer threaded through harvest →
 validation → estimator folds → bootstrap → reporting:
 
-- :mod:`repro.obs.tracing` — nested wall/CPU spans with cross-process
-  merge (``with get_tracer().span("evaluate.chunk", rows=n): ...``);
+- :mod:`repro.obs.tracing` — nested wall/CPU spans
+  (``with get_tracer().span("evaluate.chunk", rows=n): ...``);
 - :mod:`repro.obs.metrics` — counters/gauges/histograms with
   Prometheus-text and JSON exporters;
 - :mod:`repro.obs.monitors` — streaming health monitors (windowed
@@ -13,8 +13,7 @@ validation → estimator folds → bootstrap → reporting:
   :class:`~repro.obs.monitors.HealthEvent` records while the run is
   in flight;
 - :mod:`repro.obs.profiler` — a stdlib signal-sampling profiler that
-  attributes self-time to the active span, merged across the worker
-  pool like span trees;
+  attributes self-time to the active span;
 - :mod:`repro.obs.manifest` — provenance manifests
   (``run_manifest.json``) binding input digest, config, metrics,
   span tree, health verdicts, and results into one reproducible

@@ -75,7 +75,7 @@ def bench_record(artifact: Mapping, cwd: Optional[str] = None) -> dict:
     """Flatten a ``BENCH_ope.json`` artifact into one history record.
 
     Keeps every numeric leaf under a dotted key
-    (``sharded.parallel_speedup``), so the trend check can address
+    (``class_bootstrap.speedup``), so the trend check can address
     metrics the same way ``gate.py``'s gate tables do.
     """
     metrics: dict[str, float] = {}

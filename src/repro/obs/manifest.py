@@ -6,8 +6,9 @@ captures one ``evaluate``/``compare`` run end to end:
 
 - **input** — path, byte size, and SHA-256 digest of the evaluated log
   (two manifests with the same digest evaluated the same bytes);
-- **config** — chunk size, workers, seed, validation mode,
-  policy and estimator specs: everything needed to re-issue the run;
+- **config** — chunk size, seed, bootstrap replicates, validation
+  mode, policy and estimator specs: everything needed to re-issue the
+  run;
 - **environment** — package version, Python version, platform;
 - **results** — per (policy × estimator) value, standard error, n, and
   the reliability verdict;

@@ -14,12 +14,6 @@ platforms or threads where ``setitimer`` is unavailable the profiler
 degrades to manual :meth:`~SpanProfiler.sample` calls (the tests use
 these for determinism) and reports ``supported=False``.
 
-**Merged like span trees.**  Worker processes run their own profiler
-when the parent asks (a bootstrap shard payload carries a
-``profiled`` flag), ship :meth:`~SpanProfiler.to_dict` home in the
-result payload, and the parent :meth:`~SpanProfiler.absorb`\\ s the
-tables — one flame table per run, regardless of process count.
-
 **Off by default.**  The process-wide default is
 :data:`NULL_PROFILER`; install a real profiler per run with
 :func:`use_profiler` (the CLI's ``--profile`` flag does).  Sampling
@@ -32,7 +26,7 @@ from __future__ import annotations
 import os
 import signal
 from contextlib import contextmanager
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Optional, Union
 
 from repro.obs.tracing import get_tracer
 
@@ -104,9 +98,7 @@ class SpanProfiler:
     def start(self) -> bool:
         """Arm the sampling timer; ``False`` if sampling is unavailable.
 
-        Only the main thread of a process may arm ``SIGALRM``; worker
-        processes run tasks on their main thread, so the pool path
-        profiles too.
+        Only the main thread of a process may arm ``SIGALRM``.
         """
         if self._armed or not self.supported:
             return self._armed
@@ -131,10 +123,10 @@ class SpanProfiler:
             self._previous_handler = None
         self._armed = False
 
-    # -- merge and export --------------------------------------------------
+    # -- export --------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-serializable form (shipped home by pool workers)."""
+        """JSON-serializable form (the manifest's ``profile`` section)."""
         return {
             "interval_s": self.interval,
             "samples": self.samples,
@@ -143,16 +135,6 @@ class SpanProfiler:
                 span: dict(table) for span, table in self.tables.items()
             },
         }
-
-    def absorb(self, profile: Optional[Mapping]) -> None:
-        """Merge a worker profiler's :meth:`to_dict` into this one."""
-        if not profile:
-            return
-        for span, table in profile.get("spans", {}).items():
-            mine = self.tables.setdefault(span, {})
-            for site, count in table.items():
-                mine[site] = mine.get(site, 0) + int(count)
-        self.samples += int(profile.get("samples", 0))
 
     def flame_table(self, top: Optional[int] = None) -> list[dict]:
         """Flat rows sorted by sample count (heaviest first).
@@ -201,9 +183,6 @@ class NullProfiler:
     def to_dict(self) -> dict:
         """Always empty — nothing accumulates."""
         return {}
-
-    def absorb(self, profile: Optional[Mapping]) -> None:
-        """Discard ``profile`` — there is no table to merge into."""
 
     def flame_table(self, top: Optional[int] = None) -> list[dict]:
         """Always empty — nothing was recorded."""

@@ -14,11 +14,8 @@ whole run renders as a tree.  Spans are exception-safe: a span closed
 by an unwinding exception still records its duration and tags itself
 with the error, so a crashed run's trace shows exactly how far it got.
 
-Worker processes get their own :class:`Tracer`; their finished spans
-serialize with :meth:`Span.to_dict` and graft onto the parent process's
-tree with :meth:`Tracer.attach` — the process-pool chunk folds and
-bootstrap shards use exactly this to produce one tree per run no
-matter how many processes computed it.
+Finished spans serialize with :meth:`Span.to_dict`, the node format
+of a run manifest's span tree.
 
 **Zero overhead when off.**  The process-wide default tracer is
 :data:`NULL_TRACER`, whose ``span()`` returns one shared no-op context
@@ -32,7 +29,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 __all__ = [
     "Span",
@@ -109,18 +106,6 @@ class Span:
             node["children"] = [child.to_dict() for child in self.children]
         return node
 
-    @classmethod
-    def from_dict(cls, node: Mapping) -> "Span":
-        """Rebuild a span (tree) from its :meth:`to_dict` form."""
-        span = cls(str(node["name"]), **dict(node.get("attributes", {})))
-        span.wall_s = node.get("wall_s")
-        span.cpu_s = node.get("cpu_s")
-        span.error = node.get("error")
-        span.children = [
-            cls.from_dict(child) for child in node.get("children", ())
-        ]
-        return span
-
     def __repr__(self) -> str:
         timing = f"{self.wall_s:.4f}s" if self.wall_s is not None else "open"
         return f"Span({self.name!r}, {timing}, children={len(self.children)})"
@@ -131,7 +116,7 @@ class Tracer:
 
     ``span(name, **attrs)`` opens a child of the innermost open span
     (or a new root); nesting follows ``with`` blocks.  The tracer is
-    process-local; cross-process spans arrive via :meth:`attach`.
+    process-local.
     """
 
     enabled = True
@@ -143,25 +128,6 @@ class Tracer:
     def span(self, name: str, **attributes) -> Span:
         """Open a new span as a context manager."""
         return Span(name, tracer=self, **attributes)
-
-    def attach(self, node: Union[Mapping, Sequence, Span]) -> None:
-        """Graft a finished span (tree) under the current open span.
-
-        Accepts a :class:`Span`, a :meth:`Span.to_dict` mapping, or a
-        sequence of either — the shape worker processes ship home.
-        """
-        if node is None:
-            return
-        if isinstance(node, Span):
-            spans = [node]
-        elif isinstance(node, Mapping):
-            spans = [Span.from_dict(node)]
-        else:
-            for item in node:
-                self.attach(item)
-            return
-        parent = self._stack[-1].children if self._stack else self.roots
-        parent.extend(spans)
 
     def span_tree(self) -> list[dict]:
         """Every finished root span as a JSON-serializable tree."""
@@ -222,10 +188,6 @@ class NullTracer:
     def span(self, name: str, **attributes) -> _NullSpan:
         """The shared no-op span (nothing is timed)."""
         return _NULL_SPAN
-
-    def attach(self, node) -> None:
-        """Discard ``node`` — there is no tree to graft onto."""
-        pass
 
     def span_tree(self) -> list[dict]:
         """Always empty — nothing was recorded."""

@@ -1,10 +1,12 @@
 """Unit tests for bootstrap confidence intervals.
 
 The resampling kernel draws one replicate index matrix per call, in row
-blocks, and gathers every policy's terms from it.  The suites below pin
-it to the per-policy reference in ``tests/oracles.py`` (each policy
-drawing and gathering its whole matrix) value for value, and pin the
-numpy property that makes that possible.
+blocks, counts each replicate's draws once and sums every policy's terms
+over those counts.  The suites below pin it to the per-policy reference
+in ``tests/oracles.py`` (each policy drawing its whole matrix and
+counting every replicate itself) value for value, to the historical
+gather reference within a relative bound fixed by the dtype, and pin
+the numpy property that makes the row blocks possible.
 """
 
 import numpy as np
@@ -165,16 +167,22 @@ class TestRowBlockDraws:
 #: spans three uneven blocks (104, 104, 48 replicates).
 N_TERMS = 5_003
 
-#: ``(replication, workers)``: seeded serially and in the pool, and the
-#: explicit-rng stream (which must stay serial).
+#: ``(replication, key)``: the sharded stream at two seeds, and the
+#: explicit-rng stream, ``key`` seeding its generator.
 MODES = [("seed", 1), ("seed", 2), ("rng", 1)]
 
+#: How far a counts sum may sit from the gather's, relative.  Summing n
+#: nonnegative terms in any order is within about ``n * eps / 2`` of the
+#: exact sum, relative, so two orders agree within ``n * eps``, and a
+#: ratio of two such sums within twice that.
+GATHER_RTOL = N_TERMS * np.finfo(float).eps
 
-def replication(mode: str) -> dict:
+
+def replication(mode: str, key: int) -> dict:
     """Fresh keyword arguments naming the replicate stream."""
     if mode == "seed":
-        return {"seed": 5}
-    return {"rng": np.random.default_rng(8)}
+        return {"seed": key}
+    return {"rng": np.random.default_rng(key)}
 
 
 def percentile(replicates, delta=0.05) -> tuple:
@@ -205,45 +213,93 @@ class TestSharedKernel:
     def test_sizes_exercise_blocks(self):
         assert 1 < BLOCK_BYTES // (16 * N_TERMS) < BOOTSTRAP_SHARD
 
-    @pytest.mark.parametrize("mode, workers", MODES)
+    @pytest.mark.parametrize("mode, key", MODES)
     @pytest.mark.parametrize("n_boot", [10, 200, 256, 257, 1000])
     def test_ips_means_equal_the_reference_row_by_row(
-        self, terms, n_boot, mode, workers
+        self, terms, n_boot, mode, key
     ):
-        stream = replication(mode)
+        stream = replication(mode, key)
         sums = _replicate_sums(
-            terms, n_boot, stream.get("rng"), stream.get("seed"), workers
+            terms, n_boot, stream.get("rng"), stream.get("seed")
         )
         intervals = bootstrap_interval_from_terms(
-            terms, n_boot=n_boot, workers=workers, **replication(mode)
+            terms, n_boot=n_boot, **replication(mode, key)
         )
         assert len(intervals) == len(terms)
         for row, row_sums, interval in zip(terms, sums, intervals):
             means = oracles.bootstrap_replicates(
-                oracles.mean_shard, (row,), n_boot, **replication(mode)
+                oracles.mean_shard, (row,), n_boot, **replication(mode, key)
             )
             np.testing.assert_array_equal(row_sums / N_TERMS, means)
             assert (interval.low, interval.high) == percentile(means)
             assert interval == bootstrap_interval_from_terms(
-                row, n_boot=n_boot, workers=workers, **replication(mode)
+                row, n_boot=n_boot, **replication(mode, key)
             )
 
-    @pytest.mark.parametrize("mode, workers", MODES)
+    @pytest.mark.parametrize("mode, key", MODES)
     @pytest.mark.parametrize("n_boot", [10, 200, 256, 257, 1000])
     def test_snips_ratios_equal_the_reference(
-        self, snips_log, n_boot, mode, workers
+        self, snips_log, n_boot, mode, key
     ):
         dataset, policy, numerators, weights = snips_log
         ratios = oracles.bootstrap_replicates(
             oracles.ratio_shard, (numerators, weights), n_boot,
-            **replication(mode),
+            **replication(mode, key),
         )
         interval = bootstrap_snips_interval(
-            policy, dataset, n_boot=n_boot, workers=workers,
-            **replication(mode),
+            policy, dataset, n_boot=n_boot, **replication(mode, key)
         )
         expected = percentile(ratios[np.isfinite(ratios)])
         assert (interval.low, interval.high) == expected
+
+    @pytest.mark.parametrize("mode, key", MODES)
+    def test_ips_means_match_the_gather_reference(self, terms, mode, key):
+        intervals = bootstrap_interval_from_terms(
+            terms, n_boot=1000, **replication(mode, key)
+        )
+        for row, interval in zip(terms, intervals):
+            gathered = oracles.bootstrap_replicates(
+                oracles.gather_mean_shard, (row,), 1000,
+                **replication(mode, key),
+            )
+            counted = oracles.bootstrap_replicates(
+                oracles.mean_shard, (row,), 1000, **replication(mode, key)
+            )
+            np.testing.assert_allclose(counted, gathered, rtol=GATHER_RTOL)
+            np.testing.assert_allclose(
+                (interval.low, interval.high), percentile(gathered),
+                rtol=GATHER_RTOL,
+            )
+
+    @pytest.mark.parametrize("mode, key", MODES)
+    def test_snips_ratios_match_the_gather_reference(
+        self, snips_log, mode, key
+    ):
+        dataset, policy, numerators, weights = snips_log
+        ratios = [
+            oracles.bootstrap_replicates(
+                shard, (numerators, weights), 1000, **replication(mode, key)
+            )
+            for shard in (oracles.ratio_shard, oracles.gather_ratio_shard)
+        ]
+        np.testing.assert_allclose(*ratios, rtol=2 * GATHER_RTOL)
+        interval = bootstrap_snips_interval(
+            policy, dataset, n_boot=1000, **replication(mode, key)
+        )
+        gathered = ratios[1]
+        np.testing.assert_allclose(
+            (interval.low, interval.high),
+            percentile(gathered[np.isfinite(gathered)]),
+            rtol=2 * GATHER_RTOL,
+        )
+
+    def test_sums_do_not_depend_on_the_memory_layout(self, terms):
+        expected = _replicate_sums(terms, 200, None, 1)
+        strided = np.repeat(terms, 2, axis=1)[:, ::2]
+        for layout in (np.asfortranarray(terms), strided):
+            np.testing.assert_array_equal(
+                _replicate_sums(layout, 200, None, 1), expected
+            )
 
     def test_vector_returns_one_interval_matrix_a_list(self, terms):
         single = bootstrap_interval_from_terms(terms[1], n_boot=50, seed=2)
@@ -258,9 +314,10 @@ class TestSharedKernel:
 class TestOneDrawPerCall:
     """Spans and counters count draws, not the policies sharing one."""
 
-    def _run(self, terms, **kwargs):
+    def _run(self, terms, calls=1, **kwargs):
         with use_tracer() as tracer, use_metrics() as metrics:
-            bootstrap_interval_from_terms(terms, **kwargs)
+            for _ in range(calls):
+                bootstrap_interval_from_terms(terms, **kwargs)
         counts = {}
         replicates = []
         for _, span in flatten_spans(tracer.span_tree()):
@@ -269,17 +326,20 @@ class TestOneDrawPerCall:
                 replicates.append(span["attributes"])
         return counts, replicates, metrics
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_seeded_class_is_one_draw(self, workers):
+    @pytest.mark.parametrize("calls", [1, 2])
+    def test_seeded_class_is_one_draw(self, calls):
         terms = np.random.default_rng(1).uniform(size=(11, 300))
-        counts, (span,), metrics = self._run(
-            terms, n_boot=600, seed=7, workers=workers
+        counts, spans, metrics = self._run(
+            terms, calls, n_boot=600, seed=7
         )
-        assert counts["bootstrap.replicates"] == 1
-        assert counts["bootstrap.shard"] == 3
-        assert span["policies"] == 11 and span["shards"] == 3
-        assert metrics.total("bootstrap.replicates") == 600
-        assert metrics.total("bootstrap.shards") == 3
+        assert counts["bootstrap.replicates"] == len(spans) == calls
+        assert counts["bootstrap.shard"] == 3 * calls
+        for span in spans:
+            assert span == {
+                "n_boot": 600, "seed": 7, "shards": 3, "policies": 11,
+            }
+        assert metrics.total("bootstrap.replicates") == 600 * calls
+        assert metrics.total("bootstrap.shards") == 3 * calls
 
     def test_unseeded_stream_is_one_shard(self):
         terms = np.random.default_rng(1).uniform(size=(2, 300))

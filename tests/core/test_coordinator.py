@@ -8,7 +8,6 @@ import pytest
 
 from repro.audit.ledger import DecisionLedger
 from repro.audit.streams import StreamRegistry, StreamRNG
-from repro.core import pool as worker_pool
 from repro.core.coordinator import (
     HarvestCoordinator,
     HarvestInputs,
@@ -193,10 +192,8 @@ class TestEquivalence:
         policy.hostage = lambda: None  # lambdas don't pickle
         job = synthetic_job(policy=policy)
         reference_columns, reference_ledger = serial_reference(job)
-        worker_pool.reset_pool()
         before = {child.pid for child in multiprocessing.active_children()}
         result = HarvestCoordinator(job).run()
-        assert worker_pool.pool_size() == 0
         after = {child.pid for child in multiprocessing.active_children()}
         assert after <= before
         assert_matches_serial(result, reference_columns, reference_ledger)

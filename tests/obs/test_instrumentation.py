@@ -2,7 +2,7 @@
 
 Two properties matter: (1) estimates are bit-identical with tracing on
 vs off — observation must not perturb the computation; (2) an
-instrumented streamed run with a parallel bootstrap produces a span
+instrumented streamed run with a seeded bootstrap produces a span
 tree covering validation, every chunk fold, and every bootstrap shard,
 with metric totals that reconcile against the run's own counts.
 """
@@ -75,7 +75,7 @@ class TestObservationNeutrality:
 
 
 class TestAcceptanceRun:
-    """Streamed run + parallel bootstrap with full instrumentation on."""
+    """Streamed run + seeded bootstrap with full instrumentation on."""
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
@@ -104,7 +104,6 @@ class TestAcceptanceRun:
                 evaluation.terms[("uniform-random", "ips")],
                 seed=11,
                 n_boot=n_boot,
-                workers=2,
             )
         return evaluation, interval, tracer, metrics, n_boot
 
@@ -121,8 +120,7 @@ class TestAcceptanceRun:
         assert counts["evaluate.validation"] == 1
         assert counts["evaluate.fold"] == 1
         assert counts["evaluate.finalize"] == 1
-        # Every chunk fold and every bootstrap shard landed a span, the
-        # shards although they ran across a process pool.
+        # Every chunk fold and every bootstrap shard landed a span.
         assert counts["evaluate.chunk"] == evaluation.n_chunks
         expected_shards = math.ceil(n_boot / BOOTSTRAP_SHARD)
         assert counts["bootstrap.shard"] == expected_shards

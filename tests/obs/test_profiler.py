@@ -73,25 +73,6 @@ class TestMergeAndExport:
         assert payload["spans"] == {"a": {"<manual>": 1}}
         assert isinstance(payload["supported"], bool)
 
-    def test_absorb_merges_counts(self):
-        parent = SpanProfiler()
-        parent.sample(span="harvest")
-        worker = SpanProfiler()
-        worker.sample(span="harvest")
-        worker.sample(span="harvest")
-        worker.sample(span="reduce")
-        parent.absorb(worker.to_dict())
-        assert parent.samples == 4
-        assert parent.tables["harvest"] == {"<manual>": 3}
-        assert parent.tables["reduce"] == {"<manual>": 1}
-
-    def test_absorb_none_and_empty_are_noops(self):
-        profiler = SpanProfiler()
-        profiler.sample(span="a")
-        profiler.absorb(None)
-        profiler.absorb({})
-        assert profiler.samples == 1
-
     def test_flame_table_sorted_heaviest_first(self):
         profiler = SpanProfiler(interval=0.005)
         for _ in range(3):
@@ -158,7 +139,6 @@ class TestInstallation:
         null.sample(span="x")
         assert null.start() is False
         null.stop()
-        null.absorb({"samples": 5, "spans": {"a": {"s": 5}}})
         assert null.to_dict() == {}
         assert null.flame_table() == []
         assert null.samples == 0

@@ -14,7 +14,10 @@ Used by the equivalence suites and by the perf bench's scalar rows.
 :meth:`~repro.core.estimators.direct.RewardModel.fit`, and
 :func:`bootstrap_replicates` (with :func:`mean_shard` and
 :func:`ratio_shard`) for the bootstrap: each policy drawing its own
-whole index matrix, which the shared, row-blocked draw must match.
+whole index matrix and summing each replicate over its draw counts,
+which the shared, row-blocked draw must match bit for bit.  The gather
+shards (:func:`gather_mean_shard`, :func:`gather_ratio_shard`) sum the
+gathered terms instead, as the bootstrap did before it counted draws.
 
 :func:`harvest_shard` re-derives one shard of a harvest in isolation,
 from ``(master seed, stream key, start ordinal)`` and the shard map's
@@ -265,14 +268,42 @@ def estimate(estimator, policy, dataset: Dataset) -> EstimatorResult:
 # -- bootstrap ----------------------------------------------------------------
 
 
+def resampled_sum(counts: np.ndarray, terms: np.ndarray) -> float:
+    """One replicate's sum of ``terms``: each term times its draw count."""
+    return np.einsum("i,i->", counts, terms)
+
+
+def _draw_counts(count: int, n: int, rng) -> list[np.ndarray]:
+    """Float64 draw counts of every replicate of one ``(count, n)`` draw."""
+    indices = rng.integers(0, n, size=(count, n))
+    return [np.bincount(row, minlength=n).astype(float) for row in indices]
+
+
 def mean_shard(terms: np.ndarray, count: int, rng) -> np.ndarray:
     """One policy's replicate means from one whole ``(count, n)`` draw."""
-    indices = rng.integers(0, terms.size, size=(count, terms.size))
-    return terms[indices].mean(axis=1)
+    sums = [
+        resampled_sum(counts, terms)
+        for counts in _draw_counts(count, terms.size, rng)
+    ]
+    return np.array(sums) / terms.size
 
 
 def ratio_shard(numerators, weights, count: int, rng) -> np.ndarray:
     """One policy's resampled SNIPS ratios (pairs resampled jointly)."""
+    draws = _draw_counts(count, weights.size, rng)
+    num = np.array([resampled_sum(counts, numerators) for counts in draws])
+    den = np.array([resampled_sum(counts, weights) for counts in draws])
+    return np.divide(num, den, out=np.full(count, np.nan), where=den > 0)
+
+
+def gather_mean_shard(terms: np.ndarray, count: int, rng) -> np.ndarray:
+    """:func:`mean_shard` summed the historical way: gather, then sum."""
+    indices = rng.integers(0, terms.size, size=(count, terms.size))
+    return terms[indices].mean(axis=1)
+
+
+def gather_ratio_shard(numerators, weights, count: int, rng) -> np.ndarray:
+    """:func:`ratio_shard` summed the historical way: gather, then sum."""
     indices = rng.integers(0, weights.size, size=(count, weights.size))
     num = numerators[indices].sum(axis=1)
     den = weights[indices].sum(axis=1)
@@ -287,7 +318,8 @@ def bootstrap_replicates(shard_fn, arrays, n_boot: int, seed=None, rng=None):
     concatenated in order.  Otherwise one draw of all ``n_boot`` from
     ``rng`` (default ``default_rng(0)``).  :mod:`repro.core.bootstrap`
     draws once for every policy and in row blocks, and must give these
-    values exactly, row by row.
+    values exactly, row by row, with the counts shards; the gather
+    shards sum in another order and agree to a relative tolerance.
     """
     if seed is None:
         rng = rng if rng is not None else np.random.default_rng(0)

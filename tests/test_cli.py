@@ -84,6 +84,7 @@ class TestEvaluateSubcommand:
         assert "4 chunks" in out  # 200 rows / 64 per chunk
 
     def test_chunked_workers_match_serial(self, log_path, capsys):
+        # --workers is accepted and ignored: every fold runs here.
         args = [
             log_path,
             "--chunk-size", "25",
@@ -91,7 +92,7 @@ class TestEvaluateSubcommand:
             "--estimator", "ips",
             "--estimator", "dr",
         ]
-        code_1, out_1 = self._run(args + ["--workers", "1"], capsys)
+        code_1, out_1 = self._run(list(args), capsys)
         code_2, out_2 = self._run(args + ["--workers", "2"], capsys)
         assert code_1 == code_2 == 0
         assert out_1 == out_2
@@ -181,6 +182,14 @@ class TestValidationModeFlag:
         )
         assert code == 0
 
+    def test_unknown_mode_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", self._dirty_log(tmp_path), "--mode", "bogus"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert all(mode in err for mode in ("strict", "quarantine", "repair"))
+
 
 class TestBootstrapFlag:
     def _run(self, extra, capsys):
@@ -234,11 +243,25 @@ class TestBootstrapFlag:
         assert "seed=9" in self._bootstrap_lines(out_a)[0]
 
     def test_seeded_bootstrap_workers_match_serial(self, log_path, capsys):
-        args = [log_path, "--policy", "constant:1",
-                "--bootstrap", "600", "--seed", "4"]
-        _, serial = self._run(args + ["--workers", "1"], capsys)
-        _, parallel = self._run(args + ["--workers", "3"], capsys)
-        assert self._bootstrap_lines(serial) == self._bootstrap_lines(parallel)
+        # --workers is accepted and ignored: a policy class's 600
+        # replicates (3 shards) run in this process, with or without it.
+        import multiprocessing
+
+        args = [log_path, "--bootstrap", "600", "--seed", "7"]
+        for spec in ("uniform", "constant:0", "constant:1") + tuple(
+            f"eps:{action}:{eps}"
+            for action in (0, 1)
+            for eps in ("0.05", "0.1", "0.2", "0.4")
+        ):
+            args += ["--policy", spec]
+        before = {child.pid for child in multiprocessing.active_children()}
+        code, flagged = self._run(args + ["--workers", "2"], capsys)
+        after = {child.pid for child in multiprocessing.active_children()}
+        assert code == 0
+        assert after <= before
+        _, serial = self._run(list(args), capsys)
+        assert len(self._bootstrap_lines(serial)) == 11
+        assert self._bootstrap_lines(flagged) == self._bootstrap_lines(serial)
 
     def test_bootstrap_works_on_chunked_backend(self, log_path, capsys):
         args = [log_path, "--policy", "constant:1",
@@ -252,19 +275,19 @@ class TestBootstrapFlag:
             == self._bootstrap_lines(chunked)
         )
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("seed", ["1", "2"])
     @pytest.mark.parametrize(
         "estimators",
         [["dr"], ["snips", "dm"], ["dr", "ips"]],
         ids=["dr", "snips-dm", "dr-ips"],
     )
     def test_streamed_bootstrap_whatever_the_estimators(
-        self, log_path, capsys, estimators, workers
+        self, log_path, capsys, estimators, seed
     ):
         # The streamed path folds the IPS terms the bootstrap needs even
         # when ips is not a listed estimator, and prints no ips column.
         args = [log_path, "--policy", "constant:1", "--policy", "uniform",
-                "--bootstrap", "50", "--seed", "1", "--workers", workers]
+                "--bootstrap", "50", "--seed", seed]
         for name in estimators:
             args += ["--estimator", name]
         _, in_memory = self._run(list(args), capsys)
@@ -340,6 +363,7 @@ class TestObservabilityFlags:
         assert data["command"] == "evaluate"
         assert data["config"]["chunk_size"] == 64
         assert "backend" not in data["config"]
+        assert "workers" not in data["config"]
         assert len(data["results"]) == 2  # 2 policies × 1 estimator
         assert all("bootstrap" in r for r in data["results"])
         assert "sha256" in data["input"]

@@ -18,7 +18,7 @@ IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s*(\S+)\s*$", re.M)
 
 #: Modules no subcommand that evaluates nothing may load.
 ESTIMATION = ("repro.core.estimators", "repro.core.learners")
-POOL = ("repro.core.bootstrap", "repro.core.pool")
+BOOTSTRAP = ("repro.core.bootstrap",)
 
 
 def spawn(*args):
@@ -76,7 +76,7 @@ def test_verify_ledger_loads_no_estimation_serving_or_reports(ledgered):
     assert '"ok": true' in result.stdout
     assert "repro.audit.ledger" in modules
     assert not under(
-        modules, "repro.serve", *ESTIMATION, *POOL,
+        modules, "repro.serve", *ESTIMATION, *BOOTSTRAP,
         "repro.obs.dashboard", "repro.obs.report", "repro.obs.history",
     )
 
@@ -94,12 +94,50 @@ def test_harvest_loads_no_folds_pool_or_serving(
         )
     assert "repro.core.harvest" in modules
     assert not under(
-        modules, "repro.core.estimators.reductions", *POOL, "repro.serve"
+        modules, "repro.core.estimators.reductions", *BOOTSTRAP,
+        "repro.serve",
     )
 
 
-#: Boots a service, flushes a log, then reports the ``repro`` modules an
-#: in-process gate evaluation adds.
+def test_evaluate_modes_match_validation():
+    # The parser spells the mode names out so that parsing imports no
+    # numpy; they must stay the validator's.
+    from repro.__main__ import VALIDATION_MODES
+    from repro.core.validation import MODES
+
+    assert VALIDATION_MODES == MODES
+
+
+@pytest.fixture(scope="module")
+def evaluate_manifest(tmp_path_factory):
+    """A manifest of a bootstrapped ``evaluate`` over a small harvest."""
+    work = tmp_path_factory.mktemp("manifest")
+    log, manifest = str(work / "lb.jsonl"), str(work / "run.json")
+    for args in (
+        ("harvest", "loadbalance", log, "--rows", "400"),
+        ("evaluate", log, "--policy", "constant:1", "--bootstrap", "50",
+         "--seed", "1", "--manifest", manifest),
+    ):
+        subprocess.run(
+            [sys.executable, "-m", "repro", *args],
+            capture_output=True, check=True, timeout=120,
+        )
+    return work, manifest
+
+
+@pytest.mark.parametrize("command", ["report", "dashboard"])
+def test_manifest_renderers_load_no_numpy(evaluate_manifest, command):
+    work, manifest = evaluate_manifest
+    page = work / "dash.html"
+    extra = ("--out", str(page)) if command == "dashboard" else ()
+    result, modules = spawn("-m", "repro", command, manifest, *extra)
+    rendered = result.stdout if command == "report" else page.read_text()
+    assert "bootstrap" in rendered
+    assert not under(modules, "numpy")
+
+
+#: Boots a service, flushes a log, then reports the ``repro`` and
+#: ``numpy`` modules an in-process gate evaluation adds.
 GATE_PROBE = textwrap.dedent(
     """
     import sys
@@ -123,7 +161,7 @@ GATE_PROBE = textwrap.dedent(
     service.close()
     assert decision.n == 600, decision
     added = sorted(set(sys.modules) - before)
-    print(" ".join(m for m in added if m.split(".")[0] == "repro"))
+    print(" ".join(m for m in added if m.split(".")[0] in ("repro", "numpy")))
     """
 )
 

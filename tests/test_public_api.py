@@ -83,7 +83,8 @@ def test_key_estimators_share_interface():
         assert issubclass(cls, OffPolicyEstimator)
 
 
-#: Names the one-path refactors (evaluation, then harvest) removed, by module.
+#: Names the one-path refactors (evaluation, harvest, then bootstrap)
+#: removed, by module; ``None`` marks a module that is gone as a whole.
 REMOVED = {
     "repro.core": (
         "get_default_backend", "set_default_backend", "use_backend",
@@ -105,7 +106,10 @@ REMOVED = {
         "ShardPayloadError", "_shard_worker", "_worker_inputs",
         "_INPUTS_CACHE", "_harvest_shard_impl",
     ),
-    "repro.core.pool": ("new_job", "job_payload"),
+    "repro.core.pool": None,
+    "repro.core.bootstrap": (
+        "_seeded_shard", "_traced_shard", "_parallel_shard_outcomes",
+    ),
     "repro.audit": ("chain_digests",),
     "repro.audit.shards": ("chain_digests",),
     "repro.obs.monitors": ("RetryStormMonitor",),
@@ -114,6 +118,10 @@ REMOVED = {
 
 @pytest.mark.parametrize("module_name", sorted(REMOVED))
 def test_removed_names_stay_gone(module_name):
+    if REMOVED[module_name] is None:
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module_name)
+        return
     module = importlib.import_module(module_name)
     for name in REMOVED[module_name]:
         assert not hasattr(module, name), f"{module_name}.{name} is back"
@@ -165,6 +173,32 @@ def test_evaluation_folds_take_no_workers():
 
     for fn in (use_engine, evaluate_jsonl_chunked, fold_dataset_chunked):
         assert "workers" not in inspect.signature(fn).parameters, fn
+
+
+def test_bootstrap_takes_no_workers():
+    import inspect
+
+    from repro.core import bootstrap
+
+    for fn in (
+        bootstrap.bootstrap_interval_from_terms,
+        bootstrap.bootstrap_ips_interval,
+        bootstrap.bootstrap_snips_interval,
+        bootstrap._replicate_sums,
+        bootstrap._check_replication,
+    ):
+        assert "workers" not in inspect.signature(fn).parameters, fn
+
+
+def test_cross_process_merges_are_gone():
+    from repro.obs.profiler import NullProfiler, SpanProfiler
+    from repro.obs.tracing import NullTracer, Span, Tracer
+
+    for owner in (Tracer, NullTracer):
+        assert not hasattr(owner, "attach")
+    for owner in (SpanProfiler, NullProfiler):
+        assert not hasattr(owner, "absorb")
+    assert not hasattr(Span, "from_dict")
 
 
 def test_no_public_signature_takes_a_backend():
