@@ -536,7 +536,7 @@ class TestHarvestThroughput:
                 policy, inputs.contexts, inputs.reward_fn,
                 np.random.default_rng(0),
                 action_space=inputs.action_space, batch_size=size,
-                scenario="loadbalance",
+                scenario="loadbalance", context_ids=inputs.context_ids,
             )
 
         inputs = inputs_for(N_HARVEST)

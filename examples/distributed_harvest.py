@@ -91,9 +91,10 @@ def main() -> None:
     ledger = DecisionLedger(
         job.stream_key(), genesis=shard["prev"], start_ordinal=spec.start
     )
+    contexts, context_ids = inputs.context_slice(spec.start, spec.stop)
     shard_columns = harvest_columns(
         job.policy,
-        inputs.contexts[spec.start: spec.stop],
+        contexts,
         lambda indices, actions: inputs.reward_fn(
             indices + spec.start, actions
         ),
@@ -103,6 +104,7 @@ def main() -> None:
         batch_size=64,
         scenario=job.scenario,
         ledger=ledger,
+        context_ids=context_ids,
     )
     rederived = (
         np.array_equal(

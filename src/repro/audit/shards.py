@@ -17,10 +17,10 @@ bookkeeping:
   one-pass harvest, recording the per-shard ``prev``/``head``
   boundary hashes (the shard map published in the run manifest);
 - :func:`verify_sharded_jsonl` walks a sharded log the way
-  ``repro verify-ledger --manifest`` needs to: each shard verified in
-  isolation against its recorded ``prev``/``head``/``n`` (so
-  ``count_mismatch`` pins to a shard), then the splice anchoring,
-  then the whole chain end to end.
+  ``repro verify-ledger --manifest`` needs to, in one pass: the whole
+  chain end to end and, record by record, each shard in isolation
+  against its recorded ``prev``/``head``/``n`` (so ``count_mismatch``
+  pins to a shard), plus the splice anchoring.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.audit.ledger import GENESIS, ChainVerification, DecisionLedger
-from repro.audit.ledger import _checked_records, _verify_checked
+from repro.audit.ledger import _ChainWalk, _checked_records
 from repro.audit.streams import StreamKey
 
 __all__ = [
@@ -295,14 +295,12 @@ def verify_sharded_records(
     contiguity, head-to-prev linkage, final head vs the spliced
     head), and the whole chain is walked end to end.
 
-    Each record's binding is checked once; the whole-log walk and its
-    shard's walk share that result.  Materializes the checked record
-    list (O(file) memory) — the per-shard pass needs routed groups;
-    sharded logs verified here are run artifacts, not out-of-core
-    datasets.
+    The records are read once, in one walk: each record's binding is
+    checked once, and the record then steps the whole-log walk and its
+    shard's walk, so no record is kept once it has passed.
     """
     return _verify_sharded(
-        list(_checked_records(records)),
+        _checked_records(records),
         shards,
         expected_head=expected_head,
         expected_n=expected_n,
@@ -311,7 +309,7 @@ def verify_sharded_records(
 
 
 def _verify_sharded(
-    checked: list,
+    checked: Iterable,
     shards: Sequence[Mapping],
     expected_head: Optional[str],
     expected_n: Optional[int],
@@ -319,15 +317,12 @@ def _verify_sharded(
 ) -> ShardedVerification:
     """:func:`verify_sharded_records` over already-checked records."""
     ordered = sorted(shards, key=lambda shard: int(shard["start"]))
-    overall = _verify_checked(
-        checked,
-        expected_head=expected_head,
-        genesis=genesis,
-        expected_n=expected_n,
-    )
+    overall = _ChainWalk(genesis, expected_head, expected_n)
     splice_issues = _splice_geometry_issues(ordered, genesis, expected_head)
-
-    grouped: list[list] = [[] for _ in ordered]
+    walks = [
+        _ChainWalk(str(shard["prev"]), str(shard["head"]), int(shard["n"]))
+        for shard in ordered
+    ]
     starts = [int(shard["start"]) for shard in ordered]
     stops = [int(shard["start"]) + int(shard["n"]) for shard in ordered]
     # The running maximum of the stops is sorted, and its first entry
@@ -336,8 +331,9 @@ def _verify_sharded(
     # This is the shard a scan in start order finds, even when a
     # malformed map overlaps.
     reach = list(accumulate(stops, max))
-    for item in checked:
-        line_number, meta, _ = item
+    step = overall.step
+    for line_number, meta, issues in checked:
+        step(line_number, meta, issues)
         if meta is None or "ordinal" not in meta:
             continue
         try:
@@ -346,21 +342,17 @@ def _verify_sharded(
             continue
         position = bisect_right(reach, ordinal)
         if position < len(ordered) and starts[position] <= ordinal:
-            grouped[position].append(item)
+            walks[position].step(line_number, meta, issues)
         else:
             splice_issues.append(
                 f"line {line_number}: ledgered ordinal {ordinal} falls "
                 f"outside every manifest shard"
             )
 
-    result = ShardedVerification(overall=overall, splice_issues=splice_issues)
-    for position, shard in enumerate(ordered):
-        verification = _verify_checked(
-            grouped[position],
-            expected_head=str(shard["head"]),
-            genesis=str(shard["prev"]),
-            expected_n=int(shard["n"]),
-        )
+    result = ShardedVerification(
+        overall=overall.finish(), splice_issues=splice_issues
+    )
+    for position, (shard, walk) in enumerate(zip(ordered, walks)):
         result.shards.append(
             {
                 "index": int(shard.get("index", position)),
@@ -368,7 +360,7 @@ def _verify_sharded(
                 "n": int(shard["n"]),
                 "prev": str(shard["prev"]),
                 "head": str(shard["head"]),
-                "verification": verification,
+                "verification": walk.finish(),
             }
         )
     return result
@@ -385,17 +377,16 @@ def verify_sharded_jsonl(
 
     Lines are parsed and their bindings checked by
     :func:`repro.core.codec.checked_lines` (each distinct context
-    digested once); a line that is not UTF-8 or not a JSON object fails
-    its binding at its line number.
+    digested once), as the one walk reads them; a line that is not
+    UTF-8 or not a JSON object fails its binding at its line number.
     """
     from repro.core.codec import checked_read
 
     with checked_read(path) as lines:
-        checked = list(lines)
-    return _verify_sharded(
-        checked,
-        shards,
-        expected_head=expected_head,
-        expected_n=expected_n,
-        genesis=genesis,
-    )
+        return _verify_sharded(
+            lines,
+            shards,
+            expected_head=expected_head,
+            expected_n=expected_n,
+            genesis=genesis,
+        )

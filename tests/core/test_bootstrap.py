@@ -15,6 +15,7 @@ import pytest
 from repro.core.bootstrap import (
     BLOCK_BYTES,
     BOOTSTRAP_SHARD,
+    _percentile_interval,
     _replicate_sums,
     bootstrap_interval_from_terms,
     bootstrap_ips_interval,
@@ -190,6 +191,41 @@ def percentile(replicates, delta=0.05) -> tuple:
         float(np.quantile(replicates, delta / 2.0)),
         float(np.quantile(replicates, 1.0 - delta / 2.0)),
     )
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestPercentile:
+    """The interval's quantiles are ``np.quantile``'s, bit for bit."""
+
+    @pytest.mark.parametrize("n", [10, 11, 37, 199, 200, 201, 1000, 1001])
+    @pytest.mark.parametrize("delta", [0.01, 0.05, 0.1, 0.2, 1 / 3, 0.5, 0.9])
+    def test_equals_np_quantile(self, n, delta):
+        rng = np.random.default_rng(n)
+        samples = (
+            rng.normal(size=n),
+            rng.normal(size=n) * 1e300,
+            rng.integers(-2, 3, size=n).astype(float),
+            # Signed zeros: the partition, not a sort, places them.
+            rng.choice([0.0, -0.0, 1.0, -1.0], size=n),
+        )
+        for replicates in samples:
+            interval = _percentile_interval(replicates, delta)
+            expected = percentile(replicates, delta)
+            assert _bits(interval.low) == _bits(expected[0])
+            assert _bits(interval.high) == _bits(expected[1])
+
+    @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
+    def test_special_values_match(self, special):
+        replicates = np.random.default_rng(3).normal(size=200)
+        replicates[17] = special
+        interval = _percentile_interval(replicates, 0.05)
+        with np.errstate(invalid="ignore"):
+            expected = percentile(replicates, 0.05)
+        for got, want in zip((interval.low, interval.high), expected):
+            assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 class TestSharedKernel:

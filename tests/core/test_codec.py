@@ -125,7 +125,10 @@ class TestQuarantineIdentity:
         blocks = list(reader.blocks(64))
         assert quarantine.report() == report
         got = (
-            [dict(c) for b in blocks for c in b.contexts],
+            [
+                dict(b.contexts[i]) for b in blocks
+                for i in b.context_ids.tolist()
+            ],
             [a for b in blocks for a in b.actions.tolist()],
             [r for b in blocks for r in b.rewards.tolist()],
             [p for b in blocks for p in b.propensities.tolist()],
@@ -143,9 +146,11 @@ class TestQuarantineIdentity:
 class TestReader:
     def test_identical_contexts_share_one_dict(self, clean_logs):
         block = LogReader(str(clean_logs["machinehealth"])).read()
-        distinct = {id(context) for context in block.contexts}
+        rows = [block.contexts[i] for i in block.context_ids.tolist()]
+        distinct = {id(context) for context in rows}
         assert len(distinct) < block.n
-        texts = {json.dumps(context) for context in block.contexts}
+        assert len(distinct) == len(block.contexts)
+        texts = {json.dumps(context) for context in rows}
         assert len(texts) == len(distinct)
 
     def test_round_trip_is_byte_identical(self, clean_logs, tmp_path):

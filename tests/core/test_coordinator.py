@@ -56,6 +56,7 @@ def serial_reference(job):
         scenario=job.scenario,
         timestamps=inputs.timestamps,
         ledger=ledger,
+        context_ids=inputs.context_ids,
     )
     return columns, ledger
 
@@ -137,7 +138,9 @@ class TestScenarioBuildSpan:
         with use_tracer() as tracer:
             inputs = build_inputs(job, StreamRegistry(job.master_seed))
         (span,) = self.build_spans(tracer.span_tree())
-        distinct = {tuple(c.items()) for c in inputs.contexts}
+        rows = [inputs.contexts[i] for i in inputs.context_ids.tolist()]
+        distinct = {tuple(c.items()) for c in rows}
+        assert len(inputs.contexts) == len(distinct)
         assert span["attributes"] == {
             "scenario": "machinehealth",
             "rows": 50,

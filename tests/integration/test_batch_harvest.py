@@ -57,6 +57,7 @@ def harvest_inputs(inputs, policy, rng, **kwargs):
         action_space=inputs.action_space,
         reward_range=inputs.reward_range,
         timestamps=inputs.timestamps,
+        context_ids=inputs.context_ids,
         **kwargs,
     )
 

@@ -57,12 +57,14 @@ def scenario_inputs(scenario, rows, policy, config, shard_size=S):
 
 def harvest_inputs(inputs, policy, stream, start, stop, **kwargs):
     """Harvest rows ``[start, stop)`` of ``inputs`` by global index."""
+    contexts, context_ids = inputs.context_slice(start, stop)
     return harvest_columns(
-        policy, inputs.contexts[start:stop],
+        policy, contexts,
         lambda indices, actions: inputs.reward_fn(indices + start, actions),
         stream,
         eligible=inputs.eligible_slice(start, stop),
         action_space=inputs.action_space,
+        context_ids=context_ids,
         **kwargs,
     )
 

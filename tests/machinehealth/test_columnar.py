@@ -70,7 +70,8 @@ class TestColumnarBuild:
             config={"seed": seed, "n_machines": n_machines},
         )
         inputs = build_inputs(job, StreamRegistry(1))
-        assert context_bits(inputs.contexts) == context_bits(reference["contexts"])
+        rows_contexts = [inputs.contexts[i] for i in inputs.context_ids.tolist()]
+        assert context_bits(rows_contexts) == context_bits(reference["contexts"])
         profiles = reference["profiles"]
         n, k = profiles.shape
         got = inputs.reward_fn(
@@ -78,8 +79,11 @@ class TestColumnarBuild:
         ).reshape(n, k)
         assert got.tobytes() == profiles.tobytes()
         assert inputs.timestamps.tobytes() == reference["timestamps"].tobytes()
-        # Each row owns its context: no two rows share one dict.
-        assert len({id(c) for c in inputs.contexts}) == rows
+        # Each distinct (machine, failure kind) pair's context is built
+        # once, and its rows name it by id.
+        pairs = {(e.machine.machine_id, e.failure_kind) for e in reference["events"]}
+        assert len(inputs.contexts) == len(pairs)
+        assert len({id(c) for c in inputs.contexts}) == len(pairs)
 
     def test_full_feedback_dataset_matches(self, case):
         rows, seed, n_machines, reference = case

@@ -33,6 +33,11 @@ bit for bit.  :func:`verify_sharded_records` is the two-walk sharded
 verifier (every record checked by the whole-log walk and again by its
 shard's walk, each record routed by a scan over the shards) that
 :func:`repro.audit.shards.verify_sharded_records` must report exactly.
+
+:class:`ValueKeyedContexts`, :func:`value_chain` and :func:`value_log`
+are the by-value log codec: every row's context keyed by value, as the
+ledger sealed and the writers wrote before rows carried context ids —
+the reference the id path's log bytes and chain heads must equal.
 """
 
 from __future__ import annotations
@@ -46,11 +51,14 @@ from repro.audit.ledger import (
     GENESIS,
     ChainFollower,
     DecisionLedger,
+    context_digest,
+    entry_hash,
     verify_records,
 )
 from repro.audit.shards import ShardedVerification, _splice_geometry_issues
 from repro.audit.streams import StreamRegistry, StreamRNG
 from repro.core.bootstrap import BOOTSTRAP_SHARD
+from repro.core.codec import context_key
 from repro.core.coordinator import HarvestInputs
 from repro.core.estimators.base import EstimatorResult, eligible_actions_fn
 from repro.core.estimators.direct import RewardModel
@@ -486,9 +494,10 @@ def harvest_shard(job, inputs, spec, prev: str = GENESIS):
     def shard_rewards(indices: np.ndarray, actions: np.ndarray) -> np.ndarray:
         return inputs.reward_fn(indices + spec.start, actions)
 
+    contexts, context_ids = inputs.context_slice(spec.start, spec.stop)
     columns = harvest_columns(
         job.policy,
-        inputs.contexts[spec.start : spec.stop],
+        contexts,
         shard_rewards,
         StreamRNG(
             registry, key, shard_size=job.shard_size, start_ordinal=spec.start
@@ -499,6 +508,7 @@ def harvest_shard(job, inputs, spec, prev: str = GENESIS):
         reward_range=inputs.reward_range,
         scenario=job.scenario,
         ledger=ledger,
+        context_ids=context_ids,
     )
     return columns, ledger
 
@@ -576,3 +586,99 @@ def verify_sharded_records(
             }
         )
     return result
+
+
+# -- by-value log codec -------------------------------------------------------
+
+
+class ValueKeyedContexts:
+    """The by-value context memo the log writers keyed every row with
+    before rows carried context ids.
+
+    Each ``dict`` context with string keys is looked up under its exact
+    :func:`repro.core.codec.context_key` (values, types and packed float
+    bits); any other context gets an entry of its own.  An entry is
+    ``[digest, text, context]``, filled on first request.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict = {}
+
+    def entry(self, context) -> list:
+        """The memo entry of ``context``."""
+        key = context_key(context) if type(context) is dict else None
+        if key is None or not all(type(name) is str for name in key[0]):
+            return [None, None, context]
+        return self._entries.setdefault(key, [None, None, context])
+
+    def row_entries(self, contexts) -> list:
+        """One entry per context, in order."""
+        return [self.entry(context) for context in contexts]
+
+    def digests(self, contexts) -> list:
+        """``context_digest`` of every context, once per entry."""
+        out = []
+        for entry in self.row_entries(contexts):
+            if entry[0] is None:
+                entry[0] = context_digest(entry[2])
+            out.append(entry[0])
+        return out
+
+    def texts(self, contexts) -> list:
+        """``json.dumps(dict(context))`` of every context, once per entry."""
+        out = []
+        for entry in self.row_entries(contexts):
+            if entry[1] is None:
+                entry[1] = json.dumps(dict(entry[2]))
+            out.append(entry[1])
+        return out
+
+
+def value_chain(
+    stream, contexts, actions, propensities, genesis=GENESIS, start_ordinal=0
+):
+    """``(context digests, entry hashes)`` of rows sealed by value."""
+    shas = ValueKeyedContexts().digests(contexts)
+    hashes = []
+    head = genesis
+    for offset, (sha, action, propensity) in enumerate(
+        zip(shas, actions, propensities)
+    ):
+        head = entry_hash(
+            head, stream, start_ordinal + offset, sha, int(action),
+            float(propensity),
+        )
+        hashes.append(head)
+    return shas, hashes
+
+
+def value_log(
+    contexts, actions, rewards, propensities, timestamps, stream=None,
+    genesis=GENESIS, start_ordinal=0,
+) -> str:
+    """The log text of these rows as the by-value writer wrote it: each
+    context's JSON text from the memo, the rest of the record (and, with
+    ``stream``, its by-value ledger block) from ``json.dumps``."""
+    texts = ValueKeyedContexts().texts(contexts)
+    chain = None
+    if stream is not None:
+        chain = value_chain(
+            stream, contexts, actions, propensities, genesis, start_ordinal
+        )
+    lines = []
+    for row, text in enumerate(texts):
+        rest = {
+            "action": int(actions[row]),
+            "reward": float(rewards[row]),
+            "propensity": float(propensities[row]),
+            "timestamp": float(timestamps[row]),
+        }
+        if chain is not None:
+            shas, hashes = chain
+            rest["metadata"] = {"ledger": {
+                "v": 1, "stream": stream, "ordinal": start_ordinal + row,
+                "prev": hashes[row - 1] if row else genesis,
+                "context_sha": shas[row], "hash": hashes[row],
+            }}
+        lines.append('{"context": ' + text + ", " + json.dumps(rest)[1:] + "\n")
+    return "".join(lines)

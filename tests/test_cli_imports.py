@@ -95,7 +95,7 @@ def test_harvest_loads_no_folds_pool_or_serving(
     assert "repro.core.harvest" in modules
     assert not under(
         modules, "repro.core.estimators.reductions", *BOOTSTRAP,
-        "repro.serve",
+        "repro.serve", "numpy.ma",
     )
 
 
@@ -123,6 +123,22 @@ def evaluate_manifest(tmp_path_factory):
             capture_output=True, check=True, timeout=120,
         )
     return work, manifest
+
+
+def test_bootstrapped_evaluate_loads_no_numpy_ma(evaluate_manifest):
+    # lb-search's estimators and bootstrap: the percentile interval
+    # reads its quantiles without ``np.quantile`` (which imports
+    # ``numpy.ma`` through ``np.unique``).
+    work, _ = evaluate_manifest
+    result, modules = spawn(
+        "-m", "repro", "evaluate", str(work / "lb.jsonl"),
+        "--policy", "uniform", "--policy", "constant:1",
+        "--estimator", "ips", "--estimator", "snips", "--estimator", "dr",
+        "--bootstrap", "200", "--seed", "7",
+    )
+    assert result.stdout.count("bootstrap[ips") == 2
+    assert "repro.core.bootstrap" in modules
+    assert not under(modules, "numpy.ma")
 
 
 @pytest.mark.parametrize("command", ["report", "dashboard"])
