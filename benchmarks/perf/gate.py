@@ -51,7 +51,6 @@ def _load_history_module():
 GATED_METRICS = (
     ("single-policy IPS speedup", ("single_policy_ips", "speedup")),
     ("class-search speedup", ("class_search", "speedup")),
-    ("chunked relative throughput", ("chunked", "relative_throughput")),
     ("class bootstrap speedup", ("class_bootstrap", "speedup")),
     (
         "instrumentation relative throughput",

@@ -59,8 +59,6 @@ N_CLASS = 8 if SMOKE else 64
 N_SCALAR_SLICE = 500 if SMOKE else 5_000
 N_CLASS_SCALAR = 4 if SMOKE else 8
 ROUNDS = 1 if SMOKE else 3
-#: Chunk size for the out-of-core fold benchmark.
-CHUNK_SIZE = 512 if SMOKE else 8_192
 #: Replicates of the class-bootstrap row: lb-search's ``--bootstrap``.
 N_BOOT_CLASS = 200
 #: Shortest wall time one timed sample of a paired comparison may last:
@@ -246,40 +244,6 @@ class TestPolicyClassSearch:
             "n_policies": len(scalar_class),
             "seconds": seconds,
             "policy_interactions_per_sec": work / seconds,
-        }
-
-
-class TestChunkedBackend:
-    """The out-of-core fold, timed on the same single-policy workload.
-
-    The chunked fold pays for per-chunk slicing and fold state merging;
-    the tracked ratio against a warm whole-log fold, timed interleaved
-    in the same test, bounds that overhead so a kernel regression (e.g.
-    accidental per-row work inside ``fold``) shows up as a throughput
-    drop.  At smoke sizes one estimate takes well under a millisecond,
-    so both arms repeat within each sample (:func:`_paired_seconds`).
-    """
-
-    def test_bench_ips_chunked(self, workload):
-        from repro.core.engine import use_engine
-
-        log, _, _, _, policy = workload
-        estimator = IPSEstimator()
-
-        def chunked():
-            with use_engine(chunk_size=CHUNK_SIZE):
-                estimator.estimate(policy, log)
-
-        whole_seconds, seconds = _paired_seconds(
-            lambda: estimator.estimate(policy, log), chunked
-        )
-        RESULTS["single_chunked"] = {
-            "n": len(log),
-            "chunk_size": CHUNK_SIZE,
-            "whole_seconds": whole_seconds,
-            "seconds": seconds,
-            "interactions_per_sec": len(log) / seconds,
-            "relative_throughput": whole_seconds / seconds,
         }
 
 
@@ -798,7 +762,6 @@ class TestThroughputArtifact:
             "single_scalar",
             "class_vectorized",
             "class_scalar",
-            "single_chunked",
             "class_bootstrap",
             "instrumentation",
             "obs_monitor",
@@ -816,7 +779,6 @@ class TestThroughputArtifact:
             RESULTS["class_vectorized"]["policy_interactions_per_sec"]
             / RESULTS["class_scalar"]["policy_interactions_per_sec"]
         )
-        chunked_relative = RESULTS["single_chunked"]["relative_throughput"]
         artifact = {
             "workload": {
                 "smoke": SMOKE,
@@ -836,10 +798,6 @@ class TestThroughputArtifact:
                 "vectorized": RESULTS["class_vectorized"],
                 "scalar": RESULTS["class_scalar"],
                 "speedup": class_speedup,
-            },
-            "chunked": {
-                "single": RESULTS["single_chunked"],
-                "relative_throughput": chunked_relative,
             },
             "class_bootstrap": RESULTS["class_bootstrap"],
             "instrumentation": RESULTS["instrumentation"],
@@ -871,12 +829,6 @@ class TestThroughputArtifact:
                     f"{RESULTS['class_scalar']['policy_interactions_per_sec']:.0f}",
                     f"{RESULTS['class_vectorized']['policy_interactions_per_sec']:.0f}",
                     f"{class_speedup:.1f}x",
-                ],
-                [
-                    "chunked fold (vs whole-log fold)",
-                    f"{RESULTS['single_chunked']['whole_seconds']:.4f}s",
-                    f"{RESULTS['single_chunked']['seconds']:.4f}s",
-                    f"{chunked_relative:.2f}x",
                 ],
                 [
                     (

@@ -67,7 +67,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import repro
@@ -350,17 +351,6 @@ def _run_evaluate_inmemory(args, policies, estimators):
     return 0, rows, dataset.quarantine, bootstraps
 
 
-def _evaluate(args, policies, estimators):
-    from repro.core.engine import use_engine
-
-    # The in-memory path folds the whole log whatever the ambient
-    # chunk size, and the run's fallback warnings stay scoped to it.
-    with use_engine():
-        if args.chunk_size is not None:
-            return _run_evaluate_chunked(args, policies, estimators)
-        return _run_evaluate_inmemory(args, policies, estimators)
-
-
 def _print_trace_summary(tracer: Tracer, limit: int = 8) -> None:
     from repro.obs.report import aggregate_spans
 
@@ -430,75 +420,136 @@ def _append_history(args, manifest: RunManifest) -> int:
     return 0
 
 
-def _emit_observability(
-    args, rows, quarantine, bootstraps, tracer, metrics,
-    monitors=None, profiler=None,
-) -> int:
-    from repro.core.estimators.ips import IPSEstimator
-    from repro.obs.manifest import RunManifest, result_entry
+@contextmanager
+def _instruments(args, serving: bool = False):
+    """Install a run's instruments while the ``with`` block runs.
 
+    Any of the six observability flags installs a fresh tracer and
+    metrics registry, plus a monitor suite under ``--monitors`` (the
+    serving monitors when ``serving``) and a span profiler under
+    ``--profile``; the block gets them as one namespace.  With none of
+    the flags it gets ``None``: the process-wide no-op singletons stay
+    in place and the run pays no overhead.
+    """
+    if not (
+        args.trace or args.metrics_out or args.manifest
+        or args.monitors or args.profile or args.history
+    ):
+        yield None
+        return
+    from repro.obs.metrics import MetricsRegistry, use_metrics
+    from repro.obs.monitors import (
+        MonitorSuite,
+        serving_monitors,
+        use_monitors,
+    )
+    from repro.obs.profiler import SpanProfiler, use_profiler
+    from repro.obs.tracing import Tracer, use_tracer
+
+    run = SimpleNamespace(
+        tracer=Tracer(),
+        metrics=MetricsRegistry(),
+        monitors=(
+            MonitorSuite(serving_monitors() if serving else None)
+            if args.monitors else None
+        ),
+        profiler=SpanProfiler() if args.profile else None,
+    )
+    with ExitStack() as stack:
+        stack.enter_context(use_tracer(run.tracer))
+        stack.enter_context(use_metrics(run.metrics))
+        if run.monitors is not None:
+            stack.enter_context(use_monitors(run.monitors))
+        if run.profiler is not None:
+            stack.enter_context(use_profiler(run.profiler))
+        yield run
+
+
+def _report_run(args, run, manifest_fields) -> int:
+    """Print and write what the observability flags asked of a run.
+
+    The top spans under ``--trace``, health and profile summaries, the
+    metrics dump, and a manifest built from ``manifest_fields()`` (the
+    command's own :meth:`~repro.obs.manifest.RunManifest.build`
+    arguments) for ``--manifest`` and ``--history``.  ``run`` is what
+    :func:`_instruments` yielded; returns the exit code.
+    """
+    if run is None:
+        return 0
     if args.trace:
-        _print_trace_summary(tracer)
-    if monitors is not None:
-        _print_health_summary(monitors)
-    if profiler is not None:
-        _print_profile_summary(profiler)
-    if args.metrics_out:
-        if _write_metrics_dump(args, metrics):
+        _print_trace_summary(run.tracer)
+    if run.monitors is not None:
+        _print_health_summary(run.monitors)
+    if run.profiler is not None:
+        _print_profile_summary(run.profiler)
+    if args.metrics_out and _write_metrics_dump(args, run.metrics):
+        return 1
+    if not (args.manifest or args.history):
+        return 0
+    from repro.obs.manifest import RunManifest
+
+    manifest = RunManifest.build(
+        **manifest_fields(),
+        metrics=run.metrics,
+        tracer=run.tracer,
+        monitors=run.monitors,
+        profiler=run.profiler,
+    )
+    if args.manifest:
+        try:
+            manifest.save(args.manifest)
+        except OSError as error:
+            print(f"error: cannot write {args.manifest}: {error}",
+                  file=sys.stderr)
             return 1
-    if args.manifest or args.history:
-        results = [
-            result_entry(policy_name, result)
-            for policy_name, policy_results in rows
-            for result in policy_results
-        ]
-        # Every printed interval is recorded in the manifest's
-        # ``bootstrap`` section, and on the policy's ips result when
-        # ips is a listed estimator.
-        intervals = {
-            policy_name: {
-                "low": interval.low,
-                "high": interval.high,
-                "confidence": interval.confidence,
-                "n_boot": args.bootstrap,
-                "seed": args.seed,
-            }
-            for policy_name, interval in bootstraps.items()
-        }
-        for entry in results:
-            if (entry["estimator"] == IPSEstimator.name
-                    and entry["policy"] in intervals):
-                entry["bootstrap"] = intervals[entry["policy"]]
-        manifest = RunManifest.build(
-            command="evaluate",
-            input_path=args.log,
-            config={
-                "mode": args.mode,
-                "policies": args.policy or ["uniform"],
-                "estimators": list(args.estimator) or ["ips"],
-                "chunk_size": args.chunk_size,
-                "seed": args.seed,
-                "bootstrap": args.bootstrap,
-            },
-            results=results,
-            metrics=metrics,
-            tracer=tracer,
-            quarantine=quarantine,
-            monitors=monitors,
-            profiler=profiler,
-            extra={"bootstrap": intervals} if intervals else None,
-        )
-        if args.manifest:
-            try:
-                manifest.save(args.manifest)
-            except OSError as error:
-                print(f"error: cannot write {args.manifest}: {error}",
-                      file=sys.stderr)
-                return 1
-            print(f"manifest: {args.manifest}", file=sys.stderr)
-        if args.history and _append_history(args, manifest):
-            return 1
+        print(f"manifest: {args.manifest}", file=sys.stderr)
+    if args.history and _append_history(args, manifest):
+        return 1
     return 0
+
+
+def _evaluate_manifest(args, rows, quarantine, bootstraps) -> dict:
+    """``RunManifest.build`` arguments of an ``evaluate`` run."""
+    from repro.core.estimators.ips import IPSEstimator
+    from repro.obs.manifest import result_entry
+
+    results = [
+        result_entry(policy_name, result)
+        for policy_name, policy_results in rows
+        for result in policy_results
+    ]
+    # Every printed interval is recorded in the manifest's
+    # ``bootstrap`` section, and on the policy's ips result when
+    # ips is a listed estimator.
+    intervals = {
+        policy_name: {
+            "low": interval.low,
+            "high": interval.high,
+            "confidence": interval.confidence,
+            "n_boot": args.bootstrap,
+            "seed": args.seed,
+        }
+        for policy_name, interval in bootstraps.items()
+    }
+    for entry in results:
+        if (entry["estimator"] == IPSEstimator.name
+                and entry["policy"] in intervals):
+            entry["bootstrap"] = intervals[entry["policy"]]
+    return dict(
+        command="evaluate",
+        input_path=args.log,
+        config={
+            "mode": args.mode,
+            "policies": args.policy or ["uniform"],
+            "estimators": list(args.estimator) or ["ips"],
+            "chunk_size": args.chunk_size,
+            "seed": args.seed,
+            "bootstrap": args.bootstrap,
+        },
+        results=results,
+        quarantine=quarantine,
+        extra={"bootstrap": intervals} if intervals else None,
+    )
 
 
 def run_evaluate(args: argparse.Namespace) -> int:
@@ -516,41 +567,17 @@ def run_evaluate(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     estimators = [make_estimator(name) for name in args.estimator or ["ips"]]
-    instrumented = bool(
-        args.trace or args.metrics_out or args.manifest
-        or args.monitors or args.profile or args.history
-    )
-    if not instrumented:
-        # No per-run instruments installed: the process-wide no-op
-        # tracer/registry stay in place and the run pays no overhead.
-        code, _rows, _quarantine, _boots = _evaluate(
-            args, policies, estimators
-        )
-        return code
-    from repro.obs.metrics import MetricsRegistry, use_metrics
-    from repro.obs.monitors import MonitorSuite, use_monitors
-    from repro.obs.profiler import SpanProfiler, use_profiler
-    from repro.obs.tracing import Tracer, use_tracer
-
-    tracer = Tracer()
-    metrics = MetricsRegistry()
-    monitors = MonitorSuite() if args.monitors else None
-    profiler = SpanProfiler() if args.profile else None
-    with ExitStack() as stack:
-        stack.enter_context(use_tracer(tracer))
-        stack.enter_context(use_metrics(metrics))
-        if monitors is not None:
-            stack.enter_context(use_monitors(monitors))
-        if profiler is not None:
-            stack.enter_context(use_profiler(profiler))
-        code, rows, quarantine, bootstraps = _evaluate(
-            args, policies, estimators
-        )
+    with _instruments(args) as run:
+        if args.chunk_size is not None:
+            outcome = _run_evaluate_chunked(args, policies, estimators)
+        else:
+            outcome = _run_evaluate_inmemory(args, policies, estimators)
+    code, rows, quarantine, bootstraps = outcome
     if code != 0:
         return code
-    return _emit_observability(
-        args, rows, quarantine, bootstraps, tracer, metrics,
-        monitors=monitors, profiler=profiler,
+    return _report_run(
+        args, run,
+        lambda: _evaluate_manifest(args, rows, quarantine, bootstraps),
     )
 
 
@@ -643,76 +670,27 @@ def run_harvest(args: argparse.Namespace) -> int:
     if args.shard_size < 1:
         print("error: --shard-size must be >= 1", file=sys.stderr)
         return 1
-    instrumented = bool(
-        args.trace or args.metrics_out or args.manifest
-        or args.monitors or args.profile or args.history
-    )
-    if not instrumented:
-        code, _rows, _ledger, _registry = _run_harvest(args)
-        return code
-    from repro.obs.metrics import MetricsRegistry, use_metrics
-    from repro.obs.monitors import MonitorSuite, use_monitors
-    from repro.obs.profiler import SpanProfiler, use_profiler
-    from repro.obs.tracing import Tracer, use_tracer
-
-    tracer = Tracer()
-    metrics = MetricsRegistry()
-    monitors = MonitorSuite() if args.monitors else None
-    profiler = SpanProfiler() if args.profile else None
-    with ExitStack() as stack:
-        stack.enter_context(use_tracer(tracer))
-        stack.enter_context(use_metrics(metrics))
-        if monitors is not None:
-            stack.enter_context(use_monitors(monitors))
-        if profiler is not None:
-            stack.enter_context(use_profiler(profiler))
+    with _instruments(args) as run:
         code, n_rows, ledger, registry = _run_harvest(args)
     if code != 0:
         return code
-    if args.trace:
-        _print_trace_summary(tracer)
-    if monitors is not None:
-        _print_health_summary(monitors)
-    if profiler is not None:
-        _print_profile_summary(profiler)
-    if args.metrics_out:
-        if _write_metrics_dump(args, metrics):
-            return 1
-    if args.manifest or args.history:
-        from repro.obs.manifest import RunManifest
-
-        manifest = RunManifest.build(
-            command="harvest",
-            input_path=args.out,
-            config={
-                "scenario": args.scenario,
-                "rows": args.rows,
-                "batch_size": args.batch_size,
-                "seed": args.seed,
-                "policy": args.policy or "uniform",
-                "out": args.out,
-                "ledger": args.ledger,
-                "shard_size": args.shard_size,
-            },
-            results=[{"scenario": args.scenario, "rows_generated": n_rows}],
-            metrics=metrics,
-            tracer=tracer,
-            ledger=ledger,
-            streams=registry,
-            monitors=monitors,
-            profiler=profiler,
-        )
-        if args.manifest:
-            try:
-                manifest.save(args.manifest)
-            except OSError as error:
-                print(f"error: cannot write {args.manifest}: {error}",
-                      file=sys.stderr)
-                return 1
-            print(f"manifest: {args.manifest}", file=sys.stderr)
-        if args.history and _append_history(args, manifest):
-            return 1
-    return 0
+    return _report_run(args, run, lambda: dict(
+        command="harvest",
+        input_path=args.out,
+        config={
+            "scenario": args.scenario,
+            "rows": args.rows,
+            "batch_size": args.batch_size,
+            "seed": args.seed,
+            "policy": args.policy or "uniform",
+            "out": args.out,
+            "ledger": args.ledger,
+            "shard_size": args.shard_size,
+        },
+        results=[{"scenario": args.scenario, "rows_generated": n_rows}],
+        ledger=ledger,
+        streams=registry,
+    ))
 
 
 def _parse_swap_specs(specs) -> list:
@@ -837,10 +815,6 @@ def run_serve(args: argparse.Namespace) -> int:
     """
     import asyncio
 
-    from repro.obs.metrics import MetricsRegistry, use_metrics
-    from repro.obs.monitors import MonitorSuite, serving_monitors, use_monitors
-    from repro.obs.profiler import SpanProfiler, use_profiler
-    from repro.obs.tracing import Tracer, use_tracer
     from repro.serve.service import DecisionService
 
     if args.pool_rows <= 0:
@@ -852,25 +826,7 @@ def run_serve(args: argparse.Namespace) -> int:
     except argparse.ArgumentTypeError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    instrumented = bool(
-        args.trace or args.metrics_out or args.manifest
-        or args.monitors or args.profile or args.history
-    )
-    tracer = Tracer() if instrumented else None
-    metrics = MetricsRegistry() if instrumented else None
-    monitors = (
-        MonitorSuite(serving_monitors()) if args.monitors else None
-    )
-    profiler = SpanProfiler() if args.profile else None
-    with ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(use_tracer(tracer))
-        if metrics is not None:
-            stack.enter_context(use_metrics(metrics))
-        if monitors is not None:
-            stack.enter_context(use_monitors(monitors))
-        if profiler is not None:
-            stack.enter_context(use_profiler(profiler))
+    with _instruments(args, serving=True) as run:
         try:
             service = DecisionService(
                 args.scenario,
@@ -893,52 +849,34 @@ def run_serve(args: argparse.Namespace) -> int:
             return 130
     if code != 0:
         return code
-    if monitors is not None:
-        _print_health_summary(monitors)
-    if profiler is not None:
-        _print_profile_summary(profiler)
-    if args.metrics_out and metrics is not None:
-        if _write_metrics_dump(args, metrics):
-            return 1
-    if args.manifest or args.history:
-        from repro.obs.manifest import RunManifest
+    return _report_run(args, run, lambda: _serve_manifest(
+        args, service, burst_stats
+    ))
 
-        results = [{"scenario": args.scenario, "served": service.served}]
-        if burst_stats:
-            results.append({"burst": burst_stats})
-        manifest = RunManifest.build(
-            command="serve",
-            input_path=service.log_path,
-            config={
-                "scenario": args.scenario,
-                "policy": args.policy,
-                "swap_policies": list(args.swap_policy),
-                "pool_rows": args.pool_rows,
-                "seed": args.seed,
-                "shard_size": args.shard_size,
-                "burst": args.burst,
-                "eval_every": args.eval_every,
-            },
-            results=results,
-            metrics=metrics,
-            tracer=tracer,
-            ledger=service.ledger,
-            streams=service.streams,
-            monitors=monitors,
-            profiler=profiler,
-            extra={"serving": service.manifest_serving_section()},
-        )
-        if args.manifest:
-            try:
-                manifest.save(args.manifest)
-            except OSError as error:
-                print(f"error: cannot write {args.manifest}: {error}",
-                      file=sys.stderr)
-                return 1
-            print(f"manifest: {args.manifest}", file=sys.stderr)
-        if args.history and _append_history(args, manifest):
-            return 1
-    return 0
+
+def _serve_manifest(args, service, burst_stats) -> dict:
+    """``RunManifest.build`` arguments of a ``serve`` run."""
+    results = [{"scenario": args.scenario, "served": service.served}]
+    if burst_stats:
+        results.append({"burst": burst_stats})
+    return dict(
+        command="serve",
+        input_path=service.log_path,
+        config={
+            "scenario": args.scenario,
+            "policy": args.policy,
+            "swap_policies": list(args.swap_policy),
+            "pool_rows": args.pool_rows,
+            "seed": args.seed,
+            "shard_size": args.shard_size,
+            "burst": args.burst,
+            "eval_every": args.eval_every,
+        },
+        results=results,
+        ledger=service.ledger,
+        streams=service.streams,
+        extra={"serving": service.manifest_serving_section()},
+    )
 
 
 def run_verify_ledger(args: argparse.Namespace) -> int:
@@ -1068,7 +1006,8 @@ def run_dashboard(args: argparse.Namespace) -> int:
 
 
 def _add_watchtower_flags(sub: argparse.ArgumentParser) -> None:
-    """``--monitors`` / ``--profile`` / ``--history`` (evaluate + harvest)."""
+    """``--monitors`` / ``--profile`` / ``--history`` (evaluate, harvest
+    and serve)."""
     sub.add_argument(
         "--monitors",
         action="store_true",
@@ -1377,7 +1316,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--trace",
         action="store_true",
-        help="record a span tree over the run",
+        help="record a span tree over the run and print the top spans by "
+        "wall time",
     )
     serve.add_argument(
         "--metrics-out",

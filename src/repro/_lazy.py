@@ -9,7 +9,7 @@ returns::
 
     __getattr__, __dir__, __all__ = _lazy.lazy_exports(__name__, {
         "repro.core.types": ("ActionSpace", "Dataset"),
-        "repro.core.engine": ("use_engine",),
+        "repro.core.columns": ("DatasetColumns",),
     })
 
 Importing the package then runs none of its submodules.  The first

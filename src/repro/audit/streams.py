@@ -426,10 +426,9 @@ class ShardedNormal:
     ``normal(loc, scale, size=S)`` draw from the generator derived at
     ordinal ``k·S``, memoized on first touch.  Row values therefore
     depend only on ``(master seed, stream key, shard_size)`` — not on
-    batch grid, access order, or which process asks — so a serial
-    harvest and any sharded re-derivation see bit-identical noise,
-    and a worker touching rows ``[k·S, (k+1)·S)`` derives exactly its
-    own shard.
+    batch grid or access order — so a harvest and any re-derivation of
+    one shard in isolation see bit-identical noise, and touching rows
+    ``[k·S, (k+1)·S)`` derives exactly that one shard.
     """
 
     def __init__(

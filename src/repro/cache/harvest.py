@@ -169,7 +169,7 @@ def exploration_shard_inputs(job, registry):
     ``capacity``, ``n_big``, ``n_small``, ``sample_size``,
     ``reward_cap``.  The keyspace log is regenerated by replaying the
     big-small workload through :class:`~repro.cache.sim.CacheSim` —
-    deterministic in the config, so every worker rebuilds identical
+    deterministic in the config, so every build yields identical
     decision points.  Note ``job.rows`` counts workload *requests*;
     the harvested row count is the number of EVICT events the sim
     produces (the coordinator plans shards over the latter).

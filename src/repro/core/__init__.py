@@ -24,7 +24,6 @@ __getattr__, __dir__, __all__ = _lazy.lazy_exports(__name__, {
     "repro.core.columns": (
         "ContextColumns", "DatasetColumns", "DecisionBatch",
     ),
-    "repro.core.engine": ("use_engine",),
     "repro.core.features": ("FeatureEncoder", "Featurizer"),
     "repro.core.policies": (
         "ConstantPolicy", "DeterministicFunctionPolicy", "EpsilonGreedyPolicy",

@@ -34,7 +34,7 @@ class shares one featurization pass.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -780,129 +780,24 @@ def _restricted_sets(
     )
 
 
-def pinned_action_space(
-    dataset: Optional[Dataset] = None,
-    *,
-    space: Optional[ActionSpace] = None,
-    observed: Optional[Sequence[int]] = None,
-) -> Optional[ActionSpace]:
-    """An action space that makes chunk views match the whole-log view.
+def pinned_action_space(observed: Sequence[int]) -> Optional[ActionSpace]:
+    """An action space that makes a spaceless log's chunk views match
+    its whole-log view.
 
-    A chunk of a dataset *with* an action space already sees the right
-    ``n_actions`` and eligibility — the space passes through unchanged.
-    A chunk of a *spaceless* log would reconstruct both from the chunk's
-    own rows (wrong: a chunk may miss actions the log contains), so we
-    pin the global reconstruction — ``max(observed)+1`` actions,
-    eligibility fixed to the sorted globally observed set — exactly what
-    :class:`DatasetColumns` derives for the whole spaceless log.
+    A chunk of a *spaceless* log would reconstruct ``n_actions`` and
+    eligibility from the chunk's own rows (wrong: a chunk may miss
+    actions the log contains), so we pin the global reconstruction —
+    ``max(observed)+1`` actions, eligibility fixed to the sorted
+    globally ``observed`` set — exactly what :class:`DatasetColumns`
+    derives for the whole spaceless log.  ``None`` when nothing was
+    observed.
     """
-    if dataset is not None:
-        if dataset.action_space is not None:
-            return dataset.action_space
-        observed = sorted({i.action for i in dataset})
-    elif space is not None:
-        return space
-    else:
-        observed = sorted(set(observed or ()))
+    observed = sorted(set(observed))
     if not observed:
         return None
     return ActionSpace(
         int(max(observed)) + 1, eligibility=FixedEligibility(observed)
     )
-
-
-class ColumnsSlice(DatasetColumns):
-    """Zero-copy view of rows ``[start, stop)`` of a parent columnar view.
-
-    The chunked fold's unit of work: every column is a NumPy slice
-    (a view, not a copy) of the parent's arrays, so folding a chunk
-    costs no per-row reconstruction — the parent's one featurization
-    and mask build are shared by every chunk.  Feature matrices are
-    reused from the parent when it has them memoized and computed
-    slice-locally (O(chunk)) otherwise, so a pure chunked run never
-    materializes a whole-log feature matrix it didn't already have.
-    """
-
-    def __init__(self, parent: DatasetColumns, start: int, stop: int) -> None:
-        if not 0 <= start <= stop <= parent.n:
-            raise ValueError(
-                f"slice [{start}, {stop}) outside [0, {parent.n})"
-            )
-        n = stop - start
-        self._parent = parent
-        self._start = start
-        self._stop = stop
-        self.n = n
-        self.distinct_contexts = parent.distinct_contexts
-        self.context_ids = parent.context_ids[start:stop]
-        self._eligible = parent._eligible.take(slice(start, stop))
-        self._contexts = None
-        self._eligible_lists = None
-        self.n_actions = parent.n_actions
-        self.eligible_mask = parent.eligible_mask[start:stop]
-        self.eligible_counts = parent.eligible_counts[start:stop]
-        self.uniform_eligibility = parent.uniform_eligibility
-        self.canonical_order = parent.canonical_order
-        self._row_index = np.arange(n)
-        self._feature_matrices = {}
-        self._hashed_matrices = {}
-        self._ips_weight_cache = {}
-        self._default_model = None
-        self.actions = parent.actions[start:stop]
-        self.rewards = parent.rewards[start:stop]
-        self.propensities = parent.propensities[start:stop]
-        self.timestamps = parent.timestamps[start:stop]
-        self.action_space = parent.action_space
-        self.reward_range = parent.reward_range
-        self._observed_actions = None
-        self._identity_error = None
-
-    def feature_matrix(self, feature_names) -> np.ndarray:
-        """Named-feature matrix for this slice, reusing parent memos.
-
-        A parent-cached whole-log matrix is sliced as a view; otherwise
-        the matrix is computed over just this slice's rows — identical
-        values either way, since both paths read the same contexts.
-        """
-        key = tuple(feature_names)
-        cached = self._feature_matrices.get(key)
-        if cached is not None:
-            return cached
-        parent_matrix = self._parent._feature_matrices.get(key)
-        if parent_matrix is not None:
-            cached = parent_matrix[self._start:self._stop]
-        else:
-            cached = super().feature_matrix(key)
-        self._feature_matrices[key] = cached
-        return cached
-
-    def hashed_matrix(self, featurizer: "Featurizer") -> np.ndarray:
-        """Hashed context matrix for this slice, reusing parent memos."""
-        parent_matrix = self._parent._hashed_matrices.get(featurizer.cache_key)
-        if parent_matrix is not None:
-            return parent_matrix[self._start:self._stop]
-        return super().hashed_matrix(featurizer)
-
-
-def iter_column_slices(
-    columns: DatasetColumns, chunk_size: Optional[int]
-) -> Iterator[DatasetColumns]:
-    """Yield consecutive ``chunk_size`` row slices of a columnar view.
-
-    Each chunk is a :class:`ColumnsSlice` — pure NumPy views over the
-    already-built whole-log columns, so chunking costs slicing, not
-    per-chunk reconstruction.  Eligibility, ``n_actions``, and feature
-    values are inherited from the whole-log view, so every chunk agrees
-    with it by construction.  ``chunk_size=None``, or a view no larger
-    than one chunk, yields the view itself.
-    """
-    if chunk_size is not None and chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    if chunk_size is None or columns.n <= chunk_size:
-        yield columns
-        return
-    for start in range(0, columns.n, chunk_size):
-        yield ColumnsSlice(columns, start, min(start + chunk_size, columns.n))
 
 
 def loop_probabilities(policy: "Policy", columns: ContextColumns) -> np.ndarray:

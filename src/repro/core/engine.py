@@ -1,32 +1,25 @@
-"""The evaluation engine: one fold driver over one process-wide knob.
+"""The evaluation engine: every estimate is a fold of the log.
 
-Every estimator is a reduction (:mod:`repro.core.estimators.reductions`)
-and every in-memory estimate folds the log's cached columnar view
-(:class:`~repro.core.columns.DatasetColumns`) through it with
-:func:`fold_dataset_chunked`.  One knob shapes that fold:
-``chunk_size``, the rows per fold.  ``None`` (the default) folds the
-whole log at once: one
-:meth:`~repro.core.policies.Policy.probabilities_batch` call per
-policy, the array-speed path §4's "one log scores a whole policy
-class" promise needs.  A positive size folds zero-copy
-:class:`~repro.core.columns.ColumnsSlice` views of that many rows,
-bounding the working set (no whole-log ``(N, K)`` matrix is built).
-
-Every fold runs in this process.  :func:`use_engine` scopes the knob
-to a ``with`` block.  Different chunk sizes agree up to float
-reassociation (asserted by ``tests/core/test_reduction_equivalence.py``
-against the per-row reference in ``tests/oracles.py``).
-:func:`evaluate_jsonl_chunked` extends the same kernel to logs that
-never fit in memory, streaming JSONL through the validation layer
-chunk by chunk.
+Every estimator is a reduction (:mod:`repro.core.estimators.reductions`).
+An in-memory estimate folds the log's cached columnar view
+(:class:`~repro.core.columns.DatasetColumns`) through it once, as one
+chunk: one :meth:`~repro.core.policies.Policy.probabilities_batch`
+call per policy, the array-speed path §4's "one log scores a whole
+policy class" promise needs
+(:meth:`~repro.core.estimators.base.OffPolicyEstimator.estimate`).
+:func:`evaluate_jsonl_chunked` is the one chunked fold: it streams a
+JSONL log through the validation layer chunk by chunk, in O(chunk)
+memory, for logs that never fit in memory.  Every fold runs in this
+process, and both agree up to float reassociation (asserted by
+``tests/core/test_reduction_equivalence.py`` against the per-row
+reference in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,45 +34,8 @@ from repro.obs.tracing import get_tracer
 #: dispatch overhead.
 STREAM_CHUNK_SIZE = 8192
 
-#: Rows per in-memory fold; ``None`` folds the whole log at once.
-_chunk_size: Optional[int] = None
-
 #: Policy types already warned about missing a batch implementation.
 _warned_fallback_types: set = set()
-
-
-def _check_chunk_size(chunk_size: Optional[int]) -> Optional[int]:
-    """Validate a chunk size: ``None`` (whole log) or a positive int."""
-    if chunk_size is not None and int(chunk_size) <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    return None if chunk_size is None else int(chunk_size)
-
-
-def get_chunk_size() -> Optional[int]:
-    """Rows per in-memory fold; ``None`` means one whole-log fold."""
-    return _chunk_size
-
-
-@contextmanager
-def use_engine(*, chunk_size: Optional[int] = None) -> Iterator[None]:
-    """Fold with ``chunk_size`` rows within a block.
-
-    The knob takes the given value for the duration of the ``with``
-    block (the default is the process default: whole-log folds) and is
-    restored on exit.  The exit also clears the per-policy-type
-    fallback-warning memory, so a scoped switch cannot leak
-    warning-suppression state into later code (or, in test suites,
-    into later tests).
-    """
-    global _chunk_size
-    scoped = _check_chunk_size(chunk_size)
-    previous = _chunk_size
-    _chunk_size = scoped
-    try:
-        yield
-    finally:
-        _chunk_size = previous
-        _warned_fallback_types.clear()
 
 
 def warn_missing_batch(policy_type: type) -> None:
@@ -117,33 +73,6 @@ def reset_backend_warnings() -> None:
     them again (fresh test, fresh experiment run) reset here.
     """
     _warned_fallback_types.clear()
-
-
-# ---------------------------------------------------------------------------
-# in-memory folding: zero-copy slice views
-
-
-def fold_dataset_chunked(
-    reduction,
-    state,
-    dataset,
-    *,
-    chunk_size: Optional[int] = None,
-):
-    """Fold a dataset through ``reduction`` in ``chunk_size`` slices.
-
-    The one in-memory driver.  ``chunk_size=None`` (or any size ≥ the
-    row count) folds the dataset's cached whole-log columns in one
-    call — exactly ``reduction.fold(state, dataset.columns())``.
-    Otherwise chunks are zero-copy
-    :class:`~repro.core.columns.ColumnsSlice` views over those columns,
-    so no per-chunk reconstruction happens.
-    """
-    from repro.core.columns import iter_column_slices
-
-    for chunk in iter_column_slices(dataset.columns(), chunk_size):
-        state = reduction.fold(state, chunk)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +126,10 @@ class ChunkedEvaluation:
     under estimator ``e`` (indexed like the input sequences, with names
     in ``policy_names`` / ``estimator_names``).  ``quarantine`` is the
     fold pass's record quarantine (empty in strict mode — strict raises
-    instead).  ``terms`` maps ``(policy_name, estimator_name)`` to the
-    per-row term vector when the run collected terms (for bootstrap
-    CIs); composite estimators contribute no term vector.
+    instead).  ``terms`` maps ``(policy_name, "ips")`` to the policy's
+    per-row IPS term vector when the run collected terms and folded
+    :class:`~repro.core.estimators.ips.IPSEstimator`: the terms the
+    bootstrap resamples, and the only ones kept.
     """
 
     def __init__(
@@ -244,9 +174,8 @@ def evaluate_jsonl_chunked(
     """Evaluate policies against a JSONL log without loading it.
 
     ``chunk_size`` rows are read per chunk (default
-    :data:`STREAM_CHUNK_SIZE`, whatever the in-memory knob says — a
-    streamed log is never folded whole).  Two streaming passes, each
-    O(chunk) peak memory:
+    :data:`STREAM_CHUNK_SIZE`).  Two streaming passes, each O(chunk)
+    peak memory:
 
     1. **Discovery** — count rows, collect the logged action support,
        fold the policy-independent :class:`LogStats` (propensity floor,
@@ -275,6 +204,10 @@ def evaluate_jsonl_chunked(
     bytes in both passes, so rows appended while the run reads (a
     server flushing under a gate) are never folded; by default the
     whole file is read.
+
+    ``collect_terms=True`` also keeps each policy's per-row IPS terms,
+    in log order, for the bootstrap (:attr:`ChunkedEvaluation.terms`);
+    no other estimator's terms are kept.
 
     Instrumented end to end (see :mod:`repro.obs`): under an active
     tracer the run produces an ``evaluate.jsonl`` span tree covering
@@ -329,7 +262,7 @@ def _evaluate_jsonl_chunked(
     from repro.core.columns import distinct_actions, pinned_action_space
     from repro.core.estimators.direct import RewardModelFolder
     from repro.core.estimators.reductions import (
-        FoldState,
+        IPSReduction,
         LogStats,
         ReductionContext,
     )
@@ -342,7 +275,9 @@ def _evaluate_jsonl_chunked(
         raise ValueError("need at least one policy")
     if not estimators:
         raise ValueError("need at least one estimator")
-    chunk_size = _check_chunk_size(chunk_size) or STREAM_CHUNK_SIZE
+    chunk_size = STREAM_CHUNK_SIZE if chunk_size is None else int(chunk_size)
+    if chunk_size <= 0:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     if validator is None:
         validator = (
             RecordValidator()
@@ -389,7 +324,7 @@ def _evaluate_jsonl_chunked(
     if total_rows == 0:
         raise ValueError(f"{path}: no valid interactions to evaluate")
 
-    space = action_space or pinned_action_space(observed=sorted(observed))
+    space = action_space or pinned_action_space(observed)
     shared_model = None
     if folder is not None:
         n_actions = space.n_actions if space is not None else 1
@@ -407,7 +342,10 @@ def _evaluate_jsonl_chunked(
                 reduction = est.reduction(policy, context, model=shared_model)
             else:
                 reduction = est.reduction(policy, context)
-            reduction.collect_terms = collect_terms
+            # The bootstrap resamples plain IPS terms; keep no others.
+            reduction.collect_terms = (
+                collect_terms and type(reduction) is IPSReduction
+            )
             reductions.append(reduction)
 
     # -- pass 2: fold ------------------------------------------------------
@@ -445,11 +383,7 @@ def _evaluate_jsonl_chunked(
             for est in estimators:
                 reduction, state = next(flat)
                 row.append(reduction.finalize(state, log_summary))
-                if (
-                    collect_terms
-                    and isinstance(state, FoldState)
-                    and state.term_chunks is not None
-                ):
+                if reduction.collect_terms:
                     terms[(policy.name, reduction.name)] = (
                         reduction.collected_terms(state)
                     )

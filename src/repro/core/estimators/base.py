@@ -1,4 +1,10 @@
-"""Shared estimator interfaces."""
+"""Shared estimator interfaces.
+
+:class:`OffPolicyEstimator` estimates by one whole-log fold of the
+dataset's columns through the estimator's reduction
+(:mod:`repro.core.estimators.reductions`); :class:`EstimatorResult` is
+what every estimate returns.
+"""
 
 from __future__ import annotations
 
@@ -73,14 +79,12 @@ def eligible_actions_fn(dataset: Dataset) -> Callable[[Interaction], list[int]]:
 class OffPolicyEstimator(ABC):
     """Interface: estimate a policy's value from logged exploration data.
 
-    Execution follows the engine's chunk-size knob (see
-    :mod:`repro.core.engine`): by default the estimate is one fold of
-    the dataset's cached columnar
+    An estimate is one fold of the dataset's cached columnar
     :class:`~repro.core.columns.DatasetColumns` view through the
-    estimator's reduction (:mod:`repro.core.estimators.reductions`);
-    under ``use_engine(chunk_size=...)`` it folds zero-copy chunk
-    slices instead.  Whole-log and chunked folds agree up to float
-    reassociation.
+    estimator's reduction (:mod:`repro.core.estimators.reductions`).
+    :func:`repro.core.engine.evaluate_jsonl_chunked` folds the same
+    reductions over a streamed log, chunk by chunk; the two agree up to
+    float reassociation.
     """
 
     name: str = "estimator"
@@ -95,38 +99,28 @@ class OffPolicyEstimator(ABC):
         """Estimate the average reward ``policy`` would obtain.
 
         The template all reduction-backed estimators share: build this
-        estimator's reduction for the policy, fold the dataset through
-        it under the engine's knobs, and finalize against the log
-        summary.  Subclasses customize by implementing
+        estimator's reduction for the policy, fold the whole dataset
+        through it once, and finalize against the log summary.  Subclasses customize by implementing
         :meth:`reduction`; estimators outside the reduction protocol
         (e.g. trajectory estimators) override this method wholesale.
         """
         self._require_data(dataset)
-        from repro.core.engine import fold_dataset_chunked, get_chunk_size
         from repro.core.estimators.reductions import (
             LogSummary,
             ReductionContext,
         )
 
-        chunk_size = get_chunk_size()
         with get_tracer().span(
             "estimate",
             estimator=self.name,
             policy=policy.name,
-            chunk_size=chunk_size,
             n=len(dataset),
         ):
             context = ReductionContext.from_dataset(dataset)
             reduction = self._reduction(policy, dataset, context)
-            state = fold_dataset_chunked(
-                reduction,
-                reduction.init_state(),
-                dataset,
-                chunk_size=chunk_size,
-            )
-            return reduction.finalize(
-                state, LogSummary.from_columns(dataset.columns())
-            )
+            columns = dataset.columns()
+            state = reduction.fold(reduction.init_state(), columns)
+            return reduction.finalize(state, LogSummary.from_columns(columns))
 
     def reduction(self, policy: Policy, context):
         """Build this estimator's reduction for one candidate policy.

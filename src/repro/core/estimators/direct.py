@@ -174,17 +174,6 @@ class RewardModelFolder:
         self._reward_sum += float(rewards.sum())
         self._n += int(actions.size)
 
-    def merge_in(self, other: "RewardModelFolder") -> None:
-        for key, gram in other._gram.items():
-            if key in self._gram:
-                self._gram[key] += gram
-                self._moment[key] += other._moment[key]
-            else:
-                self._gram[key] = gram.copy()
-                self._moment[key] = other._moment[key].copy()
-        self._reward_sum += other._reward_sum
-        self._n += other._n
-
     def finalize(self, n_actions: int) -> RewardModel:
         """Solve the folded normal equations into a fitted model."""
         if self._n == 0:

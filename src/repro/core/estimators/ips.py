@@ -15,13 +15,13 @@ For a *stochastic* candidate π the indicator generalizes to the
 importance ratio ``π(a_t | x_t) / p_t``.
 
 All three estimators execute through the reduction kernel
-(:mod:`repro.core.estimators.reductions`) under the engine's knobs
-(see :mod:`repro.core.engine`): by default one whole-log fold computed
-from a single :meth:`~repro.core.policies.Policy.probabilities_batch`
-call, or fixed-size zero-copy slices of the cached columns when a
-chunk size is set.  Every derived
-quantity (terms, match counts, clipping statistics, diagnostics
-accumulators) comes from a *single* weight pass per chunk.
+(:mod:`repro.core.estimators.reductions`): in memory, one whole-log
+fold computed from a single
+:meth:`~repro.core.policies.Policy.probabilities_batch` call, and one
+fold per chunk when :func:`repro.core.engine.evaluate_jsonl_chunked`
+streams a log.  Every derived quantity (terms, match counts, clipping
+statistics, diagnostics accumulators) comes from a *single* weight
+pass per chunk.
 """
 
 from __future__ import annotations

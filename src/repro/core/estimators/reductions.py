@@ -5,31 +5,30 @@ Method, Doubly Robust, SWITCH — is a mean of per-interaction terms plus
 a handful of moments.  That makes each of them a *reduction*::
 
     state = reduction.init_state()
-    for chunk in chunks:                 # any partition of the log
+    for chunk in chunks:                 # the log's rows, in order
         state = reduction.fold(state, chunk_columns)
-    merged = reduction.merge(state_a, state_b)   # associative
     result = reduction.finalize(state, log_summary)
 
 ``fold`` consumes a :class:`~repro.core.columns.DatasetColumns` view of
 one chunk; states carry only sufficient statistics (weighted sums,
 match counts, Welford term moments, and the diagnostics accumulators
 for Kish ESS / weight tails / the E[w]=1 identity), so peak memory is
-O(chunk), not O(log).  Because ``merge`` is associative, chunk states
-can be folded separately and combined in chunk order.  The
-engine's one in-memory driver (a whole-log fold by default, chunk
-slices when a chunk size is set — see :mod:`repro.core.engine`), the
-JSONL file driver, and the streaming wrappers
-(:mod:`repro.core.streaming`) all run on these states and share
-``finalize``.
+O(chunk), not O(log).  Each log is folded in one order: an in-memory
+estimate folds the whole log as one chunk
+(:meth:`~repro.core.estimators.base.OffPolicyEstimator.estimate`), and
+the JSONL file driver (:func:`repro.core.engine.evaluate_jsonl_chunked`)
+folds it chunk by chunk as it streams by; both share ``finalize``, as
+do the streaming wrappers (:mod:`repro.core.streaming`), which build on
+:class:`Moments`.
 
 Exact chunk-size invariance caveats worth knowing:
 
 - The 99th-percentile weight is *order statistics*, not a sum.  Each
   :class:`WeightStats` keeps the top ``N − floor(0.99·(N−1))`` weights
-  for the known total row count ``N`` (~1% of N), which makes the
-  merged q99 exact under any merge pattern — not an approximation.
-- Welford/Chan moment merging and the per-action inverse-propensity
-  sums reassociate float additions, so chunked results match whole-log
+  for the known total row count ``N`` (~1% of N), which makes the q99
+  of any sequence of chunk folds exact — not an approximation.
+- Chan's moment combination and the per-action inverse-propensity sums
+  reassociate float additions, so chunked results match whole-log
   results to ~1e-12 relative, not bit-for-bit.
 """
 
@@ -123,8 +122,8 @@ class WeightStats:
     sized from the *total* row count (known up front by every driver:
     ``len(dataset)`` in memory, the discovery pass for files) as
     ``N − floor(0.99·(N−1))``, the exact number of weights at or above
-    the q99 order statistic; keeping that many per partial state makes
-    the merged q99 exact for any merge tree.
+    the q99 order statistic; keeping that many makes the q99 exact
+    however the log is split into chunks.
     """
 
     tail_k: int
@@ -157,31 +156,9 @@ class WeightStats:
         self.matches += int(np.count_nonzero(weights))
         if size > self.tail_k:
             cut = size - self.tail_k
-            chunk_tail = np.partition(weights, cut)[cut:]
-        else:
-            chunk_tail = weights
-        self._absorb_tail(chunk_tail)
-
-    def _absorb_tail(self, candidates: np.ndarray) -> None:
-        merged = np.sort(np.concatenate([self.tail, candidates]))
-        if merged.size > self.tail_k:
-            merged = merged[merged.size - self.tail_k:]
-        self.tail = merged
-
-    def merge_in(self, other: "WeightStats") -> None:
-        if other.n == 0:
-            return
-        if self.tail_k != other.tail_k:
-            raise ValueError(
-                "cannot merge WeightStats sized for different totals "
-                f"({self.tail_k} vs {other.tail_k})"
-            )
-        self.n += other.n
-        self.total += other.total
-        self.total_sq += other.total_sq
-        self.maximum = max(self.maximum, other.maximum)
-        self.matches += other.matches
-        self._absorb_tail(other.tail)
+            weights = np.partition(weights, cut)[cut:]
+        tail = np.sort(np.concatenate([self.tail, weights]))
+        self.tail = tail[max(0, tail.size - self.tail_k):]
 
     def q99(self) -> float:
         """The 0.99-quantile weight, exact while ``n ≤`` the sized total."""
@@ -230,14 +207,6 @@ class RatioMoments:
         self.sq_cross_sum += float(np.sum(numerators * weights))
         self.sq_numerator_sum += float(np.sum(numerators * numerators))
 
-    def merge_in(self, other: "RatioMoments") -> None:
-        self.n += other.n
-        self.weight_sum += other.weight_sum
-        self.numerator_sum += other.numerator_sum
-        self.sq_weight_sum += other.sq_weight_sum
-        self.sq_cross_sum += other.sq_cross_sum
-        self.sq_numerator_sum += other.sq_numerator_sum
-
     def value(self) -> float:
         if self.weight_sum == 0.0:
             return float("nan")
@@ -285,12 +254,6 @@ class LogStats:
             self.inverse_sums[key] = self.inverse_sums.get(key, 0.0) + float(
                 inverse[actions == action].sum()
             )
-
-    def merge_in(self, other: "LogStats") -> None:
-        self.n += other.n
-        self.min_propensity = min(self.min_propensity, other.min_propensity)
-        for key, value in other.inverse_sums.items():
-            self.inverse_sums[key] = self.inverse_sums.get(key, 0.0) + value
 
     def identity_error(self) -> float:
         if self.n == 0:
@@ -367,7 +330,7 @@ class ChunkTerms:
 
 @dataclass
 class FoldState:
-    """Sufficient statistics of a partial evaluation; mergeable."""
+    """Sufficient statistics of the rows folded so far."""
 
     terms: Moments = field(default_factory=Moments)
     weights: Optional[WeightStats] = None
@@ -377,8 +340,8 @@ class FoldState:
     clipped: int = 0
     switched: int = 0
     #: Raw per-row term chunks, in fold order — populated only when the
-    #: reduction was built with ``collect_terms=True`` (bootstrap needs
-    #: the term vector; 8 bytes/row is cheap even when the log is not).
+    #: reduction's ``collect_terms`` is set (the bootstrap resamples the
+    #: IPS term vector, 8 bytes a row).
     term_chunks: Optional[list] = None
 
 
@@ -387,27 +350,28 @@ class FoldState:
 
 
 class EstimatorReduction:
-    """One estimator's fold/merge/finalize over one candidate policy.
+    """One estimator's fold/finalize over one candidate policy.
 
     Subclasses supply :meth:`chunk_batch` (array math over a chunk's
     columnar view, returning a :class:`ChunkTerms`) and
-    :meth:`finalize`; folding and merging are generic.
+    :meth:`finalize`; folding is generic.
     """
 
     #: Diagnostics profile, or ``None`` for estimators without a verdict.
     profile: Optional[str] = None
+    #: Whether folds keep the raw per-row terms (:meth:`collected_terms`);
+    #: the file driver sets it on the IPS reductions a bootstrap resamples.
+    collect_terms: bool = False
 
     def __init__(
         self,
         policy: Policy,
         context: ReductionContext,
         name: str,
-        collect_terms: bool = False,
     ) -> None:
         self.policy = policy
         self.context = context
         self.name = name
-        self.collect_terms = collect_terms
 
     # -- state lifecycle ---------------------------------------------------
 
@@ -447,27 +411,10 @@ class EstimatorReduction:
         state.switched += chunk.switched
         return state
 
-    def merge(self, state: FoldState, other: FoldState) -> FoldState:
-        """Combine two partial states (associative); returns ``state``."""
-        state.terms.merge_in(other.terms)
-        if state.weights is not None and other.weights is not None:
-            state.weights.merge_in(other.weights)
-        if state.ratio is not None and other.ratio is not None:
-            state.ratio.merge_in(other.ratio)
-        state.coverage_sum += other.coverage_sum
-        state.matched += other.matched
-        state.clipped += other.clipped
-        state.switched += other.switched
-        if state.term_chunks is not None and other.term_chunks is not None:
-            state.term_chunks.extend(other.term_chunks)
-        return state
-
     def collected_terms(self, state: FoldState) -> np.ndarray:
         """The per-row term vector, in log order (collect_terms mode)."""
         if state.term_chunks is None:
-            raise ValueError(
-                "reduction was not built with collect_terms=True"
-            )
+            raise ValueError("reduction does not collect its terms")
         if not state.term_chunks:
             return np.empty(0, dtype=float)
         return np.concatenate(state.term_chunks)
@@ -572,9 +519,8 @@ class ClippedIPSReduction(IPSReduction):
         context: ReductionContext,
         name: str,
         max_weight: float,
-        collect_terms: bool = False,
     ) -> None:
-        super().__init__(policy, context, name, collect_terms=collect_terms)
+        super().__init__(policy, context, name)
         self.max_weight = max_weight
 
     def _chunk_from_weights(
@@ -658,9 +604,8 @@ class DirectMethodReduction(EstimatorReduction):
         context: ReductionContext,
         name: str,
         model,
-        collect_terms: bool = False,
     ) -> None:
-        super().__init__(policy, context, name, collect_terms=collect_terms)
+        super().__init__(policy, context, name)
         self.model = model
 
     def _uses_weights(self) -> bool:
@@ -701,9 +646,8 @@ class DoublyRobustReduction(EstimatorReduction):
         context: ReductionContext,
         name: str,
         model,
-        collect_terms: bool = False,
     ) -> None:
-        super().__init__(policy, context, name, collect_terms=collect_terms)
+        super().__init__(policy, context, name)
         self.model = model
 
     def chunk_batch(self, columns: DatasetColumns) -> ChunkTerms:
@@ -748,9 +692,8 @@ class SwitchReduction(EstimatorReduction):
         name: str,
         model,
         tau: float,
-        collect_terms: bool = False,
     ) -> None:
-        super().__init__(policy, context, name, collect_terms=collect_terms)
+        super().__init__(policy, context, name)
         self.model = model
         self.tau = tau
 
@@ -796,7 +739,6 @@ class CompositeReduction(EstimatorReduction):
         self.name = name
         self.policy = members[0].policy
         self.context = members[0].context
-        self.collect_terms = False
 
     def init_state(self) -> list:  # type: ignore[override]
         return [member.init_state() for member in self.members]
@@ -805,12 +747,6 @@ class CompositeReduction(EstimatorReduction):
         return [
             member.fold(part, columns)
             for member, part in zip(self.members, state)
-        ]
-
-    def merge(self, state: list, other: list) -> list:  # type: ignore[override]
-        return [
-            member.merge(a, b)
-            for member, a, b in zip(self.members, state, other)
         ]
 
     def finalize(self, state: list, log: LogSummary) -> EstimatorResult:  # type: ignore[override]

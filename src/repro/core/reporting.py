@@ -160,27 +160,6 @@ def diagnostics_table(
     return renderer(headers, rows)
 
 
-def chunked_evaluation_table(evaluation, markdown: bool = False) -> str:
-    """Policy × estimator grid for a chunked out-of-core evaluation.
-
-    Renders a
-    :class:`~repro.core.engine.ChunkedEvaluation` — one row per policy,
-    one ``value ±stderr`` column per estimator, with an UNRELIABLE
-    ``!`` marker on estimates whose diagnostics tripped (the same
-    convention as the CLI table).
-    """
-    headers = ["policy"] + list(evaluation.estimator_names)
-    rows = []
-    for name, results in zip(evaluation.policy_names, evaluation.results):
-        cells = []
-        for result in results:
-            marker = "" if result.reliable else "!"
-            cells.append(f"{result.value:.4f} ±{result.std_error:.4f}{marker}")
-        rows.append([name] + cells)
-    renderer = markdown_table if markdown else text_table
-    return renderer(headers, rows)
-
-
 def quarantine_table(quarantine, markdown: bool = False) -> str:
     """Per-reason rejection/repair counts for a validation quarantine."""
     headers = ["reason", "rejected", "repaired"]

@@ -366,9 +366,9 @@ def exploration_shard_inputs(job, registry: StreamRegistry):
     the Fig. 5 pair), ``latency_noise`` (scale; 0 disables), and
     ``timeout``.  Latency noise rides the sharded
     ``loadbalance/harvest/latency-noise`` stream
-    (:func:`latency_noise_stream`) keyed by global row, so a worker
-    harvesting rows ``[k·S, (k+1)·S)`` derives exactly its own noise
-    shards — no up-front whole-run draw, bit-identical to serial.
+    (:func:`latency_noise_stream`) keyed by global row, so rows
+    ``[k·S, (k+1)·S)`` derive exactly their own noise shard — no
+    up-front whole-run draw, and any shard re-derives in isolation.
     """
     from repro.core.coordinator import HarvestInputs
     from repro.loadbalance.proxy import fig5_servers

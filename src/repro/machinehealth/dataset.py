@@ -283,7 +283,7 @@ def exploration_shard_inputs(job, registry):
     ``job.config`` keys: ``seed`` (fleet + failure draw), ``n_machines``.
     The inputs are deterministic in ``(rows, seed, n_machines)`` —
     exactly the :class:`~repro.core.coordinator.HarvestInputs`
-    determinism contract — so every worker rebuilds identical contexts
+    determinism contract — so every build yields identical contexts
     and reward profiles from the config alone.  They are read straight
     off the scenario's columns: the same contexts, profiles and
     timestamps :func:`build_full_feedback_dataset` logs, without a

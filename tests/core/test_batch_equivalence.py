@@ -356,19 +356,6 @@ class TestBatchPolicyContract:
             policy.probabilities_batch(columns)  # second call: silent
         engine.reset_backend_warnings()
 
-    def test_backend_switching(self):
-        # The knob switches how the fold runs, never what it computes.
-        dataset = make_uniform_dataset(120, seed=4)
-        policy = EpsilonGreedyPolicy(ConstantPolicy(2), 0.3)
-        whole = IPSEstimator().estimate(policy, dataset)
-        with engine.use_engine(chunk_size=16):
-            assert engine.get_chunk_size() == 16
-            chunked = IPSEstimator().estimate(policy, dataset)
-        assert engine.get_chunk_size() is None
-        assert chunked.value == pytest.approx(whole.value, abs=TOL)
-        with pytest.raises(ValueError):
-            with engine.use_engine(chunk_size=0):
-                pass  # pragma: no cover - never entered
 
 
 # -- hypothesis property test ------------------------------------------------

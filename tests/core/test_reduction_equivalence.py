@@ -1,14 +1,14 @@
 """Property-style equivalence suite for the reduction kernel.
 
-The contract of :mod:`repro.core.estimators.reductions`: the engine's
-chunk-size knob only changes how the same fold/merge/finalize kernel
-is driven, so
+The contract of :mod:`repro.core.estimators.reductions`: an in-memory
+estimate folds the whole log once, and the JSONL file driver folds the
+same reductions chunk by chunk as the log streams by, so
 
 - every estimator matches the per-row reference in ``tests/oracles.py``
-  at every chunk size (whole log, 1, a prime, N, N+1), including
-  diagnostics verdicts, and the whole-log knob is exactly one fold;
-- merging partial states is associative — any merge tree over any
-  partition finalizes to the same result;
+  in memory and streamed at every chunk size (1, a prime, N, N+1),
+  including diagnostics verdicts;
+- the accumulators are exact however the log is split into folds (the
+  q99 tail) or combined (Chan's moments);
 - the out-of-core JSONL driver matches the in-memory fold;
 - seeded bootstrap replicates are a pure function of the seed, and the
   explicit-rng stream still draws the historical replicates.
@@ -18,14 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.bootstrap import bootstrap_interval_from_terms
-from repro.core.columns import iter_column_slices
-from repro.core.engine import (
-    evaluate_jsonl_chunked,
-    get_chunk_size,
-    reset_backend_warnings,
-    use_engine,
-    warn_missing_batch,
-)
+from repro.core.engine import evaluate_jsonl_chunked
 from repro.core.estimators.direct import DirectMethodEstimator
 from repro.core.estimators.doubly_robust import DoublyRobustEstimator
 from repro.core.estimators.fallback import FallbackEstimator
@@ -34,12 +27,7 @@ from repro.core.estimators.ips import (
     IPSEstimator,
     SNIPSEstimator,
 )
-from repro.core.estimators.reductions import (
-    LogSummary,
-    Moments,
-    ReductionContext,
-    WeightStats,
-)
+from repro.core.estimators.reductions import Moments, WeightStats
 from repro.core.estimators.switch import SwitchEstimator
 from repro.core.policies import (
     ConstantPolicy,
@@ -52,8 +40,6 @@ from tests import oracles
 
 N = 223  # deliberately not a multiple of any chunk size below
 CHUNK_SIZES = (1, 7, N, N + 1)
-#: Every chunk-size knob setting, the whole-log default included.
-ENGINE_CHUNK_SIZES = (None,) + CHUNK_SIZES
 
 
 def make_skewed_dataset(n=N, seed=0, action_space=True):
@@ -123,53 +109,42 @@ def assert_results_match(got, ref, rel=1e-9):
             ), key
 
 
-def assert_bit_identical(got, ref, label):
-    __tracebackhide__ = True
-    # Bit-for-bit, not approx: the same float64 values folded through
-    # the same kernel in the same order.
-    assert got.value == ref.value or (
-        np.isnan(got.value) and np.isnan(ref.value)
-    ), label
-    assert got.std_error == ref.std_error or (
-        np.isnan(got.std_error) and np.isnan(ref.std_error)
-    ), label
-    assert got.n == ref.n
-    assert got.effective_n == ref.effective_n
+def save_jsonl(dataset, tmp_path, name="log.jsonl"):
+    path = str(tmp_path / name)
+    dataset.save_jsonl(path)
+    return path
 
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("with_space", [True, False],
                              ids=["action-space", "spaceless"])
-    def test_all_backends_agree_for_every_estimator(self, with_space):
+    def test_all_backends_agree_for_every_estimator(
+        self, with_space, tmp_path
+    ):
         dataset = make_skewed_dataset(action_space=with_space)
-        for policy in all_policies():
-            for estimator in all_estimators():
-                ref = oracles.estimate(estimator, policy, dataset)
-                for chunk_size in ENGINE_CHUNK_SIZES:
-                    with use_engine(chunk_size=chunk_size):
-                        serial = estimator.estimate(policy, dataset)
-                    # Chunk merging reassociates model-based gram sums;
-                    # a hair looser than the one whole-log fold.
-                    assert_results_match(
-                        serial, ref, rel=1e-9 if chunk_size is None else 1e-8
-                    )
-
-    def test_whole_log_knob_is_exactly_one_fold(self):
-        dataset = make_skewed_dataset()
-        policy = EpsilonGreedyPolicy(ConstantPolicy(2), 0.25)
-        log = LogSummary.from_columns(dataset.columns())
-        # The fallback ladder is a lazy walk over the other estimators.
-        for estimator in all_estimators()[:-1]:
-            reduction = estimator._reduction(
-                policy, dataset, ReductionContext.from_dataset(dataset)
+        path = save_jsonl(dataset, tmp_path)
+        policies = all_policies()
+        estimators = all_estimators()
+        refs = [
+            [oracles.estimate(estimator, policy, dataset)
+             for estimator in estimators]
+            for policy in policies
+        ]
+        for policy, row in zip(policies, refs):
+            for estimator, ref in zip(estimators, row):
+                assert_results_match(estimator.estimate(policy, dataset), ref)
+        for chunk_size in CHUNK_SIZES:
+            evaluation = evaluate_jsonl_chunked(
+                path, policies, estimators, chunk_size=chunk_size,
+                action_space=dataset.action_space,
             )
-            one_fold = reduction.finalize(
-                reduction.fold(reduction.init_state(), dataset.columns()),
-                log,
-            )
-            with use_engine(chunk_size=None):
-                got = estimator.estimate(policy, dataset)
-            assert_bit_identical(got, one_fold, estimator.name)
+            assert evaluation.n_chunks == -(-N // chunk_size)
+            for got_row, ref_row in zip(evaluation.results, refs):
+                for got, ref in zip(got_row, ref_row):
+                    # Chunked folds reassociate the moment and
+                    # model-based gram sums; a hair looser than the one
+                    # whole-log fold.
+                    assert_results_match(got, ref, rel=1e-8)
 
     def test_match_weights_identical_across_backends(self):
         dataset = make_skewed_dataset()
@@ -179,16 +154,20 @@ class TestBackendEquivalence:
         np.testing.assert_allclose(
             ref, oracles.match_weights(policy, dataset), rtol=1e-12
         )
-        with use_engine(chunk_size=7):
-            chunked = ips.match_weights(policy, dataset)
-        np.testing.assert_array_equal(ref, chunked)
+        # The IPS fold seeds the weight memo with its own weights.
+        folded = make_skewed_dataset()
+        ips.estimate(policy, folded)
+        np.testing.assert_array_equal(ref, ips.match_weights(policy, folded))
 
-    def test_fallback_audit_trail_matches_on_chunked(self):
+    def test_fallback_audit_trail_matches_on_chunked(self, tmp_path):
         dataset = make_skewed_dataset()
         policy = ConstantPolicy(2)
         ref = oracles.estimate(FallbackEstimator(), policy, dataset)
-        with use_engine(chunk_size=13):
-            chunked = FallbackEstimator().estimate(policy, dataset)
+        evaluation = evaluate_jsonl_chunked(
+            save_jsonl(dataset, tmp_path), [policy], [FallbackEstimator()],
+            chunk_size=13, action_space=dataset.action_space,
+        )
+        chunked = evaluation.results[0][0]
         assert chunked.estimator == ref.estimator
         assert chunked.details["degraded"] == ref.details["degraded"]
         assert [a["verdict"] for a in chunked.details["fallback"]] == [
@@ -197,34 +176,6 @@ class TestBackendEquivalence:
 
 
 class TestMergeAssociativity:
-    def _states(self, chunk_size):
-        dataset = make_skewed_dataset()
-        policy = EpsilonGreedyPolicy(ConstantPolicy(1), 0.2)
-        estimator = SNIPSEstimator()
-        context = ReductionContext.from_dataset(dataset)
-        reduction = estimator.reduction(policy, context)
-        states = [
-            reduction.fold(reduction.init_state(), chunk)
-            for chunk in iter_column_slices(dataset.columns(), chunk_size)
-        ]
-        log = LogSummary.from_columns(dataset.columns())
-        return reduction, states, log
-
-    def test_left_and_right_merge_trees_agree(self):
-        reduction, left_states, log = self._states(chunk_size=17)
-        _, right_states, _ = self._states(chunk_size=17)
-        left = left_states[0]
-        for state in left_states[1:]:
-            left = reduction.merge(left, state)
-        right = right_states[-1]
-        for state in reversed(right_states[:-1]):
-            right = reduction.merge(state, right)
-        a = reduction.finalize(left, log)
-        b = reduction.finalize(right, log)
-        assert a.value == pytest.approx(b.value, rel=1e-12)
-        assert a.std_error == pytest.approx(b.std_error, rel=1e-9)
-        assert a.diagnostics.verdict == b.diagnostics.verdict
-
     def test_moments_merge_matches_batch(self):
         rng = np.random.default_rng(4)
         values = rng.exponential(size=1000)
@@ -243,22 +194,13 @@ class TestMergeAssociativity:
         whole = WeightStats.for_rows(N)
         whole.fold(weights)
         for split in (3, 10, 50):
-            parts = np.array_split(weights, split)
-            merged = WeightStats.for_rows(N)
-            for part in parts:
-                partial = WeightStats.for_rows(N)
-                partial.fold(part)
-                merged.merge_in(partial)
-            assert merged.q99() == whole.q99()
-            assert merged.maximum == whole.maximum
-            assert merged.total == pytest.approx(whole.total, rel=1e-12)
-
-    def test_mismatched_tail_sizes_refuse_to_merge(self):
-        a = WeightStats.for_rows(100)
-        b = WeightStats.for_rows(5000)
-        b.fold(np.ones(10))
-        with pytest.raises(ValueError, match="different totals"):
-            a.merge_in(b)
+            folded = WeightStats.for_rows(N)
+            for part in np.array_split(weights, split):
+                folded.fold(part)
+            assert folded.q99() == whole.q99()
+            assert folded.maximum == whole.maximum
+            assert folded.n == whole.n
+            assert folded.total == pytest.approx(whole.total, rel=1e-12)
 
 
 class TestJsonlDriver:
@@ -298,6 +240,27 @@ class TestJsonlDriver:
         np.testing.assert_allclose(
             evaluation.terms[(policy.name, "ips")], expected, rtol=1e-12
         )
+
+    def test_collects_only_the_ips_terms(self, log_file):
+        # The bootstrap resamples IPS terms; no other vector is kept.
+        path, _ = log_file
+        policies = [UniformRandomPolicy(), ConstantPolicy(1)]
+        evaluation = evaluate_jsonl_chunked(
+            path, policies, all_estimators(), chunk_size=50,
+            collect_terms=True,
+        )
+        assert sorted(evaluation.terms) == sorted(
+            (policy.name, "ips") for policy in policies
+        )
+
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_bad_chunk_size_raises(self, log_file, chunk_size):
+        path, _ = log_file
+        with pytest.raises(ValueError, match="chunk_size must be positive"):
+            evaluate_jsonl_chunked(
+                path, [UniformRandomPolicy()], [IPSEstimator()],
+                chunk_size=chunk_size,
+            )
 
     def test_empty_log_raises(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -341,46 +304,6 @@ class TestBootstrapSharding:
         assert interval.low == pytest.approx(
             expected_low, rel=terms.size * np.finfo(float).eps, abs=0
         )
-
-
-class TestBackendScopeHygiene:
-    def test_use_engine_clears_warnings(self):
-        class NoBatchPolicy:
-            pass
-
-        reset_backend_warnings()
-        with use_engine():
-            with pytest.warns(RuntimeWarning):
-                warn_missing_batch(NoBatchPolicy)
-            # Second call inside the scope: memory suppresses it.
-            import warnings as _w
-
-            with _w.catch_warnings():
-                _w.simplefilter("error")
-                warn_missing_batch(NoBatchPolicy)
-        # The scope exit wiped the memory — the warning fires again
-        # instead of leaking suppression into unrelated code.
-        with pytest.warns(RuntimeWarning):
-            warn_missing_batch(NoBatchPolicy)
-        reset_backend_warnings()
-
-    def test_use_engine_scopes_the_chunk_size(self):
-        assert get_chunk_size() is None
-        with use_engine(chunk_size=17):
-            assert get_chunk_size() == 17
-            with use_engine():
-                assert get_chunk_size() is None
-            assert get_chunk_size() == 17
-        assert get_chunk_size() is None
-
-    @pytest.mark.parametrize("knobs", [
-        {"chunk_size": 0}, {"chunk_size": -5},
-    ])
-    def test_use_engine_rejects_bad_knobs(self, knobs):
-        with pytest.raises(ValueError):
-            with use_engine(**knobs):
-                pass  # pragma: no cover - never entered
-        assert get_chunk_size() is None
 
 
 class TestStreamingOnKernel:

@@ -12,7 +12,7 @@ import math
 import pytest
 
 from repro.core.bootstrap import BOOTSTRAP_SHARD, bootstrap_interval_from_terms
-from repro.core.engine import evaluate_jsonl_chunked, use_engine
+from repro.core.engine import evaluate_jsonl_chunked
 from repro.core.estimators.base import EstimatorResult
 from repro.core.estimators.fallback import select_down_ladder
 from repro.core.estimators.ips import IPSEstimator, SNIPSEstimator
@@ -23,11 +23,23 @@ from repro.obs.tracing import use_tracer
 from repro.obs.report import flatten_spans
 from tests.conftest import make_uniform_dataset
 
-#: Engine knob settings: whole-log fold, chunk slices.
-ENGINES = {
-    "whole": {},
-    "chunked": {"chunk_size": 64},
-}
+#: The two fold drivers: one whole-log fold in memory, and the
+#: streamed file driver folding 64-row chunks.
+ENGINES = ("whole", "chunked")
+
+
+def estimate_on(engine, estimator, policy, dataset, tmp_path):
+    """``estimator``'s estimate of ``policy`` on ``dataset`` by ``engine``."""
+    if engine == "whole":
+        return estimator.estimate(policy, dataset)
+    path = tmp_path / "log.jsonl"
+    if not path.exists():
+        dataset.save_jsonl(str(path))
+    evaluation = evaluate_jsonl_chunked(
+        str(path), [policy], [estimator], chunk_size=64,
+        action_space=dataset.action_space,
+    )
+    return evaluation.results[0][0]
 
 
 class TestObservationNeutrality:
@@ -35,14 +47,13 @@ class TestObservationNeutrality:
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("estimator_cls", [IPSEstimator, SNIPSEstimator])
-    def test_estimates_bit_identical(self, engine, estimator_cls):
+    def test_estimates_bit_identical(self, engine, estimator_cls, tmp_path):
         dataset = make_uniform_dataset(400, seed=5)
         policy = ConstantPolicy(1)
         estimator = estimator_cls()
-        with use_engine(**ENGINES[engine]):
-            plain = estimator.estimate(policy, dataset)
-            with use_tracer(), use_metrics():
-                traced = estimator.estimate(policy, dataset)
+        plain = estimate_on(engine, estimator, policy, dataset, tmp_path)
+        with use_tracer(), use_metrics():
+            traced = estimate_on(engine, estimator, policy, dataset, tmp_path)
         assert traced.value == plain.value  # bit-identical, not approx
         assert traced.std_error == plain.std_error
         assert traced.n == plain.n
@@ -198,13 +209,13 @@ class TestMetricMirroring:
             "fallback.attempts", estimator="ips-clipped", accepted="true"
         ) == 1.0
 
-    def test_verdicts_counted_identically_across_backends(self):
+    def test_verdicts_counted_identically_across_backends(self, tmp_path):
         dataset = make_uniform_dataset(200, seed=17)
         policy = ConstantPolicy(0)
         totals = {}
-        for engine, knobs in ENGINES.items():
-            with use_engine(**knobs), use_metrics() as metrics:
-                IPSEstimator().estimate(policy, dataset)
+        for engine in ENGINES:
+            with use_metrics() as metrics:
+                estimate_on(engine, IPSEstimator(), policy, dataset, tmp_path)
             totals[engine] = metrics.total("estimator.verdicts")
         assert totals == dict.fromkeys(ENGINES, 1.0)
 

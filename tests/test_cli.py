@@ -97,19 +97,6 @@ class TestEvaluateSubcommand:
         assert code_1 == code_2 == 0
         assert out_1 == out_2
 
-    def test_default_backend_restored_after_run(self, log_path, capsys):
-        from repro.core.engine import get_chunk_size
-
-        for extra in ([], ["--chunk-size", "64"]):
-            code, _ = self._run(
-                [log_path, "--workers", "2", "--bootstrap", "50",
-                 "--seed", "1"] + extra,
-                capsys,
-            )
-            assert code == 0
-            # The flags are scoped to the run; nothing leaks past it.
-            assert get_chunk_size() is None
-
     @pytest.mark.parametrize("flag, value", [
         ("--workers", "0"),
         ("--chunk-size", "0"),
@@ -686,6 +673,17 @@ class TestServeSubcommand:
         assert "serve.latency" in captured.err
         assert "serve.errors" in captured.err
         assert "health: OK" in captured.err
+
+    def test_trace_prints_top_spans(self, capsys):
+        # As evaluate --trace and harvest --trace do.
+        code = main(
+            ["serve", "machinehealth", "--port", "0", "--burst", "2000",
+             "--trace"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "trace (top spans by wall time):" in captured.err
+        assert "scenario.build" in captured.err
 
     def test_rejects_bad_swap_spec(self, capsys):
         code = main(

@@ -7,13 +7,12 @@ import pytest
 from benchmarks.perf.gate import check_regressions, main
 
 
-def artifact(single=2.9, klass=90.0, chunked=4.0,
+def artifact(single=2.9, klass=90.0,
              instr=1.0, harvest=(25.0, 60.0, 13.0), ledger=0.95,
              obs=0.95, serve=75_000.0, class_boot=3.0):
     return {
         "single_policy_ips": {"speedup": single},
         "class_search": {"speedup": klass},
-        "chunked": {"relative_throughput": chunked},
         "class_bootstrap": {"speedup": class_boot},
         "instrumentation": {"relative_throughput": instr},
         "harvest": {

@@ -165,14 +165,11 @@ def test_harvest_worker_merge_is_gone():
 def test_evaluation_folds_take_no_workers():
     import inspect
 
-    from repro.core.engine import (
-        evaluate_jsonl_chunked,
-        fold_dataset_chunked,
-        use_engine,
-    )
+    from repro.core.engine import evaluate_jsonl_chunked
 
-    for fn in (use_engine, evaluate_jsonl_chunked, fold_dataset_chunked):
-        assert "workers" not in inspect.signature(fn).parameters, fn
+    assert "workers" not in inspect.signature(
+        evaluate_jsonl_chunked
+    ).parameters
 
 
 def test_bootstrap_takes_no_workers():
