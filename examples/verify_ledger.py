@@ -63,7 +63,8 @@ def main() -> None:
     )
     columns = harvest(contexts, stream, ledger)
     dataset = columns.to_dataset()
-    ledger.annotate(dataset)
+    sealed = ledger.seal()  # the ledger hands its rows over, keeps its head
+    sealed.annotate(dataset)
     dataset.save_jsonl(str(log_path))
     head = ledger.head
     print(f"harvested {columns.n} rows -> {log_path}")
@@ -100,7 +101,7 @@ def main() -> None:
     )
 
     # -- 5. fork equivalence: rebuild the middle shard in isolation -------
-    full_entries = ledger.entries()
+    full_entries = sealed.entries()
     shard_stream = StreamRegistry(MASTER_SEED).stream(
         "example", "harvest", "decisions",
         shard_size=SHARD, start_ordinal=SHARD,
@@ -117,7 +118,7 @@ def main() -> None:
     )
     identical = (
         np.array_equal(shard.actions, columns.actions[SHARD: 2 * SHARD])
-        and shard_ledger.entries() == full_entries[SHARD: 2 * SHARD]
+        and shard_ledger.seal().entries() == full_entries[SHARD: 2 * SHARD]
     )
     print(
         "middle shard re-derived in isolation: "

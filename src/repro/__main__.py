@@ -632,10 +632,11 @@ def _run_harvest(args: argparse.Namespace):
         print(f"error: {error}", file=sys.stderr)
         return 1, 0, None, None
     ledger = result if args.ledger else None
+    table = None if result.ledger is None else result.ledger.contexts
     try:
-        # The columns and sealed chain go straight to the log codec:
+        # The columns and sealed rows go straight to the log codec:
         # no per-row Interaction or record dict is built.
-        Dataset.from_columns(result.columns, ledger=result.ledger).save_jsonl(
+        Dataset.from_columns(result.columns, result.sealed, table).save_jsonl(
             args.out
         )
     except OSError as error:

@@ -28,10 +28,10 @@ Hot-path cost discipline: hashing a record costs ~1 µs, which is the
 *entire* per-row budget of the batched harvest engine.
 :meth:`DecisionLedger.extend_batch` therefore only keeps references to
 the batch arrays (O(1) per batch) and the chain is **sealed lazily** —
-computed when the entries, the head, or the annotated dataset are
-first needed, i.e. at serialization time, before the log ever leaves
-the process.  The at-rest artifact is always covered; the sampling
-loop pays nothing.
+computed when the head is read or the rows are handed over to the
+writer that stores them (:meth:`DecisionLedger.seal`), i.e. at
+serialization time, before the log ever leaves the process.  The
+at-rest artifact is always covered; the sampling loop pays nothing.
 """
 
 from __future__ import annotations
@@ -150,10 +150,11 @@ class SealedRows:
     """Sealed chain columns of consecutive ordinals, as the log stores them.
 
     Row ``i`` is ordinal ``start + i``; its predecessor hash is ``prev``
-    for the first row and ``hashes[i - 1]`` after it.  This is how a
-    :class:`DecisionLedger` keeps its sealed chain (no per-row
-    :class:`LedgerEntry`), and what the log writers of
-    :mod:`repro.core.codec` stamp into ``metadata.ledger``.
+    for the first row and ``hashes[i - 1]`` after it.  This is what
+    :meth:`DecisionLedger.seal` hands over (no per-row
+    :class:`LedgerEntry`), what the log writers of
+    :mod:`repro.core.codec` stamp into ``metadata.ledger``, and what
+    :meth:`annotate` stamps into interactions.
     """
 
     stream: str
@@ -183,6 +184,17 @@ class SealedRows:
         """Every row as a :class:`LedgerEntry`, in ordinal order."""
         return [self.entry(row) for row in range(len(self))]
 
+    def annotate(self, interactions: Iterable) -> None:
+        """Stamp row ``i``'s entry into ``interactions[i]``'s
+        ``metadata["ledger"]`` (one interaction per row, in order)."""
+        interactions = list(interactions)
+        if len(interactions) != len(self):
+            raise ValueError(
+                f"{len(self)} sealed rows for {len(interactions)} interactions"
+            )
+        for row, interaction in enumerate(interactions):
+            interaction.metadata["ledger"] = self.entry(row).to_metadata()
+
 
 def _int_list(values) -> list:
     return np.asarray(values).astype(np.int64, copy=False).tolist()
@@ -205,21 +217,19 @@ class DecisionLedger:
     offsets the entry ordinals for the same shard-rebuild case, so an
     isolated rebuild reproduces the full log's records bit-identically.
 
-    Two append paths share one chain:
-
-    - :meth:`append` — seal one decision immediately (per-row /
-      online use);
-    - :meth:`extend_batch` — O(1) per batch: stash references to the
-      batch's contexts (or context ids), actions and propensities and
-      defer hashing until the chain is observed (:attr:`head`,
-      :meth:`sealed`, :meth:`entries`, :meth:`annotate`).  This is what
-      the batched harvest engine and the decision service call, keeping
-      ledger overhead off the sampling hot path.
+    :meth:`extend_batch` is O(1) per batch: it stashes references to
+    the batch's contexts (or context ids), actions and propensities and
+    defers hashing until the chain is observed (:attr:`head`,
+    :meth:`seal`, :meth:`annotate`).  This is what the batched harvest
+    engine and the decision service call, keeping ledger overhead off
+    the sampling hot path.
 
     Sealing digests every row's context through the ledger's
     :class:`~repro.core.codec.ContextTable` (:attr:`contexts`) by its
-    id, so each distinct context is digested once, and keeps the chain
-    as columns (:class:`SealedRows`).
+    id, so each distinct context is digested once.  :meth:`seal` hands
+    every row sealed since the previous ``seal`` to its caller (the
+    writer that stores it), after which the ledger keeps only its head,
+    its count, its context table and the rows queued since.
     """
 
     def __init__(
@@ -238,13 +248,16 @@ class DecisionLedger:
         self.start_ordinal = int(start_ordinal)
         self.shard_size = shard_size
         self.master_fingerprint = master_fingerprint
-        self._head = self.genesis
+        self._head = self._prev = self.genesis
+        # The rows chained since the previous seal(): the first one's
+        # ordinal (its predecessor hash is _prev), one column per field.
+        self._start = self.start_ordinal
         self._shas: list[str] = []
         self._actions: list[int] = []
         self._propensities: list[float] = []
         self._hashes: list[str] = []
-        self._pending: list[tuple] = []
-        self._pending_rows = 0
+        self._queue: list[tuple] = []
+        self._queued = 0
         self._contexts = None
 
     @property
@@ -259,11 +272,6 @@ class DecisionLedger:
         return self._contexts
 
     # -- appending -----------------------------------------------------------
-
-    def append(self, context: Mapping, action: int, propensity: float) -> LedgerEntry:
-        """Seal one decision onto the chain and return its entry."""
-        self.extend_batch([context], [int(action)], [float(propensity)])
-        return self.sealed(len(self) - 1).entry(0)
 
     def extend_batch(
         self,
@@ -291,8 +299,8 @@ class DecisionLedger:
                 f"actions, {len(propensities)} propensities"
             )
         if n:
-            self._pending.append((contexts, context_ids, actions, propensities))
-            self._pending_rows += n
+            self._queue.append((contexts, context_ids, actions, propensities))
+            self._queued += n
 
     def extend_digests(
         self,
@@ -329,7 +337,7 @@ class DecisionLedger:
         Each hash is :func:`entry_hash` of the row, inlined.
         """
         stream = self.stream
-        ordinal = self.start_ordinal + len(self._hashes)
+        ordinal = self._start + len(self._hashes)
         head = self._head
         hashes = self._hashes
         for sha, action, propensity in zip(shas, actions, propensities):
@@ -345,15 +353,16 @@ class DecisionLedger:
         self._head = head
 
     def _drain(self) -> None:
-        if not self._pending:
+        """Chain every queued batch onto the head."""
+        if not self._queue:
             return
-        pending, self._pending = self._pending, []
-        self._pending_rows = 0
+        queue, self._queue = self._queue, []
+        self._queued = 0
         table = self.contexts
         hits = table.hits
         rows = 0
         with get_tracer().span("ledger.seal") as span:
-            for contexts, ids, actions, propensities in pending:
+            for contexts, ids, actions, propensities in queue:
                 self._chain(
                     table.digests(contexts, ids),
                     _int_list(actions),
@@ -365,55 +374,49 @@ class DecisionLedger:
                 memo_hits=table.hits - hits,
             )
 
+    def seal(self, n: Optional[int] = None) -> SealedRows:
+        """Chain the queued decisions and hand over every row sealed
+        since the previous ``seal``, keeping none of them.
+
+        With ``n``, a count other than :attr:`pending` raises
+        ``ValueError`` and seals nothing.
+        """
+        if n is not None and n != self.pending:
+            raise ValueError(f"{n} rows for {self.pending} unsealed ledger rows")
+        self._drain()
+        rows = SealedRows(
+            self.stream, self._start, self._prev, self._shas,
+            self._actions, self._propensities, self._hashes,
+        )
+        self._start += len(rows)
+        self._prev = self._head
+        self._shas, self._actions = [], []
+        self._propensities, self._hashes = [], []
+        return rows
+
     # -- observation ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._hashes) + self._pending_rows
+        return self._start - self.start_ordinal + self.pending
 
     @property
-    def n(self) -> int:
-        """Decisions recorded so far (sealed + pending)."""
-        return len(self)
+    def pending(self) -> int:
+        """Decisions the next :meth:`seal` hands over."""
+        return len(self._hashes) + self._queued
 
     @property
     def head(self) -> str:
-        """The chain head — seals any pending batches first."""
+        """The chain head — seals any queued batches first."""
         self._drain()
         return self._head
 
-    def sealed(self, start: int = 0) -> SealedRows:
-        """The sealed chain from row ``start`` on (seals pending batches)."""
-        self._drain()
-        return SealedRows(
-            stream=self.stream,
-            start=self.start_ordinal + start,
-            prev=self._hashes[start - 1] if start else self.genesis,
-            context_shas=self._shas[start:],
-            actions=self._actions[start:],
-            propensities=self._propensities[start:],
-            hashes=self._hashes[start:],
-        )
-
-    def entries(self) -> list[LedgerEntry]:
-        """All sealed entries, in ordinal order (seals pending batches)."""
-        return self.sealed().entries()
-
     def annotate(self, interactions: Iterable) -> None:
-        """Attach each entry to the matching interaction's metadata.
-
-        ``interactions`` must align one-to-one with the ledger (same
-        count, same order) — exactly what a harvest that fed both
-        produces.  Mutates ``interaction.metadata["ledger"]`` in place.
-        """
-        entries = self.entries()
+        """Seal, and stamp the rows :meth:`seal` hands over into the
+        matching ``interactions`` (one per row, in order — what a
+        harvest that fed both produces; a count mismatch seals
+        nothing)."""
         interactions = list(interactions)
-        if len(interactions) != len(entries):
-            raise ValueError(
-                f"ledger has {len(entries)} entries for "
-                f"{len(interactions)} interactions"
-            )
-        for interaction, entry in zip(interactions, entries):
-            interaction.metadata["ledger"] = entry.to_metadata()
+        self.seal(len(interactions)).annotate(interactions)
 
     def manifest_entry(self) -> dict:
         """Manifest section proving this ledger's provenance."""
@@ -441,12 +444,14 @@ class StreamingLedgerWriter:
     time.  A *long-running* producer (the online decision service of
     :mod:`repro.serve`) instead flushes periodically: each
     :meth:`flush` seals exactly the decisions recorded since the last
-    flush and appends them to ``path`` through the log codec
-    (:func:`repro.core.codec.write_columns`), in the exact byte format
-    of :meth:`repro.core.types.Dataset.save_jsonl` — so the at-rest log
-    is always a verifiable chain prefix, and
+    flush (:meth:`DecisionLedger.seal`) and appends them to ``path``
+    through the log codec (:func:`repro.core.codec.write_columns`), in
+    the exact byte format of :meth:`repro.core.types.Dataset.save_jsonl`
+    — so the at-rest log is always a verifiable chain prefix, and
     ``Dataset.load_jsonl(path, verify_ledger="require")`` ingests it
-    unchanged at any point in the service's lifetime.  Rows name their
+    unchanged at any point in the service's lifetime.  The ledger
+    keeps no written row, so memory does not grow with the log.  Rows
+    name their
     contexts by id, as the ledger sealed them, and the writer encodes
     through the ledger's context table, so each distinct context the
     table keeps is encoded once over the writer's lifetime.
@@ -461,12 +466,6 @@ class StreamingLedgerWriter:
         self.ledger = ledger
         self.path = str(path)
         self._file = open(self.path, "a", encoding="utf-8")
-        self._written = 0
-
-    @property
-    def written(self) -> int:
-        """Records persisted to :attr:`path` so far."""
-        return self._written
 
     @property
     def size(self) -> int:
@@ -486,26 +485,20 @@ class StreamingLedgerWriter:
 
         Row ``i``'s context is ``contexts[context_ids[i]]``, with the
         distinct ``contexts`` the ledger's batches were extended with.
-        Returns the block's :class:`SealedRows`.  Raises ``ValueError``
-        if the row count does not match the unsealed tail of the
-        ledger, which would mean the caller's buffer and the ledger
-        have diverged — better to fail loudly than to persist a
-        misaligned chain.
+        Returns the block's :class:`SealedRows`.  Raises ``ValueError``,
+        sealing nothing, if the row count does not match the ledger's
+        :attr:`~DecisionLedger.pending` rows, which would mean the
+        caller's buffer and the ledger have diverged — better to fail
+        loudly than to persist a misaligned chain.
         """
         from repro.core.codec import write_columns
 
-        fresh = self.ledger.sealed(self._written)
-        if len(context_ids) != len(fresh):
-            raise ValueError(
-                f"flush got {len(context_ids)} records for {len(fresh)} "
-                "unwritten ledger entries"
-            )
+        fresh = self.ledger.seal(len(context_ids))
         write_columns(
             self._file, self.ledger.contexts, contexts, context_ids,
             actions, rewards, propensities, timestamps, fresh,
         )
         self._file.flush()
-        self._written += len(fresh)
         return fresh
 
     def close(self) -> None:
@@ -520,10 +513,7 @@ class StreamingLedgerWriter:
         self.close()
 
     def __repr__(self) -> str:
-        return (
-            f"StreamingLedgerWriter(path={self.path!r}, "
-            f"written={self._written})"
-        )
+        return f"StreamingLedgerWriter(path={self.path!r}, {self.ledger!r})"
 
 
 def rechain(

@@ -12,9 +12,9 @@ for audit, not for execution:
   ``shard_size`` rows (:class:`~repro.audit.shards.ShardPlan` and the
   stream share that grid), so any shard of the log re-derives in
   isolation from ``(master seed, stream key, start ordinal)``.
-- **Shard map.**  A sealed run reads each shard's boundary hashes
-  (``prev`` and ``head``) off the sealed chain at the plan's
-  boundaries.  :meth:`ShardedHarvest.manifest_entry` records them next
+- **Shard map.**  A sealed run seals once and reads each shard's
+  boundary hashes (``prev`` and ``head``) off the sealed rows at the
+  plan's boundaries.  :meth:`ShardedHarvest.manifest_entry` records them next
   to the chain head, which is what ``repro verify-ledger --manifest``
   uses to verify each shard in isolation later.
 - **Sealing is optional.**  An unsealed job (``HarvestJob(sealed=
@@ -233,7 +233,8 @@ def synthetic_shard_inputs(
 class ShardedHarvest:
     """The result of one coordinated harvest: columns + sealed chain.
 
-    ``ledger`` is ``None`` (and ``shard_map`` empty) for an unsealed
+    ``sealed`` holds the rows the ledger handed over; ``ledger`` and
+    ``sealed`` are ``None`` (and ``shard_map`` empty) for an unsealed
     job; the chain accessors below are for sealed harvests only.
     """
 
@@ -242,6 +243,7 @@ class ShardedHarvest:
     registry: StreamRegistry
     plan: ShardPlan
     shard_map: list
+    sealed: Optional[SealedRows] = None
 
     @property
     def retries(self) -> int:
@@ -260,11 +262,7 @@ class ShardedHarvest:
 
     def annotate(self, dataset) -> None:
         """Embed the ledger metadata into ``dataset`` rows."""
-        self.ledger.annotate(dataset)
-
-    def entries(self):
-        """The ledger's sealed entries, in ordinal order."""
-        return self.ledger.entries()
+        self.sealed.annotate(dataset)
 
     def manifest_entry(self) -> dict:
         """Ledger manifest section, extended with the shard map.
@@ -345,9 +343,10 @@ class HarvestCoordinator:
                 context_ids=inputs.context_ids,
             )
             span.set(rows=inputs.n)
-            shard_map: list = []
+            sealed, shard_map = None, []
             if ledger is not None:
-                shard_map = _shard_map(plan, ledger.sealed())
+                sealed = ledger.seal()
+                shard_map = _shard_map(plan, sealed)
                 span.set(head=ledger.head)
         return ShardedHarvest(
             columns=columns,
@@ -355,4 +354,5 @@ class HarvestCoordinator:
             registry=registry,
             plan=plan,
             shard_map=shard_map,
+            sealed=sealed,
         )

@@ -205,29 +205,31 @@ class Dataset:
         self._version = 0
         self._columns_cache = None
         self._columns_version = -1
-        # The ledger whose chain a columns-backed view stamps into each
-        # row's metadata (see :meth:`from_columns`).
-        self._ledger = None
+        # The sealed rows and context table of a columns-backed view
+        # (see :meth:`from_columns`).
+        self._sealed = self._table = None
 
     @classmethod
-    def from_columns(cls, columns, ledger=None) -> "Dataset":
+    def from_columns(cls, columns, sealed=None, table=None) -> "Dataset":
         """A dataset backed by a columnar view, holding no per-row objects.
 
         ``columns`` (a :class:`~repro.core.columns.DatasetColumns`) is
-        the dataset's :meth:`columns`; ``ledger`` (a
-        :class:`~repro.audit.ledger.DecisionLedger` aligned with the
-        rows) holds the chain each row's ``metadata["ledger"]`` carries.
+        the dataset's :meth:`columns`; ``sealed`` (the
+        :class:`~repro.audit.ledger.SealedRows` a ledger handed over)
+        holds the chain each row's ``metadata["ledger"]`` carries, and
+        ``table`` is that ledger's memo of distinct contexts.
         :meth:`save_jsonl` writes straight from both, encoding contexts
-        through the ledger's memo of distinct contexts, and the first
-        per-row access (iteration, indexing, mutation) materializes
-        :class:`Interaction` objects — with ledger metadata when
-        ``ledger`` is given, and no ``full_rewards``.
+        through ``table``, and the first per-row access (iteration,
+        indexing, mutation) materializes :class:`Interaction` objects —
+        with ledger metadata when ``sealed`` is given, and no
+        ``full_rewards``.
         """
         dataset = cls(None, columns.action_space, columns.reward_range)
         dataset._rows = None
         dataset._columns_cache = columns
         dataset._columns_version = dataset._version
-        dataset._ledger = ledger
+        dataset._sealed = sealed
+        dataset._table = table
         return dataset
 
     @property
@@ -235,9 +237,8 @@ class Dataset:
         """The per-row list, materialized from the columns on first use."""
         if self._rows is None:
             rows = self._columns_cache.to_dataset()._interactions
-            if self._ledger is not None:
-                for interaction, entry in zip(rows, self._ledger.entries()):
-                    interaction.metadata["ledger"] = entry.to_metadata()
+            if self._sealed is not None:
+                self._sealed.annotate(rows)
             self._rows = rows
         return self._rows
 
@@ -378,22 +379,21 @@ class Dataset:
         byte, written through the log codec (:mod:`repro.core.codec`),
         which encodes each distinct context once.  A columns-backed
         dataset (:meth:`from_columns`) writes straight from its columns
-        and ledger, building no per-row object: its rows' contexts are
-        named by the columns' context ids, and the ledger's context
-        table encodes them, beside the digests sealing already kept.
+        and sealed rows, building no per-row object: its rows' contexts
+        are named by the columns' context ids, and its context table
+        encodes them, beside the digests sealing already kept.
         """
         from repro.core import codec
 
         with open(path, "w", encoding="utf-8") as f:
             if self._rows is None:
-                columns, ledger = self._columns_cache, self._ledger
+                columns = self._columns_cache
                 codec.write_columns(
                     f,
-                    codec.ContextTable() if ledger is None else ledger.contexts,
+                    codec.ContextTable() if self._table is None else self._table,
                     columns.distinct_contexts, columns.context_ids,
                     columns.actions, columns.rewards,
-                    columns.propensities, columns.timestamps,
-                    None if ledger is None else ledger.sealed(),
+                    columns.propensities, columns.timestamps, self._sealed,
                 )
             else:
                 codec.write_interactions(f, self._rows)

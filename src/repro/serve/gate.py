@@ -12,7 +12,7 @@ decision log says it is better, and says so *reliably*:
    memory, so gating never competes with serving for RAM);
 2. the candidate's reliability diagnostics
    (:mod:`repro.core.diagnostics`) must not be UNRELIABLE (WARN is
-   accepted by default — tighten with ``require_ok``);
+   accepted: WARN means "look", UNRELIABLE means "do not act");
 3. the candidate's DR estimate must beat the incumbent's by at least
    ``margin``.
 
@@ -48,14 +48,11 @@ class GateConfig:
     """Knobs of the promotion gate.
 
     ``min_rows`` guards against promoting off a sliver of log;
-    ``margin`` is the minimum DR improvement over the incumbent;
-    ``require_ok`` rejects WARN verdicts too (default accepts them —
-    WARN means "look", UNRELIABLE means "do not act").
+    ``margin`` is the minimum DR improvement over the incumbent.
     """
 
     min_rows: int = 256
     margin: float = 0.0
-    require_ok: bool = False
 
 
 @dataclass(frozen=True)
@@ -154,8 +151,6 @@ def evaluate_candidate(
     if verdict == VERDICT_UNRELIABLE:
         diag_reasons = "; ".join(cand_result.diagnostics.reasons)
         reasons.append(f"diagnostics UNRELIABLE: {diag_reasons}")
-    elif config.require_ok and verdict != "OK":
-        reasons.append(f"diagnostics {verdict} (gate requires OK)")
     if cand_result.value < inc_result.value + config.margin:
         reasons.append(
             f"candidate DR {cand_result.value:.4f} does not beat "

@@ -31,6 +31,7 @@ attribute assignment (see ``docs/adr-0003-online-serving.md``).
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -155,11 +156,13 @@ class DecisionService:
     One instance serves one scenario from one master seed.  The
     context *pool* (``pool_rows`` scenario-built contexts) is cycled
     by ledger ordinal — decision ``t`` serves pool row ``t mod n`` —
-    so the service runs indefinitely with bounded memory while every
-    decision stays re-derivable from ``(master_seed, stream key,
-    ordinal)``.  All mutating entry points run on one thread (the
-    asyncio loop in production, the test body in tests); nothing here
-    locks.
+    while every decision stays re-derivable from ``(master_seed,
+    stream key, ordinal)``.  A logged service (a new or empty
+    ``log_path``) keeps only unflushed decisions and the chain head,
+    so it runs indefinitely with bounded memory; an unlogged one keeps
+    every decision in its ledger.  All mutating entry points run on
+    one thread (the asyncio loop in production, the test body in
+    tests); nothing here locks.
     """
 
     def __init__(
@@ -174,6 +177,11 @@ class DecisionService:
         log_path: Optional[str] = None,
         config: Optional[dict] = None,
     ) -> None:
+        if log_path and os.path.isfile(log_path) and os.path.getsize(log_path):
+            raise ValueError(
+                f"{log_path} is not empty: resuming a decision log is not "
+                "supported yet (write to a new file)"
+            )
         self.scenario = scenario
         self.seed = int(seed)
         self.shard_size = int(shard_size)
@@ -337,7 +345,7 @@ class DecisionService:
         )
         return {
             "written": len(actions),
-            "total": self._writer.written,
+            "total": len(self.ledger),
             "head": self.ledger.head,
         }
 

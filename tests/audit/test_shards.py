@@ -23,7 +23,7 @@ def serial_ledger(n, stream=STREAM):
     propensities = [0.05 + 0.09 * (i % 10) for i in range(n)]
     ledger = DecisionLedger(stream, shard_size=S)
     for context, action, propensity in zip(contexts, actions, propensities):
-        ledger.append(context, action, propensity)
+        ledger.extend_batch([context], [action], [propensity])
     return ledger, contexts, actions, propensities
 
 
@@ -50,7 +50,7 @@ def chained_head(shas, actions, propensities, start_ordinal=0):
 
 
 def records_of(ledger, contexts):
-    entries = ledger.entries()
+    entries = ledger.seal().entries()
     return [
         (
             i + 1,
@@ -134,10 +134,10 @@ class TestSplicePayloads:
         payloads = shard_payloads(plan, contexts, actions, propensities)
         spliced, shard_map = splice_payloads(STREAM, payloads, shard_size=S)
         assert spliced.head == ledger.head
-        assert spliced.entries() == ledger.entries()
+        entries = ledger.seal().entries()
+        assert spliced.seal().entries() == entries
         assert [m["n"] for m in shard_map] == [16, 16, 8]
         # The shard map records the true boundary hashes of the chain.
-        entries = ledger.entries()
         assert shard_map[0]["prev"] == GENESIS
         assert shard_map[1]["prev"] == entries[S - 1].hash
         assert shard_map[-1]["head"] == ledger.head

@@ -26,7 +26,7 @@ def ledgered_log(tmp_path, n=200, name="clean.jsonl"):
         context = {"load": float(i % 17) / 17.0, "burst": float(i % 5)}
         action = int(rng.integers(3))
         propensity = 1.0 / 3.0
-        ledger.append(context, action, propensity)
+        ledger.extend_batch([context], [action], [propensity])
         interactions.append(
             Interaction(context=context, action=action, reward=0.5,
                         propensity=propensity, timestamp=float(i))

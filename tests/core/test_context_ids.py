@@ -81,7 +81,8 @@ def test_harvest_log_equals_the_value_reference(
     )
     result = HarvestCoordinator(job).run()
     path = tmp_path / "log.jsonl"
-    Dataset.from_columns(result.columns, ledger=result.ledger).save_jsonl(
+    table = result.ledger.contexts if sealed else None
+    Dataset.from_columns(result.columns, result.sealed, table).save_jsonl(
         str(path)
     )
     inputs = build_inputs(job, StreamRegistry(job.master_seed))
@@ -202,7 +203,7 @@ class TestRowByRowDataset:
             ledger.stream, contexts, [row.action for row in rows],
             [row.propensity for row in rows],
         )
-        assert [e.context_sha for e in ledger.entries()] == shas
+        assert [row.metadata["ledger"]["context_sha"] for row in rows] == shas
         assert ledger.head == hashes[-1]
         assert shas == [context_digest(c) for c in contexts]
         path = tmp_path / "rechained.jsonl"

@@ -69,7 +69,7 @@ def assert_matches_serial(result, reference_columns, reference_ledger):
         result.columns.propensities, reference_columns.propensities
     )
     assert result.head == reference_ledger.head
-    assert result.ledger.entries() == reference_ledger.entries()
+    assert result.sealed.entries() == reference_ledger.seal().entries()
 
 
 class TestJob:
@@ -236,7 +236,8 @@ class TestManifestEntry:
         job = synthetic_job(rows=40, shard_size=40)
         result = HarvestCoordinator(job).run()
         assert result.stream == "synthetic/harvest/decisions"
-        assert len(result.entries()) == 40
+        assert len(result.sealed) == 40
+        assert result.ledger.pending == 0  # the result holds the rows
 
 
 class TestCoordinatorValidation:

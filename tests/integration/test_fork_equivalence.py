@@ -10,7 +10,7 @@ three scenarios.
 
 import numpy as np
 
-from repro.audit.ledger import DecisionLedger
+from repro.audit.ledger import GENESIS, DecisionLedger
 from repro.audit.streams import StreamKey, StreamRegistry
 from repro.cache import random_eviction_policy
 from repro.core.coordinator import HarvestJob, build_inputs
@@ -36,10 +36,9 @@ def streams_for(scenario, shard_size=S, start_ordinal=0):
     return stream, StreamKey(scenario, "harvest", "decisions")
 
 
-def shard_ledger_from(full_ledger, key, start, shard_size=S):
+def shard_ledger_from(full_entries, key, start, shard_size=S):
     """A ledger anchored exactly where the full log's shard begins."""
-    entries = full_ledger.entries()
-    genesis = entries[start - 1].hash if start else full_ledger.genesis
+    genesis = full_entries[start - 1].hash if start else GENESIS
     return DecisionLedger(
         key, shard_size=shard_size, genesis=genesis, start_ordinal=start
     )
@@ -76,9 +75,9 @@ def assert_shard_matches(full, shard, start, stop):
     assert (shard.rewards == full.rewards[start:stop]).all()
 
 
-def assert_ledger_shard_matches(full_ledger, shard_ledger, start, stop):
-    assert shard_ledger.entries() == full_ledger.entries()[start:stop]
-    assert shard_ledger.head == full_ledger.entries()[stop - 1].hash
+def assert_ledger_shard_matches(full_entries, shard_ledger, start, stop):
+    assert shard_ledger.seal().entries() == full_entries[start:stop]
+    assert shard_ledger.head == full_entries[stop - 1].hash
 
 
 class TestGenericEngine:
@@ -99,7 +98,8 @@ class TestGenericEngine:
             eligible=(0, 1, 2), batch_size=50, ledger=full_ledger,
         )
         shard_stream, _ = streams_for("generic", start_ordinal=S)
-        shard_ledger = shard_ledger_from(full_ledger, key, S)
+        full_entries = full_ledger.seal().entries()
+        shard_ledger = shard_ledger_from(full_entries, key, S)
         # The auditor sees only the shard's input rows — but the reward
         # function must still address them by their global indices.
         shard = harvest_columns(
@@ -109,7 +109,7 @@ class TestGenericEngine:
             eligible=(0, 1, 2), batch_size=50, ledger=shard_ledger,
         )
         assert_shard_matches(full, shard, S, 2 * S)
-        assert_ledger_shard_matches(full_ledger, shard_ledger, S, 2 * S)
+        assert_ledger_shard_matches(full_entries, shard_ledger, S, 2 * S)
 
     def test_rebuild_is_batch_size_independent(self):
         contexts = self.contexts(3 * S)
@@ -156,13 +156,14 @@ class TestMachineHealthForkEquivalence:
             full_data.full, stream, batch_size=41, ledger=full_ledger
         )
         shard_stream, _ = streams_for("machinehealth", start_ordinal=S)
-        shard_ledger = shard_ledger_from(full_ledger, key, S)
+        full_entries = full_ledger.seal().entries()
+        shard_ledger = shard_ledger_from(full_entries, key, S)
         shard = simulate_exploration_columns(
             full_data.full[S: 2 * S], shard_stream,
             batch_size=41, ledger=shard_ledger,
         )
         assert_shard_matches(full, shard, S, 2 * S)
-        assert_ledger_shard_matches(full_ledger, shard_ledger, S, 2 * S)
+        assert_ledger_shard_matches(full_entries, shard_ledger, S, 2 * S)
 
 
 class TestLoadBalanceForkEquivalence:
@@ -181,13 +182,14 @@ class TestLoadBalanceForkEquivalence:
             batch_size=50, ledger=full_ledger,
         )
         shard_stream, _ = streams_for("loadbalance", start_ordinal=S)
-        shard_ledger = shard_ledger_from(full_ledger, key, S)
+        full_entries = full_ledger.seal().entries()
+        shard_ledger = shard_ledger_from(full_entries, key, S)
         shard = harvest_inputs(
             inputs, self.policy, shard_stream, S, 2 * S,
             batch_size=50, ledger=shard_ledger,
         )
         assert_shard_matches(full, shard, S, 2 * S)
-        assert_ledger_shard_matches(full_ledger, shard_ledger, S, 2 * S)
+        assert_ledger_shard_matches(full_entries, shard_ledger, S, 2 * S)
 
     def test_middle_shard_with_latency_noise(self):
         # Latency noise rides a ShardedNormal stream addressed by global
@@ -208,13 +210,14 @@ class TestLoadBalanceForkEquivalence:
             "loadbalance", 3 * S, self.policy, config
         )
         shard_stream, _ = streams_for("loadbalance", start_ordinal=S)
-        shard_ledger = shard_ledger_from(full_ledger, key, S)
+        full_entries = full_ledger.seal().entries()
+        shard_ledger = shard_ledger_from(full_entries, key, S)
         shard = harvest_inputs(
             shard_inputs, self.policy, shard_stream, S, 2 * S,
             batch_size=50, ledger=shard_ledger,
         )
         assert_shard_matches(full, shard, S, 2 * S)
-        assert_ledger_shard_matches(full_ledger, shard_ledger, S, 2 * S)
+        assert_ledger_shard_matches(full_entries, shard_ledger, S, 2 * S)
         # The isolated shard derived exactly its own noise shard.
         noise_keys = [
             d["key"] for d in shard_registry.derivations()
@@ -263,12 +266,13 @@ class TestCacheForkEquivalence:
         shard_stream, _ = streams_for(
             "cache", shard_size=S_c, start_ordinal=S_c
         )
+        full_entries = full_ledger.seal().entries()
         shard_ledger = shard_ledger_from(
-            full_ledger, key, S_c, shard_size=S_c
+            full_entries, key, S_c, shard_size=S_c
         )
         shard = harvest_inputs(
             inputs, policy, shard_stream, S_c, 2 * S_c,
             batch_size=64, ledger=shard_ledger,
         )
         assert_shard_matches(full, shard, S_c, 2 * S_c)
-        assert_ledger_shard_matches(full_ledger, shard_ledger, S_c, 2 * S_c)
+        assert_ledger_shard_matches(full_entries, shard_ledger, S_c, 2 * S_c)

@@ -82,7 +82,7 @@ class TestShardedEqualsSerial:
 
     def test_shard_map_matches_serial_boundary_hashes(self, scenario_harvest):
         _, result, _ = scenario_harvest
-        entries = result.entries()
+        entries = result.sealed.entries()
         assert result.shard_map[0]["prev"] == GENESIS
         for spec, shard in zip(result.plan, result.shard_map):
             assert shard == {
@@ -97,7 +97,7 @@ class TestShardedEqualsSerial:
         job, result, shards = scenario_harvest
         payloads = []
         for spec, (columns, ledger) in zip(result.plan, shards):
-            sealed = ledger.sealed()
+            sealed = ledger.seal()
             payloads.append(
                 {
                     "start": spec.start,
@@ -112,7 +112,7 @@ class TestShardedEqualsSerial:
             shard_size=job.shard_size,
             master_fingerprint=result.registry.master_fingerprint,
         )
-        assert spliced.entries() == result.entries()
+        assert spliced.seal().entries() == result.sealed.entries()
         assert spliced.manifest_entry() == result.ledger.manifest_entry()
         assert shard_map == result.shard_map
 

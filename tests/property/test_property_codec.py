@@ -223,20 +223,23 @@ class TestEncoder:
     def test_column_lines_equal_json_dumps(self, rows, sealed):
         columns = list(zip(*rows)) if rows else [[], [], [], [], []]
         ctxs, actions, rewards, props, stamps_ = columns
-        ledger = None
+        ledger = sealed_rows = None
         if sealed:
             ledger = DecisionLedger("s/c/decisions", genesis="ab" * 32)
             ledger.extend_batch(list(ctxs), np.array(actions, dtype=np.int64),
                                 np.array(props, dtype=np.float64))
+            sealed_rows = ledger.seal()
         handle = io.StringIO()
         keys = ContextKeys()
         ids = keys.ids(list(ctxs))
         write_columns(
             handle, ContextTable(), keys.contexts, ids, actions, rewards,
-            props, stamps_, ledger.sealed() if ledger is not None else None,
+            props, stamps_, sealed_rows,
         )
         expected = []
-        entries = ledger.entries() if ledger is not None else [None] * len(rows)
+        entries = (
+            sealed_rows.entries() if ledger is not None else [None] * len(rows)
+        )
         for (ctx, action, reward, prop, stamp), entry in zip(rows, entries):
             record = {
                 "context": dict(ctx),
@@ -363,7 +366,7 @@ def _written_lines(draw) -> list:
                 ctxs, np.array(actions, dtype=np.int64),
                 np.array(props, dtype=np.float64),
             )
-            sealed = ledger.sealed()
+            sealed = ledger.seal()
         keys = ContextKeys()
         ids = keys.ids(ctxs)
         write_columns(
@@ -401,7 +404,7 @@ def _sealed_line() -> str:
     handle = io.StringIO()
     write_columns(
         handle, ContextTable(), [{"a": 1.0}], [0], [1], [0.25], [0.5],
-        [0.0], ledger.sealed(),
+        [0.0], ledger.seal(),
     )
     return handle.getvalue().strip()
 

@@ -270,3 +270,35 @@ class TestCandidateOps:
         assert all(
             d["action"] == GOOD_ACTION for d in act["decisions"]
         )
+
+
+class TestAutoGate:
+    def test_eval_every_gates_a_candidate_unprompted(self, tmp_path):
+        # No promote op: the --eval-every loop gates the registered
+        # candidate by itself, and stop() ends the loop.
+        async def main():
+            server = make_server(
+                tmp_path, eval_every=0.1, gate_config=GateConfig(min_rows=256)
+            )
+            service = server.service
+            service.register_candidate("greedy", ConstantPolicy(GOOD_ACTION))
+            service.decide(4_096)
+            service.flush()
+            await server.start()
+            loop_task = server._auto_gate
+            try:
+                for _ in range(600):
+                    if service.gate_decisions:
+                        break
+                    await asyncio.sleep(0.05)
+            finally:
+                await server.stop()
+            return service, loop_task
+
+        service, loop_task = asyncio.run(main())
+        assert service.gate_decisions
+        decision = service.gate_decisions[0]
+        assert decision.candidate == "greedy"
+        assert decision.n == 4_096
+        assert loop_task.done()
+        assert service.errors == 0

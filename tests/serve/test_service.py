@@ -7,6 +7,8 @@ master seed, shadow mode never perturbs the serving stream, and the
 canary's mixture propensities are the true marginals.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,34 @@ class TestLogRoundTrip:
         service.decide(10)
         with pytest.raises(RuntimeError, match="log_path"):
             service.flush()
+
+    def test_non_empty_log_refused(self, tmp_path):
+        log = tmp_path / "serve.jsonl"
+        log.write_text("{}\n")
+        with pytest.raises(ValueError, match="resuming") as error:
+            make_service(log_path=str(log))
+        assert str(log) in str(error.value)
+        assert log.read_text() == "{}\n"
+        log.write_text("")  # an empty file is a new log
+        make_service(log_path=str(log)).close()
+
+    def test_flushed_rows_leave_memory(self, tmp_path):
+        # Each flush hands the sealed rows to the writer, and the
+        # ledger keeps only its head: memory stays flat while serving.
+        service = make_service(tmp_path, pool_rows=4_096, shard_size=8_192)
+        try:
+            for flushes in range(1, 26):
+                service.decide(8_192)
+                service.flush()
+                if flushes == 5:
+                    assert service.served == 40_960
+                    tracemalloc.start()
+            grown, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            service.close()
+        assert service.served == 204_800
+        assert grown < 1_000_000, f"traced memory grew {grown:,} bytes"
 
 
 class TestShadow:

@@ -645,6 +645,22 @@ class TestServeSubcommand:
         assert main(["evaluate", log, "--policy", "uniform"]) == 0
         assert "uniform-random" in capsys.readouterr().out
 
+    def test_refuses_to_append_to_an_existing_log(self, tmp_path, capsys):
+        # A second server would anchor a fresh chain at genesis after
+        # the first one's rows, breaking the log for every reader.
+        log = str(tmp_path / "s.jsonl")
+        argv = ["serve", "synthetic", "--burst", "1000", "--pool-rows", "64",
+                "--log", log]
+        assert main(argv) == 0
+        capsys.readouterr()
+        first = open(log, "rb").read()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert log in err and "resuming" in err
+        assert open(log, "rb").read() == first
+        assert main(["verify-ledger", log]) == 0
+        assert "ledger: OK — 1000/1000" in capsys.readouterr().out
+
     def test_swap_policy_candidates_are_registered(self, tmp_path, capsys):
         import json
 
