@@ -11,13 +11,13 @@ a harvested JSONL exploration log from the shell::
         --policy uniform --policy constant:1 --policy eps:0:0.1 \
         --estimator ips --estimator snips
 
-By default the log is loaded once and every estimate is one whole-log
-fold through the reduction kernel (see :mod:`repro.core.engine`).
-``--chunk-size N`` instead streams the file through the kernel in
-``N``-row chunks — O(chunk) memory, so it handles files larger than
-RAM.  Every fold runs in this process.  Policies without a batch
-implementation fall back to the row loop with a one-time warning per
-policy type.
+Every run is one fold of the log through the reductions of all its
+(policy × estimator) pairs (:func:`repro.core.engine.evaluate_jsonl_chunked`):
+by default the log is read once and folded whole; ``--chunk-size N``
+only sets the fold's block size, streaming the file in ``N``-row
+chunks — O(chunk) memory, so it handles files larger than RAM.  Every
+fold runs in this process.  Policies without a batch implementation
+fall back to the row loop with a one-time warning per policy type.
 
 ``--bootstrap N`` adds a percentile-bootstrap confidence interval on
 the IPS terms of every policy, all resampled by one draw of replicate
@@ -250,11 +250,12 @@ def _print_bootstraps(policies, terms, args: argparse.Namespace) -> dict:
     }
 
 
-def _run_evaluate_chunked(args, policies, estimators):
-    """``--chunk-size`` path: stream the file, never load the whole log.
+def _run_evaluate(args, policies, estimators):
+    """Fold the log once for every (policy × estimator) pair.
 
-    Returns ``(exit_code, rows, quarantine, bootstraps)`` so the
-    observability wrapper can manifest the run.  The bootstrap
+    The whole log is one block, or ``--chunk-size`` rows per streamed
+    chunk.  Returns ``(exit_code, rows, quarantine, bootstraps)`` so
+    the observability wrapper can manifest the run.  The bootstrap
     resamples IPS terms, so a run that asks for one but not for ``ips``
     folds an IPS reduction it does not print.
     """
@@ -285,8 +286,10 @@ def _run_evaluate_chunked(args, policies, estimators):
         return 1, [], None, {}
     if evaluation.quarantine:
         print(evaluation.quarantine.summary_text(), file=sys.stderr)
-    print(f"log: {args.log} ({evaluation.n} interactions, "
-          f"{evaluation.n_chunks} chunks)")
+    chunks = (
+        "" if args.chunk_size is None else f", {evaluation.n_chunks} chunks"
+    )
+    print(f"log: {args.log} ({evaluation.n} interactions{chunks})")
     rows = [
         (name, results[: len(estimators)])
         for name, results in zip(evaluation.policy_names, evaluation.results)
@@ -300,55 +303,6 @@ def _run_evaluate_chunked(args, policies, estimators):
         ])
         bootstraps = _print_bootstraps(policies, terms, args)
     return 0, rows, evaluation.quarantine, bootstraps
-
-
-def _run_evaluate_inmemory(args, policies, estimators):
-    """Default path: load the log once, fold it whole per estimate.
-
-    The log loads as a columns-backed view: the estimators fold its
-    columns, and no per-row object is kept.
-    """
-    import numpy as np
-
-    from repro.core.estimators.ips import IPSEstimator
-    from repro.core.types import Dataset
-
-    try:
-        dataset = Dataset.load_jsonl(args.log, mode=args.mode, columnar=True)
-    except OSError as error:
-        print(f"error: cannot read {args.log}: {error}", file=sys.stderr)
-        return 1, [], None, {}
-    except ValueError as error:
-        # Strict-mode validation failure: the message already names the
-        # file and 1-based line number.
-        print(f"error: {error}", file=sys.stderr)
-        return 1, [], None, {}
-    if dataset.quarantine:
-        print(dataset.quarantine.summary_text(), file=sys.stderr)
-    if len(dataset) == 0:
-        print(f"error: no usable interactions in {args.log}", file=sys.stderr)
-        return 1, [], None, {}
-    print(f"log: {args.log} ({len(dataset)} interactions)")
-    rows = []
-    for policy in policies:
-        results = []
-        for estimator in estimators:
-            try:
-                results.append(estimator.estimate(policy, dataset))
-            except ValueError as error:
-                print(f"error: {policy.name} × {estimator.name}: {error}",
-                      file=sys.stderr)
-                return 1, [], dataset.quarantine, {}
-        rows.append((policy.name, results))
-    _print_table(estimators, rows)
-    bootstraps = {}
-    if args.bootstrap > 0:
-        ips = IPSEstimator()
-        terms = np.stack([
-            ips.weighted_rewards(policy, dataset) for policy in policies
-        ])
-        bootstraps = _print_bootstraps(policies, terms, args)
-    return 0, rows, dataset.quarantine, bootstraps
 
 
 def _print_trace_summary(tracer: Tracer, limit: int = 8) -> None:
@@ -568,11 +522,9 @@ def run_evaluate(args: argparse.Namespace) -> int:
         return 1
     estimators = [make_estimator(name) for name in args.estimator or ["ips"]]
     with _instruments(args) as run:
-        if args.chunk_size is not None:
-            outcome = _run_evaluate_chunked(args, policies, estimators)
-        else:
-            outcome = _run_evaluate_inmemory(args, policies, estimators)
-    code, rows, quarantine, bootstraps = outcome
+        code, rows, quarantine, bootstraps = _run_evaluate(
+            args, policies, estimators
+        )
     if code != 0:
         return code
     return _report_run(
@@ -840,6 +792,9 @@ def run_serve(args: argparse.Namespace) -> int:
         except (ValueError, KeyError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
+        except OSError as error:
+            print(f"error: cannot write {args.log}: {error}", file=sys.stderr)
+            return 1
         for name, policy in candidates:
             service.register_candidate(name, policy)
         try:
@@ -1065,8 +1020,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="stream the file through the estimators in N-row chunks "
-        "(O(chunk) memory) instead of loading it and folding it whole "
-        "(the default)",
+        "(O(chunk) memory, two passes) instead of reading it once and "
+        "folding it whole (the default)",
     )
     evaluate.add_argument(
         "--workers",

@@ -1,16 +1,16 @@
 """The evaluation engine: every estimate is a fold of the log.
 
 Every estimator is a reduction (:mod:`repro.core.estimators.reductions`).
-An in-memory estimate folds the log's cached columnar view
-(:class:`~repro.core.columns.DatasetColumns`) through it once, as one
-chunk: one :meth:`~repro.core.policies.Policy.probabilities_batch`
-call per policy, the array-speed path §4's "one log scores a whole
-policy class" promise needs
-(:meth:`~repro.core.estimators.base.OffPolicyEstimator.estimate`).
-:func:`evaluate_jsonl_chunked` is the one chunked fold: it streams a
-JSONL log through the validation layer chunk by chunk, in O(chunk)
-memory, for logs that never fit in memory.  Every fold runs in this
-process, and both agree up to float reassociation (asserted by
+:func:`evaluate_jsonl_chunked` folds a JSONL log through the reductions
+of a whole policy class at once, one
+:meth:`~repro.core.policies.Policy.probabilities_batch` call per policy
+and block, the array-speed path §4's "one log scores a whole policy
+class" promise needs: by default the whole log is one block, read once,
+and with a ``chunk_size`` it streams chunk by chunk, in O(chunk)
+memory, for logs that never fit in memory.  An in-memory estimate
+(:meth:`~repro.core.estimators.base.OffPolicyEstimator.estimate`)
+folds a dataset's cached columnar view the same way.  Every fold runs
+in this process, and all agree up to float reassociation (asserted by
 ``tests/core/test_reduction_equivalence.py`` against the per-row
 reference in ``tests/oracles.py``).
 """
@@ -27,11 +27,11 @@ from repro.obs.metrics import get_metrics
 from repro.obs.monitors import get_monitors
 from repro.obs.tracing import get_tracer
 
-#: Rows per chunk when :func:`evaluate_jsonl_chunked` is not told
-#: otherwise.  8192 rows × a few hundred actions of float64 keeps the
-#: per-chunk probability matrix in the tens of megabytes — comfortably
-#: inside any address-space budget while still amortizing NumPy
-#: dispatch overhead.
+#: Rows per chunk of a streamed fold that must stay O(chunk), such as
+#: the serving gate's.  8192 rows × a few hundred actions of float64
+#: keeps the per-chunk probability matrix in the tens of megabytes —
+#: comfortably inside any address-space budget while still amortizing
+#: NumPy dispatch overhead.
 STREAM_CHUNK_SIZE = 8192
 
 #: Policy types already warned about missing a batch implementation.
@@ -82,13 +82,13 @@ def reset_backend_warnings() -> None:
 def _read_blocks(
     path, mode, validator, quarantine, chunk_size, table, prefix_bytes
 ):
-    """Admit ``path`` in ``chunk_size``-row column blocks.
+    """Admit ``path`` in ``chunk_size``-row column blocks (``None``: one).
 
-    Both streamed passes read through the log codec exactly as
+    Every pass reads through the log codec exactly as
     ``Dataset.load_jsonl(verify_ledger="auto")`` does: ledger bindings
     are checked (linkage too in strict mode), and broken ones raise or
-    are set aside under ``ledger``.  ``prefix_bytes`` bounds both
-    passes to the same prefix of the file.
+    are set aside under ``ledger``.  ``prefix_bytes`` bounds every
+    pass to the same prefix of the file.
     """
     from repro.audit.ledger import ChainFollower
     from repro.core.codec import LogReader
@@ -171,11 +171,12 @@ def evaluate_jsonl_chunked(
     collect_terms: bool = False,
     prefix_bytes: Optional[int] = None,
 ) -> ChunkedEvaluation:
-    """Evaluate policies against a JSONL log without loading it.
+    """Evaluate policies against a JSONL log in one fold of its blocks.
 
-    ``chunk_size`` rows are read per chunk (default
-    :data:`STREAM_CHUNK_SIZE`).  Two streaming passes, each O(chunk)
-    peak memory:
+    By default (``chunk_size=None``) the log is one block, read once:
+    discovery and the fold share its columns, so a reward model hashes
+    its features once.  ``chunk_size`` rows per chunk instead stream
+    the log in two passes, each O(chunk) peak memory:
 
     1. **Discovery** — count rows, collect the logged action support,
        fold the policy-independent :class:`LogStats` (propensity floor,
@@ -188,20 +189,20 @@ def evaluate_jsonl_chunked(
        view per chunk, and fold every (policy × estimator) reduction
        into its running state.
 
-    Both passes read through the log codec's
+    Every read goes through the log codec's
     :class:`~repro.core.codec.LogReader`, which parses lines straight
     into columns and checks ledger bindings exactly as
     ``Dataset.load_jsonl(verify_ledger="auto")`` does: a tampered
     record raises in strict mode and is set aside under ``ledger``
-    otherwise.  Validation is deterministic, so both passes accept the
-    same rows; the fold pass's quarantine is the one reported.
-    ``mode="strict"`` raises on the first defect,
+    otherwise.  Validation is deterministic, so both streamed passes
+    accept the same rows; the fold pass's quarantine is the one
+    reported.  ``mode="strict"`` raises on the first defect,
     ``"quarantine"``/``"repair"`` set defects aside and keep going —
     the chaos suite proves quarantine counts and UNRELIABLE verdicts
     survive chunk-boundary folding.
 
     ``prefix_bytes`` reads only the file's first ``prefix_bytes``
-    bytes in both passes, so rows appended while the run reads (a
+    bytes in every pass, so rows appended while the run reads (a
     server flushing under a gate) are never folded; by default the
     whole file is read.
 
@@ -214,9 +215,10 @@ def evaluate_jsonl_chunked(
     the validation/discovery pass, every chunk fold, and the finalize
     step; under an active metrics registry it feeds the
     ``engine.*`` counters/histograms and the ``validation.*``
-    quarantine counters (fold pass only — discovery's duplicate sight
-    of each defect is deliberately not mirrored).  With the default
-    no-op tracer/registry the overhead is unmeasurable.
+    quarantine counters (fold pass only — a streamed discovery pass's
+    duplicate sight of each defect is deliberately not mirrored).
+    With the default no-op tracer/registry the overhead is
+    unmeasurable.
     """
     policies = list(policies)
     estimators = list(estimators)
@@ -260,12 +262,13 @@ def _evaluate_jsonl_chunked(
 ) -> ChunkedEvaluation:
     from repro.core.codec import ContextTable
     from repro.core.columns import distinct_actions, pinned_action_space
-    from repro.core.estimators.direct import RewardModelFolder
+    from repro.core.estimators.direct import RewardModel, RewardModelFolder
     from repro.core.estimators.reductions import (
         IPSReduction,
         LogStats,
         ReductionContext,
     )
+    from repro.core.types import Dataset
     from repro.core.validation import Quarantine, RecordValidator, check_mode
 
     check_mode(mode)
@@ -275,8 +278,8 @@ def _evaluate_jsonl_chunked(
         raise ValueError("need at least one policy")
     if not estimators:
         raise ValueError("need at least one estimator")
-    chunk_size = STREAM_CHUNK_SIZE if chunk_size is None else int(chunk_size)
-    if chunk_size <= 0:
+    whole = chunk_size is None
+    if not whole and chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     if validator is None:
         validator = (
@@ -293,25 +296,34 @@ def _evaluate_jsonl_chunked(
     )
 
     # -- pass 1: discovery -------------------------------------------------
-    # Both passes share one memo, so the fold pass digests no context
-    # the discovery pass already did.
-    memo = ContextTable()
+    # Both streamed passes share one memo, so the fold pass digests no
+    # context the discovery pass already did; one read keeps none.
+    memo = None if whole else ContextTable()
     tracer = get_tracer()
     metrics = get_metrics()
     stats = LogStats()
     observed: set = set()
     total_rows = 0
-    folder = RewardModelFolder() if needs_shared_model else None
-    # Validation is deterministic and the fold pass re-validates every
-    # record; this pass's quarantine stays out of the metrics mirror so
-    # each defect is counted once per run.
+    folder = RewardModelFolder() if needs_shared_model and not whole else None
+    quarantine = Quarantine()
+    # The whole log is read once, into the quarantine the run reports.
+    # A streamed fold pass re-validates every record, so the discovery
+    # pass's quarantine stays out of the metrics mirror and each defect
+    # is counted once per run.
+    discovery = quarantine if whole else Quarantine(record_metrics=False)
     with tracer.span(
         "evaluate.validation", path=path, mode=mode
     ) as validation_span:
-        discovery = Quarantine(record_metrics=False)
-        for block in _read_blocks(
+        blocks = _read_blocks(
             path, mode, validator, discovery, chunk_size, memo, prefix_bytes
-        ):
+        )
+        if whole:
+            # One block is its own whole-log view: it needs no pinned
+            # space, and the reward model is fitted on its columns, whose
+            # hashed-feature matrix the model-based reductions reuse.
+            blocks = list(blocks)
+            columns = _chunk_columns(blocks[0], action_space, reward_range)
+        for block in blocks:
             stats.fold(block.actions, block.propensities)
             observed.update(int(a) for a in distinct_actions(block.actions))
             total_rows += block.n
@@ -327,8 +339,11 @@ def _evaluate_jsonl_chunked(
     space = action_space or pinned_action_space(observed)
     shared_model = None
     if folder is not None:
-        n_actions = space.n_actions if space is not None else 1
-        shared_model = folder.finalize(n_actions)
+        shared_model = folder.finalize(space.n_actions)
+    elif needs_shared_model:
+        shared_model = RewardModel(columns.n_actions).fit(
+            Dataset.from_columns(columns)
+        )
     context = ReductionContext(
         observed_actions=np.array(sorted(observed), dtype=np.int64),
         total_rows=total_rows,
@@ -354,14 +369,17 @@ def _evaluate_jsonl_chunked(
     monitors = get_monitors()
     states = [reduction.init_state() for reduction in reductions]
     n_chunks = 0
-    quarantine = Quarantine()
     with tracer.span("evaluate.fold", chunk_size=chunk_size) as fold_span:
-        for chunk in _read_blocks(
-            path, mode, validator, quarantine, chunk_size, memo, prefix_bytes
-        ):
+        if not whole:
+            blocks = _read_blocks(
+                path, mode, validator, quarantine, chunk_size, memo,
+                prefix_bytes,
+            )
+        for chunk in blocks:
             start = time.perf_counter()
             with tracer.span("evaluate.chunk", index=n_chunks, rows=chunk.n):
-                columns = _chunk_columns(chunk, space, reward_range)
+                if not whole:
+                    columns = _chunk_columns(chunk, space, reward_range)
                 if monitors.enabled:
                     monitors.observe_propensities(columns.propensities)
                 for index, reduction in enumerate(reductions):

@@ -407,7 +407,6 @@ class Dataset:
         mode: str = "strict",
         validator=None,
         verify_ledger: str = "auto",
-        columnar: bool = False,
     ) -> "Dataset":
         """Inverse of :meth:`save_jsonl`, with a validated data boundary.
 
@@ -445,11 +444,7 @@ class Dataset:
         splits each line the codec wrote by its template and parses and
         digests each distinct context once.  A line that is not UTF-8
         is unparseable.  The interactions keep their ``metadata`` and
-        ``full_rewards``.  ``columnar=True`` instead returns a
-        columns-backed view (:meth:`from_columns`) for pure folding: no
-        per-row ``Interaction``, record dict or metadata dict is kept,
-        each distinct context is kept once and named by id, and rows
-        materialized from it carry no metadata or ``full_rewards``.
+        ``full_rewards``.
         """
         from repro.core.codec import LogReader
         from repro.core.validation import (
@@ -484,27 +479,14 @@ class Dataset:
             validator=validator,
             quarantine=quarantine,
             chain=chain,
-            keep_rows=not columnar,
+            keep_rows=True,
         ).read()
         if verify_ledger == "require" and (chain is None or not chain.engaged):
             raise ValueError(
                 f"{path}: verify_ledger='require' but the log carries no "
                 "ledger metadata"
             )
-        if columnar:
-            from repro.core.columns import DatasetColumns
-
-            dataset = cls.from_columns(
-                DatasetColumns.from_log(
-                    block.contexts, block.actions, block.rewards,
-                    block.propensities, block.timestamps,
-                    action_space=action_space,
-                    reward_range=reward_range or RewardRange(),
-                    context_ids=block.context_ids,
-                )
-            )
-        else:
-            dataset = cls(block.interactions, action_space, reward_range)
+        dataset = cls(block.interactions, action_space, reward_range)
         dataset.quarantine = quarantine
         from repro.obs.metrics import get_metrics
 

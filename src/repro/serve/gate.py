@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.diagnostics import VERDICT_UNRELIABLE
-from repro.core.engine import evaluate_jsonl_chunked
+from repro.core.engine import STREAM_CHUNK_SIZE, evaluate_jsonl_chunked
 from repro.core.estimators.doubly_robust import DoublyRobustEstimator
 from repro.core.policies import Policy
 
@@ -126,6 +126,7 @@ def evaluate_candidate(
             log_path,
             [candidate, incumbent],
             [DoublyRobustEstimator()],
+            chunk_size=STREAM_CHUNK_SIZE,
             mode="strict",
             prefix_bytes=prefix_bytes,
         )

@@ -212,6 +212,10 @@ class DecisionService:
             shard_size=self.shard_size,
             master_fingerprint=self.streams.master_fingerprint,
         )
+        # The pool bounds its distinct contexts, so the ledger's table
+        # keeps them all: no flush digests or encodes a context twice.
+        table = self.ledger.contexts
+        table.cap = max(table.cap, len(self.inputs.contexts))
         self.policies = PolicyRegistry(policy, policy_name)
         self.served = 0
         self.errors = 0

@@ -443,16 +443,15 @@ class TestUndecodableLine:
         path = str(_undecodable_log(lb_log, tmp_path, newline))
 
         def run():
-            if read == "streamed":
-                evaluation = evaluate_jsonl_chunked(
-                    path, [UniformRandomPolicy()], [IPSEstimator()],
-                    chunk_size=512, mode=mode,
-                )
-                return evaluation.n, evaluation.quarantine
-            loaded = Dataset.load_jsonl(
-                path, mode=mode, columnar=(read == "columns")
+            if read == "rows":
+                loaded = Dataset.load_jsonl(path, mode=mode)
+                return len(loaded), loaded.quarantine
+            # "columns" is the whole-log fold, "streamed" 512-row chunks.
+            evaluation = evaluate_jsonl_chunked(
+                path, [UniformRandomPolicy()], [IPSEstimator()],
+                chunk_size=512 if read == "streamed" else None, mode=mode,
             )
-            return len(loaded), loaded.quarantine
+            return evaluation.n, evaluation.quarantine
 
         if mode == "strict":
             with pytest.raises(ValueError) as error:

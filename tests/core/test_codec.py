@@ -3,7 +3,7 @@
 The columnar reader (:class:`repro.core.codec.LogReader`) must accept
 exactly the rows ``validated_interactions`` accepts, with the same
 strict errors and the same ``Quarantine.report()``, whether it feeds
-``Dataset.load_jsonl`` (rows or columns) or the streamed evaluation.
+``Dataset.load_jsonl``, the whole-log fold or the streamed evaluation.
 """
 
 import functools
@@ -16,10 +16,11 @@ from repro.__main__ import main
 from repro.audit.ledger import ChainFollower, verify_jsonl
 from repro.chaos.corruption import KINDS, LogCorruptor
 from repro.core.codec import LogReader
+from repro.core.columns import DatasetColumns
 from repro.core.engine import evaluate_jsonl_chunked
 from repro.core.estimators import IPSEstimator
 from repro.core.policies import UniformRandomPolicy
-from repro.core.types import Dataset
+from repro.core.types import Dataset, RewardRange
 from repro.core.validation import (
     MODES,
     Quarantine,
@@ -84,24 +85,43 @@ class TestQuarantineIdentity:
     def test_in_memory_load(self, clean_logs, tmp_path, scenario, kind, mode):
         path = corrupt(clean_logs[scenario], tmp_path, kind)
         rows, report = reference(path, mode)
-        for columnar in (False, True):
-            if rows is None:
+
+        def column_reader():
+            return LogReader(
+                path, mode=mode,
+                chain=ChainFollower(strict_links=(mode == "strict")),
+            )
+
+        def whole_log_fold():
+            return evaluate_jsonl_chunked(
+                path, [UniformRandomPolicy()], [IPSEstimator()], mode=mode
+            )
+
+        if rows is None:
+            for read in (
+                lambda: Dataset.load_jsonl(path, mode=mode),
+                lambda: column_reader().read(),
+                whole_log_fold,
+            ):
                 with pytest.raises(ValueError) as error:
-                    Dataset.load_jsonl(path, mode=mode, columnar=columnar)
+                    read()
                 assert str(error.value) == report
-                continue
-            dataset = Dataset.load_jsonl(path, mode=mode, columnar=columnar)
-            assert dataset.quarantine.report() == report
-            assert len(dataset) == len(rows)
-            if columnar:
-                columns = dataset.columns()
-                assert [dict(c) for c in columns.contexts] == columns_of(rows)[0]
-                assert columns.actions.tolist() == columns_of(rows)[1]
-                assert columns.rewards.tolist() == columns_of(rows)[2]
-            else:
-                assert [i.to_dict() for i in dataset] == [
-                    i.to_dict() for i in rows
-                ]
+            return
+        dataset = Dataset.load_jsonl(path, mode=mode)
+        assert dataset.quarantine.report() == report
+        assert [i.to_dict() for i in dataset] == [i.to_dict() for i in rows]
+        reader = column_reader()
+        block = reader.read()
+        assert reader.quarantine.report() == report
+        assert block.n == len(rows)
+        assert (
+            [dict(block.contexts[i]) for i in block.context_ids.tolist()],
+            block.actions.tolist(),
+            block.rewards.tolist(),
+        ) == columns_of(rows)[:3]
+        evaluation = whole_log_fold()
+        assert (evaluation.n, evaluation.n_chunks) == (len(rows), 1)
+        assert evaluation.quarantine.report() == report
 
     def test_streamed_read(self, clean_logs, tmp_path, scenario, kind, mode):
         path = corrupt(clean_logs[scenario], tmp_path, kind)
@@ -161,30 +181,54 @@ class TestReader:
 
     def test_columnar_view_materializes_plain_rows(self, clean_logs):
         path = str(clean_logs["loadbalance"])
-        view = Dataset.load_jsonl(path, columnar=True)
+        block = LogReader(path).read()
+        view = Dataset.from_columns(DatasetColumns.from_log(
+            block.contexts, block.actions, block.rewards,
+            block.propensities, block.timestamps,
+            reward_range=RewardRange(), context_ids=block.context_ids,
+        ))
         rows = Dataset.load_jsonl(path)
         assert len(view) == len(rows)
         assert np.array_equal(view.columns().rewards, rows.columns().rewards)
         assert [i.to_dict() for i in view] == [i.to_dict() for i in rows]
 
-    def test_cli_estimators_fold_the_view_without_rows(self, clean_logs):
-        from repro.__main__ import make_estimator, parse_policy
-
-        view = Dataset.load_jsonl(
-            str(clean_logs["machinehealth"]), columnar=True
+    def test_cli_estimators_fold_the_view_without_rows(
+        self, clean_logs, monkeypatch
+    ):
+        from repro.__main__ import (
+            ESTIMATOR_NAMES,
+            make_estimator,
+            parse_policy,
         )
-        rows = Dataset.load_jsonl(str(clean_logs["machinehealth"]))
-        for name in ("ips", "snips", "clipped-ips", "dm", "dr", "switch",
-                     "auto"):
-            for spec in ("uniform", "constant:1", "eps:2:0.1"):
-                policy = parse_policy(spec)
-                got = make_estimator(name).estimate(policy, view)
+        from repro.core.types import Interaction
+
+        path = str(clean_logs["machinehealth"])
+        rows = Dataset.load_jsonl(path)
+        specs = ("uniform", "constant:1", "eps:2:0.1")
+        policies = [parse_policy(spec) for spec in specs]
+        assert len(ESTIMATOR_NAMES) == 7
+
+        def bits(result):
+            verdict = result.diagnostics and result.diagnostics.verdict
+            return (
+                float(result.value).hex(), float(result.std_error).hex(),
+                verdict,
+            )
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("the fold built a per-row Interaction")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Interaction, "__post_init__", no_rows)
+            evaluation = evaluate_jsonl_chunked(
+                path, policies,
+                [make_estimator(name) for name in ESTIMATOR_NAMES],
+            )
+        assert evaluation.n_chunks == 1
+        for policy, results in zip(policies, evaluation.results):
+            for name, got in zip(ESTIMATOR_NAMES, results):
                 want = make_estimator(name).estimate(policy, rows)
-                assert (got.value, got.std_error) == (
-                    want.value, want.std_error
-                )
-        IPSEstimator().weighted_rewards(parse_policy("uniform"), view)
-        assert view._rows is None  # nothing materialized per row
+                assert bits(got) == bits(want), (policy.name, name)
 
     def test_extra_fields_and_full_rewards_take_the_reference_path(
         self, tmp_path

@@ -200,6 +200,46 @@ class TestCliOnCorruptedLog:
         assert "constant[1]" in captured.out
         assert "rejected" in captured.err  # quarantine summary on stderr
 
+    def test_whole_log_run_counts_each_defect_once(
+        self, corrupted_log, tmp_path, capsys
+    ):
+        # The whole-log fold reads the log once, so its quarantine,
+        # validation counters and quarantine-rate monitor see each
+        # defect once, exactly as a streamed run's fold pass does.
+        import json
+
+        from repro.__main__ import main
+
+        path, _ = corrupted_log
+        runs = []
+        for extra in ([], ["--chunk-size", "64"]):
+            manifest = tmp_path / "manifest.json"
+            assert main(
+                ["evaluate", path, "--mode", "quarantine", "--monitors",
+                 "--manifest", str(manifest), *extra]
+            ) == 0
+            runs.append(json.loads(manifest.read_text()))
+        capsys.readouterr()
+        whole, chunked = runs
+        reference = Dataset.load_jsonl(path, mode="quarantine")
+        rejected = reference.quarantine.n_rejected
+        assert whole["quarantine"]["n_rejected"] == rejected
+        assert whole["quarantine"] == chunked["quarantine"]
+        (counter,) = (
+            metric for name, metric in whole["metrics"].items()
+            if name.startswith("validation.")
+        )
+        assert {
+            series["labels"]["reason"]: series["value"]
+            for series in counter["series"]
+        } == reference.quarantine.counts_by_reason()
+        assert counter == chunked["metrics"]["validation.rejected"]
+        rate = whole["health"]["monitors"]["quarantine_rate"]
+        assert rate == chunked["health"]["monitors"]["quarantine_rate"]
+        assert rate["value"] == pytest.approx(
+            rejected / (rejected + len(reference))
+        )
+
     def test_evaluate_strict_mode_fails_cleanly(self, corrupted_log, capsys):
         from repro.__main__ import main
 

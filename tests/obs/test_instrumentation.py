@@ -14,6 +14,8 @@ import pytest
 from repro.core.bootstrap import BOOTSTRAP_SHARD, bootstrap_interval_from_terms
 from repro.core.engine import evaluate_jsonl_chunked
 from repro.core.estimators.base import EstimatorResult
+from repro.core.estimators.direct import DirectMethodEstimator
+from repro.core.estimators.doubly_robust import DoublyRobustEstimator
 from repro.core.estimators.fallback import select_down_ladder
 from repro.core.estimators.ips import IPSEstimator, SNIPSEstimator
 from repro.core.policies import ConstantPolicy, UniformRandomPolicy
@@ -83,6 +85,30 @@ class TestObservationNeutrality:
             traced = bootstrap_interval_from_terms(terms, seed=7, n_boot=100)
         assert traced.low == plain.low
         assert traced.high == plain.high
+
+
+class TestWholeLogFold:
+    """By default the log is one block: read once, hashed once."""
+
+    def test_reads_hashes_and_fits_once(self, tmp_path):
+        path = str(tmp_path / "log.jsonl")
+        make_uniform_dataset(500, seed=4).save_jsonl(path)
+        with use_tracer() as tracer:
+            evaluation = evaluate_jsonl_chunked(
+                path,
+                [UniformRandomPolicy(), ConstantPolicy(1)],
+                [DoublyRobustEstimator(), DirectMethodEstimator()],
+            )
+        assert (evaluation.n, evaluation.n_chunks) == (500, 1)
+        (root,) = tracer.span_tree()
+        assert root["name"] == "evaluate.jsonl"
+        counts = {}
+        for _, span in flatten_spans([root]):
+            counts[span["name"]] = counts.get(span["name"], 0) + 1
+        assert counts["jsonl.read"] == 1
+        assert counts["features.hash"] == 1
+        assert counts["reward_model.fit"] == 1
+        assert counts["evaluate.chunk"] == 1
 
 
 class TestAcceptanceRun:

@@ -11,7 +11,10 @@ import signal
 
 import pytest
 
+from repro.core.engine import STREAM_CHUNK_SIZE
 from repro.core.policies import ConstantPolicy, UniformRandomPolicy
+from repro.obs.report import flatten_spans
+from repro.obs.tracing import use_tracer
 from repro.serve import DecisionService, GateConfig, GateRunner, evaluate_candidate
 from repro.serve.gate import GateDecision
 
@@ -80,6 +83,37 @@ class TestEvaluateCandidate:
             reason.startswith("evaluation failed")
             for reason in decision.reasons
         )
+
+    def test_gate_folds_in_bounded_chunks(self, tmp_path):
+        # A gate must not compete with serving for RAM: it streams the
+        # log in STREAM_CHUNK_SIZE blocks, discovery then fold.
+        log = serve_log(tmp_path, rows=20_000)
+        with use_tracer() as tracer:
+            decision = evaluate_candidate(
+                log, "greedy", ConstantPolicy(GOOD_ACTION),
+                UniformRandomPolicy(),
+            )
+        assert decision.n == 20_000
+        (root,) = tracer.span_tree()
+        by_name = {}
+        for _, span in flatten_spans([root]):
+            by_name.setdefault(span["name"], []).append(span)
+        chunks = by_name["evaluate.chunk"]
+        full = STREAM_CHUNK_SIZE
+        assert [c["attributes"]["rows"] for c in chunks] == [
+            full, full, 20_000 - 2 * full
+        ]
+        (validation,) = by_name["evaluate.validation"]
+        (fold,) = by_name["evaluate.fold"]
+        for one_pass in (validation, fold):
+            reads = [
+                child for child in one_pass["children"]
+                if child["name"] == "jsonl.read"
+            ]
+            assert [r["attributes"]["rows"] for r in reads] == [
+                c["attributes"]["rows"] for c in chunks
+            ]
+        assert len(by_name["jsonl.read"]) == 6
 
     def test_decision_round_trips_through_dict(self):
         decision = GateDecision(

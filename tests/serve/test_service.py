@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.audit.ledger import verify_jsonl
+from repro.core.codec import TABLE_CAP
 from repro.core.policies import ConstantPolicy, EpsilonGreedyPolicy, UniformRandomPolicy
 from repro.core.types import Dataset
 from repro.obs.monitors import MonitorSuite, serving_monitors, use_monitors
@@ -169,6 +170,24 @@ class TestLogRoundTrip:
             service.close()
         assert service.served == 204_800
         assert grown < 1_000_000, f"traced memory grew {grown:,} bytes"
+
+
+    def test_every_pool_context_stays_in_the_table(self, tmp_path):
+        # A pool larger than the codec's default table cap keeps all its
+        # contexts: after one full-pool flush, the next digests and
+        # encodes none.
+        service = make_service(tmp_path, pool_rows=8_192, shard_size=8_192)
+        try:
+            service.decide(8_192)
+            service.flush()
+            table = service.ledger.contexts
+            hits = table.hits
+            service.decide(8_192)
+            service.flush()
+        finally:
+            service.close()
+        assert len(service.inputs.contexts) == 8_192 > TABLE_CAP
+        assert table.hits - hits == 2 * 8_192  # every digest and text
 
 
 class TestShadow:

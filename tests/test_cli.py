@@ -296,7 +296,9 @@ class TestObservabilityFlags:
         code, out, err = self._run([log_path, "--trace"], capsys)
         assert code == 0
         assert "trace (top spans by wall time):" in err
-        assert "estimate" in err
+        # Every run is one fold: its root span and its one read.
+        assert "evaluate.jsonl           ×1 " in err
+        assert "jsonl.read               ×1 " in err
 
     def test_trace_leaves_estimates_unchanged(self, log_path, capsys):
         code_plain, out_plain, _ = self._run([log_path], capsys)
@@ -660,6 +662,19 @@ class TestServeSubcommand:
         assert open(log, "rb").read() == first
         assert main(["verify-ledger", log]) == 0
         assert "ledger: OK — 1000/1000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_log_is_an_error_line(self, tmp_path, capsys, where):
+        log = str(
+            tmp_path if where == "directory"
+            else tmp_path / "missing" / "s.jsonl"
+        )
+        argv = ["serve", "synthetic", "--port", "0", "--burst", "10",
+                "--pool-rows", "8", "--log", log]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {log}: ")
+        assert len(err.splitlines()) == 1
 
     def test_swap_policy_candidates_are_registered(self, tmp_path, capsys):
         import json
